@@ -15,6 +15,8 @@ from .homs import SubSeedSpec, find_seed_iso, identity_inclusion, mixing_subseed
 from .seeds import Seed
 from .semigroup import (
     DEFAULT_CAP,
+    GreenPartition,
+    SemigroupTable,
     _all_specs,
     enumerate_endpar,
     green_relations,
@@ -75,6 +77,8 @@ class ClassificationReport:
     d_class_map: dict[SubSeedSpec, int]
     subalgebra_flags: dict[SubSeedSpec, bool]
     regular_d_count: int
+    table: SemigroupTable
+    green: GreenPartition
 
     @property
     def iso_class_count(self) -> int:
@@ -83,7 +87,10 @@ class ClassificationReport:
 
 def theorem_number_report(seed: Seed, cap: int = DEFAULT_CAP) -> ClassificationReport:
     """Match sub-seed iso-classes with regular D-classes of the
-    endomorphism semigroup and verify the correspondence is a bijection."""
+    endomorphism semigroup and verify the correspondence is a bijection.
+
+    The report keeps the semigroup table and its Green's partition, so
+    callers need not build them again."""
     classes = iso_classes_of_subseeds(seed)
     S = enumerate_endpar(seed, cap=cap)
     P = green_relations(S)
@@ -113,4 +120,4 @@ def theorem_number_report(seed: Seed, cap: int = DEFAULT_CAP) -> ClassificationR
         for cls in classes
         for spec in cls.members
     }
-    return ClassificationReport(classes, d_class_map, flags, len(regular_reps))
+    return ClassificationReport(classes, d_class_map, flags, len(regular_reps), S, P)

@@ -235,8 +235,7 @@ def cmd_green(args):
 def cmd_classify(args):
     seed = require_valid(load_seed(args.seed))
     report = theorem_number_report(seed, cap=args.cap)
-    S = enumerate_endpar(seed, cap=args.cap)
-    P = green_relations(S)
+    S, P = report.table, report.green
     order = seed.labels
 
     def spec_doc(spec):

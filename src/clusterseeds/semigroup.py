@@ -57,7 +57,8 @@ class SemigroupTable:
     seed: Seed
     elements: list[PartialSeedHom]
     index: dict[PartialSeedHom, int]
-    product: np.ndarray  # product[i][j] = index of elements[i] after elements[j]
+    # product[i, j] = index of elements[i] after elements[j]; int16 below 32,768 elements
+    product: np.ndarray
     zero_index: int
 
     def __len__(self) -> int:
@@ -122,11 +123,33 @@ def enumerate_endpar(seed: Seed, cap: int = DEFAULT_CAP) -> SemigroupTable:
                 )
             index[cand] = len(elements)
             elements.append(cand)
+    product, zero_index = _product_table(elements, labels)
+    return SemigroupTable(seed, elements, index, product, zero_index)
+
+
+# Cells per block of product-table columns; bounds the int64 temporaries.
+_BLOCK_CELLS = 1 << 18
+
+
+def _product_table(elements: list[PartialSeedHom], labels: tuple[str, ...]) -> tuple[np.ndarray, int]:
+    """Product table of the elements, and the index of the empty hom.
+
+    Each element is coded as one int64 whose digit p, in base
+    2*width+2, is 2*(v+1)+f: v is the position of the image of labels[p]
+    (-1 outside the domain) and f marks labels[p] as frozen in the
+    domain.  The code of each composite is assembled one position at a
+    time, over a block of columns, and looked up among the sorted codes.
+    """
     size = len(elements)
-    total = len(labels)
+    width = max(len(labels), 1)
+    base = 2 * width + 2
+    if base**width > 2**63:
+        raise ResourceCapExceeded(
+            f"{width} labels do not fit the 64-bit element code", partial_count=size
+        )
     pos = {x: p for p, x in enumerate(labels)}
-    V = np.full((size, max(total, 1)), -1, dtype=np.int16)
-    F = np.zeros((size, max(total, 1)), dtype=bool)
+    V = np.full((size, width), -1, dtype=np.int64)
+    F = np.zeros((size, width), dtype=np.int64)
     for i, h in enumerate(elements):
         fr_set = set(h.dom_fr)
         for p, x in enumerate(labels):
@@ -134,36 +157,42 @@ def enumerate_endpar(seed: Seed, cap: int = DEFAULT_CAP) -> SemigroupTable:
             if v is not None:
                 V[i, p] = pos[v]
                 F[i, p] = x in fr_set
-    def key_of(v_row, f_row):
-        return (v_row + 1).astype(np.int16).tobytes() + f_row.tobytes()
-
-    key_index = {key_of(V[i], F[i]): i for i in range(size)}
-    product = np.zeros((size, size), dtype=np.int32)
-    zero_index = None
-    for j in range(size):
-        Vj, Fj = V[j], F[j]
-        newV = np.full((size, max(total, 1)), -1, dtype=np.int16)
-        newF = np.zeros((size, max(total, 1)), dtype=bool)
-        for p in range(total):
-            q = int(Vj[p])
-            if q < 0:
-                continue
-            col = V[:, q]
-            survive = (col >= 0) & (F[:, q] == Fj[p])
-            newV[:, p] = np.where(survive, col, -1)
-            newF[:, p] = survive & Fj[p]
-        for i in range(size):
-            k = key_index.get(key_of(newV[i], newF[i]))
-            if k is None:
-                raise TheoremViolation(
-                    f"composition of elements {i} and {j} left the semigroup"
-                )
-            product[i, j] = k
-        if zero_index is None and not np.any(Vj >= 0):
-            zero_index = j
-    if zero_index is None:
+    digits = 2 * (V + 1) + F  # 0 outside the domain
+    weights = base ** np.arange(width, dtype=np.int64)
+    codes = digits @ weights
+    order = np.argsort(codes)
+    sorted_codes = codes[order]
+    if np.any(sorted_codes[1:] == sorted_codes[:-1]):
+        raise TheoremViolation("two elements of the semigroup share a code")
+    # Composing x after y: where y sends position p to q with frozen flag f,
+    # the composite takes x's digit at q if x's flag there is also f, else
+    # leaves p outside the domain.  hit[x, 2q+f] is that digit; the last
+    # column serves positions outside y's domain.
+    hit = np.zeros((size, 2 * width + 1), dtype=np.int64)
+    for f in (0, 1):
+        hit[:, f : 2 * width : 2] = np.where(F == f, digits, 0)
+    weighted_hit = hit[None, :, :] * weights[:, None, None]
+    col = np.where(V >= 0, 2 * V + F, 2 * width)
+    product = np.empty((size, size), dtype=np.int16 if size < 32768 else np.int32)
+    step = max(1, _BLOCK_CELLS // max(size, 1))
+    for j0 in range(0, size, step):
+        j1 = min(size, j0 + step)
+        acc = np.zeros((size, j1 - j0), dtype=np.int64)
+        for p in range(width):
+            acc += weighted_hit[p][:, col[j0:j1, p]]
+        at = np.searchsorted(sorted_codes, acc)
+        np.minimum(at, size - 1, out=at)
+        missing = sorted_codes[at] != acc
+        if missing.any():
+            j, i = np.argwhere(missing.T)[0]
+            raise TheoremViolation(
+                f"composition of elements {i} and {j0 + j} left the semigroup"
+            )
+        product[:, j0:j1] = order[at]
+    zero = np.flatnonzero(codes == 0)
+    if not zero.size:
         raise TheoremViolation("the empty homomorphism is missing from the semigroup")
-    return SemigroupTable(seed, elements, index, product, zero_index)
+    return product, int(zero[0])
 
 
 @dataclass
@@ -187,13 +216,28 @@ def _reps_from_keys(keys) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _reps_from_rows(M: np.ndarray) -> tuple[int, ...]:
+    """Least index of an equal row, per row of a boolean matrix."""
+    _, first, inverse = np.unique(
+        np.packbits(M, axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    return tuple(first[inverse.reshape(-1)].tolist())
+
+
 def green_relations(S: SemigroupTable) -> GreenPartition:
+    """L, R and J compare the incidence rows of the principal ideals
+    S¹x, xS¹ and S¹xS¹; H is the meet of L and R, D the join."""
     P = S.product
     size = len(S)
-    l_keys = [frozenset(P[:, x].tolist()) | {x} for x in range(size)]
-    r_keys = [frozenset(P[x, :].tolist()) | {x} for x in range(size)]
-    L = _reps_from_keys(l_keys)
-    R = _reps_from_keys(r_keys)
+    elems = np.arange(size)
+    Lm = np.zeros((size, size), dtype=bool)  # Lm[x] = S¹x
+    Rm = np.zeros((size, size), dtype=bool)  # Rm[x] = xS¹
+    Lm[elems[:, None], P.T] = True
+    Rm[elems[:, None], P] = True
+    Lm[elems, elems] = True
+    Rm[elems, elems] = True
+    L = _reps_from_rows(Lm)
+    R = _reps_from_rows(Rm)
     H = _reps_from_keys(list(zip(L, R)))
     # D: transitive closure of L union R via union-find
     parent = list(range(size))
@@ -213,14 +257,11 @@ def green_relations(S: SemigroupTable) -> GreenPartition:
         union(i, L[i])
         union(i, R[i])
     D = tuple(find(i) for i in range(size))
-    j_keys = []
-    for x in range(size):
-        right = np.unique(P[x, :])
-        two_sided = frozenset(np.unique(P[:, right]).tolist())
-        j_keys.append(two_sided | l_keys[x] | r_keys[x])
-    J = _reps_from_keys(j_keys)
-    regular = tuple(bool(np.any(P[P[x, :], x] == x)) for x in range(size))
-    idem = tuple(bool(P[x, x] == x) for x in range(size))
+    # S¹xS¹ is the union of S¹y over y in xS¹; a float32 sum of 0/1 terms
+    # is positive exactly when some term is, so the test needs no exact count
+    J = _reps_from_rows(Rm.astype(np.float32) @ Lm.astype(np.float32) > 0)
+    regular = tuple((P[P, elems[:, None]] == elems[:, None]).any(axis=1).tolist())
+    idem = tuple((np.diagonal(P) == elems).tolist())
     return GreenPartition(L, R, H, D, J, regular, idem)
 
 

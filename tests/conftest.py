@@ -39,6 +39,11 @@ def double_arrow_seed() -> Seed:
     )
 
 
+def a2_y2_seed() -> Seed:
+    """A2 with a frozen vertex at each end: y1 <- x1 -> x2 -> y2 (773 elements)."""
+    return Seed.from_data(["x1", "x2"], ["y1", "y2"], [[0, 1, 1, 0], [-1, 0, 0, 1]])
+
+
 def trivial_seed(m: int) -> Seed:
     return Seed.from_data([], [f"y{i}" for i in range(1, m + 1)], [])
 

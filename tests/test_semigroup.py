@@ -8,6 +8,7 @@ against it.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from clusterseeds import (
@@ -38,6 +39,7 @@ from conftest import (
     LINEAR_SIZES,
     PINNED_STATS,
     a2_seed,
+    a2_y2_seed,
     amalgam_seed,
     double_arrow_seed,
     linear_path_seed,
@@ -132,11 +134,21 @@ def test_cap_raises_with_partial_count():
 
 
 def test_product_table_matches_object_composition():
-    seed = a2_seed()
-    S = enumerate_endpar(seed)
-    for i, g in enumerate(S.elements):
-        for j, f in enumerate(S.elements):
-            assert S.elements[S.mult(i, j)] == compose(g, f)
+    for seed in (a2_seed(), double_arrow_seed()):
+        S = enumerate_endpar(seed)
+        assert S.product.dtype == np.int16
+        assert S.elements[S.zero_index] == empty_hom(seed)
+        for i, g in enumerate(S.elements):
+            for j, f in enumerate(S.elements):
+                assert S.elements[S.mult(i, j)] == compose(g, f)
+
+
+def test_element_code_width_is_checked():
+    # 14 labels need digits in base 30, and 30**14 exceeds a 64-bit code
+    from clusterseeds.semigroup import _product_table
+
+    with pytest.raises(ResourceCapExceeded):
+        _product_table([], tuple(f"y{i}" for i in range(14)))
 
 
 def test_zero_absorbs():
@@ -147,6 +159,56 @@ def test_zero_absorbs():
 
 
 # --------------------------------------------------------- Green relations
+
+
+def green_oracle(S):
+    """Green's relations straight from the ideal definitions, with sets.
+
+    L and R compare S¹x and xS¹ as frozensets, J compares S¹xS¹ built
+    with np.unique, D is the composite L∘R, and the regular flags search
+    for a witness g with xgx = x one element at a time.
+    """
+    P = S.product
+    size = len(S)
+
+    def reps(keys):
+        first = {}
+        return tuple(first.setdefault(k, i) for i, k in enumerate(keys))
+
+    left = [frozenset(P[:, x].tolist()) | {x} for x in range(size)]
+    right = [frozenset(P[x, :].tolist()) | {x} for x in range(size)]
+    L, R = reps(left), reps(right)
+    H = reps(zip(L, R))
+    members_of_l, members_of_r = {}, {}
+    for i in range(size):
+        members_of_l.setdefault(L[i], []).append(i)
+        members_of_r.setdefault(R[i], []).append(i)
+    D = tuple(
+        min(min(members_of_r[R[z]]) for z in members_of_l[L[x]]) for x in range(size)
+    )
+    two_sided = [
+        frozenset(np.unique(P[:, np.unique(P[x, :])]).tolist()) | left[x] | right[x]
+        for x in range(size)
+    ]
+    J = reps(two_sided)
+    regular = tuple(bool(np.any(P[P[x, :], x] == x)) for x in range(size))
+    idem = tuple(bool(P[x, x] == x) for x in range(size))
+    return dict(L=L, R=R, H=H, D=D, J=J, regular_flags=regular, idempotent_flags=idem)
+
+
+ORACLE_SEEDS = {
+    **BENCHMARK_SEEDS,
+    **{f"A{n}": (lambda n=n: linear_path_seed(n)) for n in (1, 3)},  # A2 is a2
+    "a2_y2": a2_y2_seed,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SEEDS))
+def test_green_relations_match_set_oracle(name):
+    S = enumerate_endpar(ORACLE_SEEDS[name]())
+    P = green_relations(S)
+    for field, expected in green_oracle(S).items():
+        assert getattr(P, field) == expected, field
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_SEEDS))
