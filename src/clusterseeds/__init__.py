@@ -26,7 +26,6 @@ from .poly import (
     ClusterEnumeration,
     LabeledSeedState,
     MultiPoly,
-    RationalFunction,
     enumerate_clusters,
     exchange,
     initial_state,

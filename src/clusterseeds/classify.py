@@ -79,6 +79,7 @@ class ClassificationReport:
     regular_d_count: int
     table: SemigroupTable
     green: GreenPartition
+    regular: list[tuple[int, int]]  # (D-class, id-form member) per regular class
 
     @property
     def iso_class_count(self) -> int:
@@ -89,8 +90,8 @@ def theorem_number_report(seed: Seed, cap: int = DEFAULT_CAP) -> ClassificationR
     """Match sub-seed iso-classes with regular D-classes of the
     endomorphism semigroup and verify the correspondence is a bijection.
 
-    The report keeps the semigroup table and its Green's partition, so
-    callers need not build them again."""
+    The report keeps the semigroup table, its Green's partition and the
+    regular D-classes, so callers need not build them again."""
     classes = iso_classes_of_subseeds(seed)
     S = enumerate_endpar(seed, cap=cap)
     P = green_relations(S)
@@ -120,4 +121,4 @@ def theorem_number_report(seed: Seed, cap: int = DEFAULT_CAP) -> ClassificationR
         for cls in classes
         for spec in cls.members
     }
-    return ClassificationReport(classes, d_class_map, flags, len(regular_reps), S, P)
+    return ClassificationReport(classes, d_class_map, flags, len(regular_reps), S, P, regular)

@@ -241,21 +241,17 @@ def cmd_classify(args):
     def spec_doc(spec):
         return {"I0": sorted(spec.I0, key=order.index), "I1": sorted(spec.I1, key=order.index)}
 
+    id_member = dict(report.regular)
     classes = []
     for cls in report.iso_classes:
         d_rep = report.d_class_map[cls.representative]
-        id_members = [
-            i
-            for i, h in enumerate(S.elements)
-            if P.D[i] == d_rep and is_id_form(h) and P.idempotent_flags[i]
-        ]
         classes.append(
             {
                 "representative": spec_doc(cls.representative),
                 "member_count": len(cls.members),
                 "subalgebra_type": report.subalgebra_flags[cls.representative],
                 "d_class": d_rep,
-                "h_group_order": h_class_group(S, P, min(id_members)).aut_order,
+                "h_group_order": h_class_group(S, P, id_member[d_rep]).aut_order,
             }
         )
     doc = {

@@ -26,7 +26,7 @@ class ResourceCapExceeded(RuntimeError):
 
 
 class LaurentViolation(RuntimeError):
-    """A reduced cluster variable failed to be a Laurent polynomial.
+    """A quotient of Laurent polynomials is not a Laurent polynomial.
 
     This never happens for valid inputs; it aborts the run rather than
     silently producing wrong symbolic output.

@@ -28,6 +28,11 @@ def _require(cond: bool, msg: str) -> None:
         raise ParseError(msg)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON true/false arrive as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _label_list(value, field: str) -> tuple[str, ...]:
     _require(isinstance(value, list), f"{field} must be a list")
     _require(all(isinstance(x, str) for x in value), f"{field} entries must be strings")
@@ -56,7 +61,7 @@ def seed_from_dict(doc) -> Seed:
         _require(isinstance(row, list), f"matrix row {i} is not a list")
         _require(len(row) == width, f"matrix row {i} has {len(row)} entries, expected {width}")
         _require(
-            all(isinstance(v, int) and not isinstance(v, bool) for v in row),
+            all(_is_int(v) for v in row),
             f"matrix row {i} contains non-integer entries",
         )
     try:
@@ -94,9 +99,14 @@ def hom_from_dict(doc, source: Seed, target: Seed) -> PartialSeedHom:
     raw = doc["map"]
     if isinstance(raw, list):
         _require(
-            all(isinstance(p, list) and len(p) == 2 for p in raw),
-            "map as a list must contain [from, to] pairs",
+            all(
+                isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
+                for p in raw
+            ),
+            "map as a list must contain [from, to] pairs of label strings",
         )
+        sources = [p[0] for p in raw]
+        _require(len(set(sources)) == len(sources), "map as a list repeats a source label")
         raw = dict(raw)
     _require(isinstance(raw, dict), "map must be an object or a pair list")
     _require(
@@ -124,7 +134,7 @@ def surface_to_dict(data: SurfaceData) -> dict:
 
 def _pair(value, field: str) -> tuple[int, int]:
     _require(
-        isinstance(value, list) and len(value) == 2 and all(isinstance(v, int) for v in value),
+        isinstance(value, list) and len(value) == 2 and all(_is_int(v) for v in value),
         f"{field} must be a pair of integers",
     )
     return (value[0], value[1])
@@ -135,7 +145,7 @@ def surface_from_dict(doc) -> SurfaceData:
     if "N" in doc:
         # single-polygon shorthand: N, triangulation, laminations
         N = doc["N"]
-        _require(isinstance(N, int), "N must be an integer")
+        _require(_is_int(N), "N must be an integer")
         tri = doc.get("triangulation", [])
         _require(isinstance(tri, list), "triangulation must be a list")
         diagonals = []
@@ -159,14 +169,14 @@ def surface_from_dict(doc) -> SurfaceData:
             _require(field in doc, f"surface document is missing {field!r}")
         comps = doc["components"]
         _require(
-            isinstance(comps, list) and all(isinstance(v, int) for v in comps),
+            isinstance(comps, list) and all(_is_int(v) for v in comps),
             "components must be a list of vertex counts",
         )
         diagonals = []
         _require(isinstance(doc["diagonals"], dict), "diagonals must be an object")
         for lbl, entry in doc["diagonals"].items():
             _require(
-                isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], int),
+                isinstance(entry, list) and len(entry) == 2 and _is_int(entry[0]),
                 f"diagonal {lbl!r} must be [component, [a, b]]",
             )
             a, b = _pair(entry[1], f"diagonal {lbl!r}")
@@ -178,7 +188,7 @@ def surface_from_dict(doc) -> SurfaceData:
             cv = []
             for entry in curves:
                 _require(
-                    isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], int),
+                    isinstance(entry, list) and len(entry) == 2 and _is_int(entry[0]),
                     f"lamination {lbl!r} curve must be [component, [s, t]]",
                 )
                 s, t = _pair(entry[1], f"lamination {lbl!r} curve")

@@ -1,24 +1,23 @@
-"""Exact rational-function arithmetic over the initial extended cluster.
+"""Exact Laurent-polynomial arithmetic over the initial extended cluster.
 
-Polynomials are dictionaries from exponent vectors to integer
-coefficients.  Fractions are kept in a Laurent normal form: the largest
-common monomial and the integer content are divided out, and a
-non-monomial denominator is eliminated by exact polynomial division.
-Cluster exchange relations only ever need monomial denominators, so a
-failed exact division aborts the run instead of returning a wrong value.
+By the Laurent phenomenon (Fomin-Zelevinsky, "Cluster algebras I",
+2002) every cluster variable lies in Z[x^+-1], so one type serves for
+all of them: a dictionary from signed exponent vectors to integer
+coefficients.  Division shifts each operand by its own smallest
+exponents and divides exactly; a quotient outside Z[x^+-1] raises
+``LaurentViolation`` and aborts the run instead of returning a wrong
+value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
-from .errors import LaurentViolation, ResourceCapExceeded, SeedError
+from .errors import LaurentViolation, ResourceCapExceeded
 from .seeds import ExtendedExchangeMatrix, Seed, matrix_mutation
 
 __all__ = [
     "MultiPoly",
-    "RationalFunction",
     "LabeledSeedState",
     "initial_state",
     "exchange",
@@ -35,7 +34,7 @@ def _grlex_key(exponents):
 
 
 class MultiPoly:
-    """Integer polynomial in the ordered variables of an extended cluster."""
+    """Integer Laurent polynomial in the ordered variables of an extended cluster."""
 
     __slots__ = ("context", "terms", "_hash")
 
@@ -94,9 +93,21 @@ class MultiPoly:
             )
         return MultiPoly(self.context, out)
 
+    def __truediv__(self, other: "MultiPoly") -> "MultiPoly":
+        """The exact quotient in Z[x^+-1]; LaurentViolation if there is none."""
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero Laurent polynomial")
+        if self.is_zero():
+            return self
+        a, b = self.min_exponents(), other.min_exponents()
+        quot = self.shift(tuple(-v for v in a)).exact_div(other.shift(tuple(-v for v in b)))
+        if quot is None:
+            raise LaurentViolation("the quotient is not a Laurent polynomial")
+        return quot.shift(tuple(i - j for i, j in zip(a, b)))
+
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
-            raise ValueError("negative power on a polynomial")
+            return MultiPoly.constant(self.context, 1) / self**-k
         result = MultiPoly.constant(self.context, 1)
         base = self
         while k:
@@ -122,23 +133,15 @@ class MultiPoly:
                     mins[i] = v
         return tuple(mins)
 
-    def content(self) -> int:
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-        return g
-
-    def divide_monomial(self, exponents, divisor: int = 1) -> "MultiPoly":
+    def shift(self, exponents) -> "MultiPoly":
+        """self times the monomial x^exponents; the exponents may be negative."""
         return MultiPoly(
             self.context,
-            {
-                tuple(a - b for a, b in zip(e, exponents)): c // divisor
-                for e, c in self.terms.items()
-            },
+            {tuple(a + b for a, b in zip(e, exponents)): c for e, c in self.terms.items()},
         )
 
     def exact_div(self, other: "MultiPoly") -> "MultiPoly | None":
-        """Quotient self/other over Z if the division is exact, else None."""
+        """Quotient self/other of polynomials over Z if the division is exact, else None."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         quot: dict[tuple[int, ...], int] = {}
@@ -154,9 +157,31 @@ class MultiPoly:
             rem = rem - MultiPoly(self.context, {e: q}) * other
         return MultiPoly(self.context, quot)
 
+    def _den_exponents(self) -> tuple[int, ...]:
+        if not self.terms:
+            return (0,) * len(self.context)
+        return tuple(max(0, -v) for v in self.min_exponents())
+
+    @property
+    def den(self) -> "MultiPoly":
+        """The monomial x^d, d_i = max(0, -min_i), that clears every negative exponent."""
+        return MultiPoly(self.context, {self._den_exponents(): 1})
+
+    @property
+    def num(self) -> "MultiPoly":
+        """The polynomial self * den."""
+        return self.shift(self._den_exponents())
+
     def __str__(self) -> str:
+        """A polynomial as is, else num/den, e.g. (x1 + x2 + 1)/x1*x2."""
         if not self.terms:
             return "0"
+        d = self._den_exponents()
+        if any(d):
+            num = str(self.shift(d))
+            if len(self.terms) > 1:
+                num = f"({num})"
+            return f"{num}/{MultiPoly(self.context, {d: 1})}"
         parts = []
         for e in sorted(self.terms, key=_grlex_key, reverse=True):
             c = self.terms[e]
@@ -183,112 +208,6 @@ class MultiPoly:
     __repr__ = __str__
 
 
-class RationalFunction:
-    """Reduced fraction of two MultiPoly values (Laurent normal form)."""
-
-    __slots__ = ("num", "den", "_hash")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        num, den = self._reduce(num, den)
-        self.num = num
-        self.den = den
-        self._hash = None
-
-    @staticmethod
-    def _reduce(num, den):
-        context = num.context
-        if num.is_zero():
-            return num, MultiPoly.constant(context, 1)
-        shift = tuple(min(a, b) for a, b in zip(num.min_exponents(), den.min_exponents()))
-        if any(shift):
-            num = num.divide_monomial(shift)
-            den = den.divide_monomial(shift)
-        if not den.is_monomial():
-            # den = c * x^dmin * D with D primitive; Laurent form needs D | num
-            dmin = den.min_exponents()
-            c = den.content()
-            D = den.divide_monomial(dmin, divisor=c)
-            quot = num.exact_div(D)
-            if quot is None:
-                raise LaurentViolation(
-                    "the non-monomial part of the denominator does not divide the numerator"
-                )
-            num, den = quot, MultiPoly(context, {dmin: c})
-            extra = tuple(
-                min(a, b) for a, b in zip(num.min_exponents(), den.min_exponents())
-            )
-            if any(extra):
-                num = num.divide_monomial(extra)
-                den = den.divide_monomial(extra)
-        g = gcd(num.content(), den.content())
-        if den.leading()[1] < 0:
-            g = -g
-        if g != 1:
-            num = MultiPoly(context, {e: c // g for e, c in num.terms.items()})
-            den = MultiPoly(context, {e: c // g for e, c in den.terms.items()})
-        return num, den
-
-    @staticmethod
-    def from_poly(p: MultiPoly) -> "RationalFunction":
-        return RationalFunction(p, MultiPoly.constant(p.context, 1))
-
-    @staticmethod
-    def generator(context, label: str) -> "RationalFunction":
-        return RationalFunction.from_poly(MultiPoly.generator(context, label))
-
-    @staticmethod
-    def one(context) -> "RationalFunction":
-        return RationalFunction.from_poly(MultiPoly.constant(context, 1))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, k: int) -> "RationalFunction":
-        if k < 0:
-            return RationalFunction(self.den**-k, self.num**-k)
-        return RationalFunction(self.num**k, self.den**k)
-
-    def is_laurent(self) -> bool:
-        return self.den.is_monomial()
-
-    def __str__(self) -> str:
-        if self.den.is_monomial() and self.den.terms == {(0,) * len(self.den.context): 1}:
-            return str(self.num)
-        num = str(self.num)
-        if len(self.num.terms) > 1:
-            num = f"({num})"
-        den = str(self.den)
-        if len(self.den.terms) > 1:
-            den = f"({den})"
-        return f"{num}/{den}"
-
-    __repr__ = __str__
-
-
 @dataclass(frozen=True)
 class LabeledSeedState:
     """A labeled seed reached from the base seed by mutations.
@@ -299,34 +218,37 @@ class LabeledSeedState:
 
     seed: Seed
     matrix: ExtendedExchangeMatrix
-    assignment: tuple[RationalFunction, ...]
+    assignment: tuple[MultiPoly, ...]
 
-    def cluster(self) -> frozenset[RationalFunction]:
+    def cluster(self) -> frozenset[MultiPoly]:
         return frozenset(self.assignment)
 
-    def variable(self, t: int) -> RationalFunction:
+    def variable(self, t: int) -> MultiPoly:
         """Current value of column t (exchangeable slot or frozen generator)."""
         if t < self.seed.n:
             return self.assignment[t]
-        return RationalFunction.generator(self.seed.labels, self.seed.labels[t])
+        return MultiPoly.generator(self.seed.labels, self.seed.labels[t])
 
 
 def initial_state(seed: Seed) -> LabeledSeedState:
     context = seed.labels
     assignment = tuple(
-        RationalFunction.generator(context, x) for x in seed.exchangeable_labels
+        MultiPoly.generator(context, x) for x in seed.exchangeable_labels
     )
     return LabeledSeedState(seed=seed, matrix=seed.matrix, assignment=assignment)
 
 
-def exchange(state: LabeledSeedState, k: int) -> RationalFunction:
-    """The exchange relation in direction k on the current assignment."""
+def exchange(state: LabeledSeedState, k: int) -> MultiPoly:
+    """The exchange relation in direction k on the current assignment.
+
+    The division by the outgoing variable is exact or raises
+    LaurentViolation."""
     n, m = state.matrix.n, state.matrix.m
     if not 0 <= k < n:
         raise IndexError(f"exchange direction {k} out of range 0..{n - 1}")
     context = state.seed.labels
-    plus = RationalFunction.one(context)
-    minus = RationalFunction.one(context)
+    plus = MultiPoly.constant(context, 1)
+    minus = MultiPoly.constant(context, 1)
     row = state.matrix.entries[k]
     for t in range(n + m):
         b = row[t]
@@ -334,10 +256,7 @@ def exchange(state: LabeledSeedState, k: int) -> RationalFunction:
             plus = plus * state.variable(t) ** b
         elif b < 0:
             minus = minus * state.variable(t) ** (-b)
-    result = (plus + minus) / state.assignment[k]
-    if not result.is_laurent():
-        raise LaurentViolation(f"exchange at slot {k} produced a non-Laurent value")
-    return result
+    return (plus + minus) / state.assignment[k]
 
 
 def mutate_state(state: LabeledSeedState, k: int) -> LabeledSeedState:
@@ -352,7 +271,7 @@ def mutate_state(state: LabeledSeedState, k: int) -> LabeledSeedState:
 
 @dataclass
 class ClusterEnumeration:
-    clusters: list[frozenset[RationalFunction]]
+    clusters: list[frozenset[MultiPoly]]
     status: str  # "closed" | "truncated"
 
 
@@ -361,7 +280,7 @@ def enumerate_clusters(
 ) -> ClusterEnumeration:
     """Breadth-first closure of labeled seed states up to max_depth.
 
-    Clusters are deduplicated as unordered sets of reduced fractions.
+    Clusters are deduplicated as unordered sets of Laurent polynomials.
     The status is "closed" only when the state graph was exhausted within
     the depth and state caps.
     """

@@ -1,10 +1,11 @@
 """End-to-end command-line behaviour: reports, formats, and exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
-from clusterseeds import cli
+from clusterseeds import MultiPoly, cli, initial_state
 from clusterseeds.fileio import dump_seed, surface_to_dict
 from conftest import a2_seed, amalgam_seed, double_arrow_seed
 from clusterseeds import make_surface
@@ -104,6 +105,19 @@ def test_exit_4_on_cross_check_failure(capsys, square_file, monkeypatch):
     code, out, _ = run(capsys, "check-sur", square_file, "--i1", "d0_2")
     assert code == 4
     assert "MISMATCH" in out or "mismatch" in out
+
+
+def test_exit_4_on_non_laurent_exchange(capsys, a2_file, monkeypatch):
+    # with x1 + 1 in slot 0, the exchange gives (x2 + 1)/(x1 + 1), outside Z[x^+-1]
+    def shifted_state(seed):
+        state = initial_state(seed)
+        x1 = state.assignment[0] + MultiPoly.constant(seed.labels, 1)
+        return dataclasses.replace(state, assignment=(x1,) + state.assignment[1:])
+
+    monkeypatch.setattr(cli, "initial_state", shifted_state)
+    code, _, err = run(capsys, "mutate", a2_file, "0")
+    assert code == 4
+    assert "not a Laurent polynomial" in err
 
 
 # ------------------------------------------------------------- computation

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from clusterseeds import ParseError, SubSeedSpec, identity_inclusion, make_surface
+from clusterseeds import ParseError, SubSeedSpec, cli, identity_inclusion, make_surface
 from clusterseeds.fileio import (
     dump_seed,
     hom_from_dict,
@@ -70,6 +70,24 @@ def test_hom_map_as_pair_list():
     assert h.map_dict() == {"x1": "x2", "x2": "x1"}
 
 
+def test_hom_pair_list_rejects_non_string_items(tmp_path):
+    seed = a2_seed()
+    doc = {"I0": [], "I1": [], "map": [[["x1"], "x2"]]}
+    with pytest.raises(ParseError):
+        hom_from_dict(doc, seed, seed)
+    seed_path, hom_path = tmp_path / "a2.json", tmp_path / "hom.json"
+    dump_seed(seed, str(seed_path))
+    hom_path.write_text(json.dumps(doc))
+    assert cli.main(["hom-check", str(seed_path), str(hom_path)]) == 2
+
+
+def test_hom_pair_list_rejects_repeated_source_labels():
+    seed = a2_seed()
+    doc = {"I0": [], "I1": [], "map": [["x1", "x2"], ["x1", "x1"]]}
+    with pytest.raises(ParseError):
+        hom_from_dict(doc, seed, seed)
+
+
 def test_hom_rejects_unknown_labels():
     seed = a2_seed()
     with pytest.raises(ParseError):
@@ -98,3 +116,16 @@ def test_surface_from_dict_rejects_invalid_geometry():
         surface_from_dict({"N": 4})  # no diagonals: not a triangulation
     with pytest.raises(ParseError):
         surface_from_dict({"components": [4]})  # missing fields
+
+
+def test_surface_rejects_booleans_as_integers():
+    with pytest.raises(ParseError):
+        surface_from_dict({"N": 4, "triangulation": [[True, 3]]})
+    with pytest.raises(ParseError):
+        surface_from_dict({"N": True, "triangulation": []})
+    good = surface_to_dict(make_surface(4, [(0, 2)]))
+    with pytest.raises(ParseError):
+        surface_from_dict(dict(good, components=[True]))
+    with pytest.raises(ParseError):
+        surface_from_dict(dict(good, diagonals={"d0_2": [False, [0, 2]]}))
+    assert surface_from_dict(good) == make_surface(4, [(0, 2)])

@@ -1,4 +1,6 @@
-"""Exact rational-function arithmetic and symbolic cluster enumeration."""
+"""Exact Laurent-polynomial arithmetic and symbolic cluster enumeration."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from clusterseeds import (
     LaurentViolation,
     MultiPoly,
-    RationalFunction,
     Seed,
     enumerate_clusters,
     exchange,
@@ -23,11 +24,11 @@ def poly(terms):
 
 
 def gen(label):
-    return RationalFunction.generator(CTX, label)
+    return MultiPoly.generator(CTX, label)
 
 
 def const(v):
-    return RationalFunction.from_poly(MultiPoly.constant(CTX, v))
+    return MultiPoly.constant(CTX, v)
 
 
 # ---------------------------------------------------------------- MultiPoly
@@ -60,37 +61,39 @@ def test_poly_str_uses_caret_powers():
     assert str(-x1) == "-x1"
 
 
-# -------------------------------------------------------- RationalFunction
+# ------------------------------------------------- Laurent division
 
 
 def test_fraction_reduction_divides_common_monomial():
-    x1, x2 = MultiPoly.generator(CTX, "x1"), MultiPoly.generator(CTX, "x2")
-    f = RationalFunction(x1 * x2, x1 * x1)
-    assert f == RationalFunction(x2, x1)
+    x1, x2 = gen("x1"), gen("x2")
+    f = (x1 * x2) / (x1 * x1)
+    assert f == x2 / x1
+    assert f.terms == {(-1, 1): 1}
     assert str(f) == "x2/x1"
 
 
 def test_fraction_reduction_cancels_polynomial_factor():
-    x1 = MultiPoly.generator(CTX, "x1")
-    one = MultiPoly.constant(CTX, 1)
-    f = RationalFunction((x1 + one) * (x1 + one), x1 * (x1 + one))
-    assert f == RationalFunction(x1 + one, x1)
-    assert f.is_laurent()
+    x1, one = gen("x1"), const(1)
+    f = ((x1 + one) * (x1 + one)) / (x1 * (x1 + one))
+    assert f == (x1 + one) / x1
+    assert (f.num, f.den) == (x1 + one, x1)
 
 
 def test_fraction_rejects_non_laurent_values():
-    x1 = MultiPoly.generator(CTX, "x1")
-    one = MultiPoly.constant(CTX, 1)
+    x1, one = gen("x1"), const(1)
     with pytest.raises(LaurentViolation):
-        RationalFunction(x1, x1 + one)
+        x1 / (x1 + one)
+    with pytest.raises(LaurentViolation):
+        one / (const(2) * x1)  # in Q[x^+-1] but not in Z[x^+-1]
+    with pytest.raises(ZeroDivisionError):
+        x1 / const(0)
 
 
 def test_fraction_sign_and_content_normalization():
-    x1 = MultiPoly.generator(CTX, "x1")
-    two = MultiPoly.constant(CTX, 2)
-    minus_two = MultiPoly.constant(CTX, -2)
-    f = RationalFunction(two * x1, minus_two)
-    assert f == RationalFunction(-x1, MultiPoly.constant(CTX, 1))
+    x1 = gen("x1")
+    f = (const(2) * x1) / const(-2)
+    assert f == -x1
+    assert (f.num, f.den) == (-x1, const(1))
 
 
 def test_fraction_field_identities():
@@ -101,6 +104,8 @@ def test_fraction_field_identities():
     assert (a + b) * a == a * a + b * a
     assert a ** 3 / a == a ** 2
     assert b ** -1 * b == const(1)  # negative powers need monomials
+    with pytest.raises(LaurentViolation):
+        a ** -1
 
 
 def test_fraction_hash_respects_equality():
@@ -116,10 +121,11 @@ def test_fraction_hash_respects_equality():
 )
 def test_fraction_add_mul_consistency(ac, bc):
     mono = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    a = RationalFunction.from_poly(poly(dict(zip(mono, ac))))
-    b = RationalFunction.from_poly(poly(dict(zip(mono, bc))))
+    a = poly(dict(zip(mono, ac))) / gen("x2")
+    b = poly(dict(zip(mono, bc))) / gen("x1")
     x1 = gen("x1")
     assert (a + b) * x1 == a * x1 + b * x1
+    assert ((a + b) * x1) / x1 == a + b
 
 
 # ---------------------------------------------------------------- exchange
@@ -164,9 +170,19 @@ def test_all_a2_cluster_variables_are_laurent():
     for k in (0, 1, 0, 1, 0, 1, 0, 1):
         state = mutate_state(state, k)
         for v in state.assignment:
-            assert v.is_laurent()
+            assert min(v.num.min_exponents()) >= 0 and v.den.is_monomial()
+            assert v.num / v.den == v
             seen.add(v)
     assert len(seen) == 5  # the 5 cluster variables of rank-2 finite type
+
+
+def test_a2_cluster_variables_print_as_num_over_den():
+    state = initial_state(a2_seed())
+    printed = []
+    for k in (0, 1, 0):
+        state = mutate_state(state, k)
+        printed.append(str(state.assignment[k]))
+    assert printed == ["(x2 + 1)/x1", "(x1 + x2 + 1)/x1*x2", "(x1 + 1)/x2"]
 
 
 # ------------------------------------------------------------- enumeration
@@ -192,3 +208,62 @@ def test_cluster_enumeration_of_trivial_seed():
     seed = Seed.from_data([], ["t"], [])
     r = enumerate_clusters(seed, max_depth=3)
     assert (len(r.clusters), r.status) == (1, "closed")
+
+
+# ------------------------------------------------------------ sympy oracle
+
+
+def _markov_seed():
+    return Seed.from_data(["x1", "x2", "x3"], [], [[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
+
+
+def _a3_principal_seed():
+    return Seed.from_data(
+        ["x1", "x2", "x3"],
+        ["y1", "y2", "y3"],
+        [[0, 1, 0, 1, 0, 0], [-1, 0, 1, 0, 1, 0], [0, -1, 0, 0, 0, 1]],
+    )
+
+
+def _to_sympy(sympy, value, symbols):
+    return sympy.Add(
+        *(c * sympy.Mul(*(s**k for s, k in zip(symbols, e))) for e, c in value.terms.items())
+    )
+
+
+@pytest.mark.parametrize(
+    "make_seed, steps",
+    [(lambda: linear_path_seed(3), 10), (_markov_seed, 5), (_a3_principal_seed, 10)],
+    ids=["A3", "markov", "A3_prin"],
+)
+@pytest.mark.parametrize("rng_seed", [0, 1, 2])
+def test_exchange_matches_sympy_oracle(make_seed, steps, rng_seed):
+    """Random mutation sequences, each exchange recomputed by sympy.cancel
+    on sympy's own values and the textbook matrix mutation rule."""
+    sympy = pytest.importorskip("sympy")
+    seed = make_seed()
+    n, labels = seed.n, seed.labels
+    symbols = sympy.symbols(labels)
+    values = list(symbols[:n])
+    rows = [list(r) for r in seed.matrix.entries]
+    state = initial_state(seed)
+    rng = random.Random(rng_seed)
+    k = None
+    for _ in range(steps):
+        k = rng.choice([j for j in range(n) if j != k])
+        current = values + list(symbols[n:])
+        plus = sympy.Mul(*(v**b for v, b in zip(current, rows[k]) if b > 0))
+        minus = sympy.Mul(*(v**-b for v, b in zip(current, rows[k]) if b < 0))
+        values[k] = sympy.cancel((plus + minus) / values[k])
+        rows = [
+            [
+                -b if k in (i, j) else b + (abs(r[k]) * rows[k][j] + r[k] * abs(rows[k][j])) // 2
+                for j, b in enumerate(r)
+            ]
+            for i, r in enumerate(rows)
+        ]
+        state = mutate_state(state, k)
+        _, den = sympy.fraction(values[k])
+        assert len(sympy.Poly(den, *symbols).terms()) == 1
+        assert sympy.cancel(_to_sympy(sympy, state.assignment[k], symbols) - values[k]) == 0
+        assert [list(r) for r in state.matrix.entries] == rows
