@@ -36,9 +36,7 @@ __all__ = [
 def is_subalgebra_type(seed: Seed, spec: SubSeedSpec) -> bool:
     """True iff no surviving exchangeable variable touches a deleted one."""
     spec.validate(seed)
-    survivors = [
-        x for x in seed.exchangeable_labels if x not in spec.I0 and x not in spec.I1
-    ]
+    survivors, _ = spec.parts(seed)
     return all(seed.b(x, y) == 0 for x in survivors for y in spec.I1)
 
 

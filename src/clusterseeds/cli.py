@@ -37,7 +37,6 @@ from .semigroup import (
     enumerate_endpar,
     green_relations,
     h_class_group,
-    is_id_form,
     partition_classes,
     projected_endpar_bound,
     regular_D_classes,
@@ -168,31 +167,26 @@ def cmd_endpar(args):
     return doc, human, 0
 
 
-def _egg_box_doc(S, P):
+def _egg_box_doc(S, P, regular):
+    id_member = dict(regular)  # id-form members are idempotent
     d_classes = []
     for rep, members in sorted(partition_classes(P.D).items()):
-        r_reps = sorted({P.R[i] for i in members})
-        l_reps = sorted({P.L[i] for i in members})
-        rows = []
-        for r in r_reps:
-            row = []
-            for l in l_reps:
-                cell = sorted(i for i in members if P.R[i] == r and P.L[i] == l)
-                row.append(cell)
-            rows.append(row)
-        id_members = [i for i in members if is_id_form(S.elements[i])]
-        entry = {
-            "representative": rep,
-            "size": len(members),
-            "regular": P.regular_flags[rep],
-            "id_form_member": min(id_members) if id_members else None,
-            "h_group_order": None,
-            "rows": rows,
-        }
-        if id_members:
-            e = min(i for i in id_members if P.idempotent_flags[i])
-            entry["h_group_order"] = h_class_group(S, P, e).aut_order
-        d_classes.append(entry)
+        cells: dict[tuple[int, int], list[int]] = {}
+        for i in members:
+            cells.setdefault((P.R[i], P.L[i]), []).append(i)
+        r_reps = sorted({r for r, _ in cells})
+        l_reps = sorted({l for _, l in cells})
+        e = id_member.get(rep)
+        d_classes.append(
+            {
+                "representative": rep,
+                "size": len(members),
+                "regular": P.regular_flags[rep],
+                "id_form_member": e,
+                "h_group_order": None if e is None else h_class_group(S, P, e).aut_order,
+                "rows": [[cells.get((r, l), []) for l in l_reps] for r in r_reps],
+            }
+        )
     return d_classes
 
 
@@ -200,12 +194,13 @@ def cmd_green(args):
     seed = require_valid(load_seed(args.seed))
     S = enumerate_endpar(seed, cap=args.cap)
     P = green_relations(S)
+    regular = regular_D_classes(S, P)
     doc = {
         "size": len(S),
         "idempotents": [i for i, f in enumerate(P.idempotent_flags) if f],
         "regular_count": sum(P.regular_flags),
-        "d_classes": _egg_box_doc(S, P),
-        "regular_d_count": len(regular_D_classes(S, P)),
+        "d_classes": _egg_box_doc(S, P, regular),
+        "regular_d_count": len(regular),
     }
 
     def human(d):

@@ -206,9 +206,17 @@ def load_surface(path: str) -> SurfaceData:
 
 
 def _read_json(path: str):
+    def object_without_repeats(pairs) -> dict:
+        # json.load alone would keep the last value of a repeated key
+        doc = {}
+        for key, value in pairs:
+            _require(key not in doc, f"{path} repeats the key {key!r}")
+            doc[key] = value
+        return doc
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=object_without_repeats)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -57,6 +57,15 @@ class SubSeedSpec:
         if both:
             raise SpecError(f"I0 and I1 overlap: {sorted(both)}")
 
+    def parts(self, seed: Seed) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Exchangeable and frozen labels of the sub-seed: X minus
+        (I0 union I1), then I0 followed by X_fr minus I1."""
+        ex = tuple(x for x in seed.exchangeable_labels if x not in self.I0 and x not in self.I1)
+        fr = tuple(x for x in seed.exchangeable_labels if x in self.I0) + tuple(
+            x for x in seed.frozen_labels if x not in self.I1
+        )
+        return ex, fr
+
     def sort_key(self, seed: Seed):
         """Lexicographic key in the seed's label order, I0 before I1."""
         order = {x: i for i, x in enumerate(seed.labels)}
@@ -79,10 +88,7 @@ def mixing_subseed(seed: Seed, spec: SubSeedSpec) -> Seed:
     frozen order lists newly frozen I0 variables first.
     """
     spec.validate(seed)
-    ex = tuple(x for x in seed.exchangeable_labels if x not in spec.I0 and x not in spec.I1)
-    fr = tuple(x for x in seed.exchangeable_labels if x in spec.I0) + tuple(
-        x for x in seed.frozen_labels if x not in spec.I1
-    )
+    ex, fr = spec.parts(seed)
     cols = ex + fr
     rows = tuple(tuple(seed.b(x, y) for y in cols) for x in ex)
     matrix = ExtendedExchangeMatrix(n=len(ex), m=len(fr), entries=rows)
@@ -123,18 +129,12 @@ class PartialSeedHom:
     @property
     def dom_ex(self) -> tuple[str, ...]:
         """Exchangeable part of the domain: X minus (I0 union I1)."""
-        return tuple(
-            x
-            for x in self.source.exchangeable_labels
-            if x not in self.spec.I0 and x not in self.spec.I1
-        )
+        return self.spec.parts(self.source)[0]
 
     @property
     def dom_fr(self) -> tuple[str, ...]:
         """Frozen part of the domain: (X_fr union I0) minus I1."""
-        return tuple(x for x in self.source.exchangeable_labels if x in self.spec.I0) + tuple(
-            x for x in self.source.frozen_labels if x not in self.spec.I1
-        )
+        return self.spec.parts(self.source)[1]
 
     @property
     def domain(self) -> tuple[str, ...]:

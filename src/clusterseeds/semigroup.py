@@ -82,13 +82,11 @@ def _all_specs(seed: Seed):
 
 def projected_endpar_bound(seed: Seed) -> int:
     """Upper bound: candidate maps summed over all specs."""
-    n = seed.n
-    total_vars = n + seed.m
+    total_vars = seed.n + seed.m
     bound = 0
     for spec in _all_specs(seed):
-        ne = sum(1 for x in seed.exchangeable_labels if x not in spec.I0 and x not in spec.I1)
-        nf = len(spec.I0) + sum(1 for x in seed.frozen_labels if x not in spec.I1)
-        bound += (n**ne) * (total_vars**nf)
+        ex, fr = spec.parts(seed)
+        bound += (seed.n ** len(ex)) * (total_vars ** len(fr))
     return bound
 
 
@@ -105,10 +103,7 @@ def enumerate_endpar(seed: Seed, cap: int = DEFAULT_CAP) -> SemigroupTable:
     elements: list[PartialSeedHom] = []
     index: dict[PartialSeedHom, int] = {}
     for spec in _all_specs(seed):
-        dom_ex = tuple(x for x in ex_labels if x not in spec.I0 and x not in spec.I1)
-        dom_fr = tuple(x for x in ex_labels if x in spec.I0) + tuple(
-            x for x in seed.frozen_labels if x not in spec.I1
-        )
+        dom_ex, dom_fr = spec.parts(seed)
         pools = [ex_labels] * len(dom_ex) + [labels] * len(dom_fr)
         dom = dom_ex + dom_fr
         for values in itertools.product(*pools):
@@ -392,73 +387,66 @@ def h_class_group(S: SemigroupTable, P: GreenPartition, e: int) -> HClassGroup:
 @dataclass
 class StructuralGreenReport:
     regular_count: int
+    # the regular pairs on which the predicates were shown to agree with the partitions
     checked_pairs: int
     ok: bool
 
 
-def _maps_match_under_iso(fx: PartialSeedHom, fy: PartialSeedHom, img_x: Seed, img_y: Seed) -> bool:
-    for g in enumerate_seed_isos(img_x, img_y):
-        if all(
-            (a is None and b is None) or (a is not None and b is not None and g(a) == b)
-            for a, b in zip(fx.mapping, fy.mapping)
-        ):
-            return True
-    return False
-
-
 def check_structural_green(S: SemigroupTable, P: GreenPartition) -> StructuralGreenReport:
-    """Compare the structural predicates for R/L/H/D on regular pairs
+    """Compare the structural predicates for R/D/L/H on regular elements
     against the brute-force partitions; any disagreement is fatal.
 
-    Predicates: R iff equal image seeds; L iff equal source sub-seeds
-    and the maps differ by an isomorphism of image seeds; H iff both;
-    D iff image seeds isomorphic.
+    Predicates: R iff equal image seeds; D iff image seeds isomorphic;
+    L iff equal source sub-seeds and the maps differ by an isomorphism
+    of image seeds; H iff both R and L.  Each predicate is equality of
+    a key, so it holds on every regular pair exactly when the partition
+    of the regular elements by that key is Green's partition.
     """
     regular = [i for i in range(len(S)) if P.regular_flags[i]]
-    imgs = {i: image_seed(S.elements[i]) for i in regular}
-    # iso-class representative of each distinct image seed
-    distinct: list[Seed] = []
-    iso_rep: dict[Seed, int] = {}
+    distinct: list[Seed] = []  # one image seed per iso class
+    # image seed -> (iso class, every iso onto the class representative)
+    to_rep: dict[Seed, tuple[int, list[dict[str, str]]]] = {}
+    R_keys, D_keys, L_keys = [], [], []
     for i in regular:
-        s = imgs[i]
-        if s in iso_rep:
-            continue
-        for k, t in enumerate(distinct):
-            if next(enumerate_seed_isos(s, t), None) is not None:
-                iso_rep[s] = k
-                break
-        else:
-            iso_rep[s] = len(distinct)
-            distinct.append(s)
-    checked = 0
-    for ai in range(len(regular)):
-        x = regular[ai]
-        for y in regular[ai + 1 :]:
-            checked += 1
-            r_pred = imgs[x] == imgs[y]
-            if r_pred != (P.R[x] == P.R[y]):
-                raise TheoremViolation(
-                    f"R-characterization fails on regular pair ({x},{y})"
-                )
-            d_pred = iso_rep[imgs[x]] == iso_rep[imgs[y]]
-            if d_pred != (P.D[x] == P.D[y]):
-                raise TheoremViolation(
-                    f"D-characterization fails on regular pair ({x},{y})"
-                )
-            fx, fy = S.elements[x], S.elements[y]
-            if fx.spec == fy.spec and d_pred:
-                l_pred = _maps_match_under_iso(fx, fy, imgs[x], imgs[y])
+        f = S.elements[i]
+        img = image_seed(f)
+        if img not in to_rep:
+            for k, rep in enumerate(distinct):
+                isos = list(enumerate_seed_isos(img, rep))
+                if isos:
+                    break
             else:
-                l_pred = False
-            if l_pred != (P.L[x] == P.L[y]):
-                raise TheoremViolation(
-                    f"L-characterization fails on regular pair ({x},{y})"
-                )
-            if (r_pred and l_pred) != (P.H[x] == P.H[y]):
-                raise TheoremViolation(
-                    f"H-characterization fails on regular pair ({x},{y})"
-                )
-    return StructuralGreenReport(len(regular), checked, True)
+                k, isos = len(distinct), list(enumerate_seed_isos(img, img))
+                distinct.append(img)
+            to_rep[img] = (k, [g.map_dict() for g in isos])
+        k, isos = to_rep[img]
+        # Two maps with one spec differ by an iso of image seeds iff they
+        # carry the same set of composites onto the representative; the
+        # composites also fix the representative, through the exchangeable
+        # and frozen labels they take on the spec's domain.
+        orbit = frozenset(tuple(g.get(a) for a in f.mapping) for g in isos)
+        R_keys.append(img)
+        D_keys.append(k)
+        L_keys.append((f.spec, orbit))
+    H_keys = list(zip(R_keys, L_keys))
+    for name, keys, part in (
+        ("R", R_keys, P.R),
+        ("D", D_keys, P.D),
+        ("L", L_keys, P.L),
+        ("H", H_keys, P.H),
+    ):
+        by_key = _reps_from_keys(keys)
+        by_part = _reps_from_keys(part[i] for i in regular)
+        if by_key != by_part:
+            # first element whose class differs, and a class-mate under
+            # one relation that is not a class-mate under the other
+            j = next(j for j, (a, b) in enumerate(zip(by_key, by_part)) if a != b)
+            m = min(by_key[j], by_part[j])
+            raise TheoremViolation(
+                f"{name}-characterization fails on regular pair ({regular[m]},{regular[j]})"
+            )
+    r = len(regular)
+    return StructuralGreenReport(r, r * (r - 1) // 2, True)
 
 
 def is_linear_an(seed: Seed) -> bool:

@@ -129,3 +129,32 @@ def test_surface_rejects_booleans_as_integers():
     with pytest.raises(ParseError):
         surface_from_dict(dict(good, diagonals={"d0_2": [False, [0, 2]]}))
     assert surface_from_dict(good) == make_surface(4, [(0, 2)])
+
+
+def test_hom_map_rejects_repeated_keys(tmp_path, capsys):
+    seed_path, hom_path = tmp_path / "a2.json", tmp_path / "hom.json"
+    dump_seed(a2_seed(), str(seed_path))
+    hom_path.write_text('{"I0": [], "I1": [], "map": {"x1": "x2", "x2": "x1", "x1": "x1"}}')
+    assert cli.main(["hom-check", str(seed_path), str(hom_path)]) == 2
+    assert "repeats the key 'x1'" in capsys.readouterr().err
+
+
+def test_seed_rejects_repeated_keys(tmp_path):
+    path = tmp_path / "seed.json"
+    path.write_text(
+        '{"exchangeable": ["x1", "x2"], "frozen": [],'
+        ' "matrix": [[0, 1], [-1, 0]], "matrix": [[0, 2], [-2, 0]]}'
+    )
+    with pytest.raises(ParseError, match="repeats the key 'matrix'"):
+        load_seed(str(path))
+    assert cli.main(["validate", str(path)]) == 2
+
+
+def test_surface_rejects_repeated_diagonal_labels(tmp_path):
+    path = tmp_path / "surf.json"
+    path.write_text(
+        '{"components": [4], "diagonals": {"d": [0, [0, 2]], "d": [0, [1, 3]]},'
+        ' "laminations": {}}'
+    )
+    with pytest.raises(ParseError, match="repeats the key 'd'"):
+        load_surface(str(path))

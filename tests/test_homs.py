@@ -1,5 +1,7 @@
 """Sub-seeds, partial seed homomorphisms, composition, and isomorphisms."""
 
+import itertools
+
 import pytest
 
 from clusterseeds import (
@@ -12,9 +14,11 @@ from clusterseeds import (
     check_partial_hom,
     compose,
     empty_hom,
+    enumerate_endpar,
     enumerate_seed_isos,
     factor_through_image,
     find_seed_iso,
+    green_relations,
     identity_inclusion,
     image_seed,
     image_spec,
@@ -24,7 +28,7 @@ from clusterseeds import (
     mixing_subseed,
     require_hom,
 )
-from conftest import a2_seed, amalgam_seed, double_arrow_seed, trivial_seed
+from conftest import a2_seed, amalgam_seed, double_arrow_seed, linear_path_seed, trivial_seed
 
 
 def spec(i0=(), i1=()):
@@ -277,3 +281,28 @@ def test_automorphisms_of_the_amalgam():
 def test_enumerate_seed_isos_counts():
     a = a2_seed()
     assert len(list(enumerate_seed_isos(a, a))) == 2  # identity and the swap
+
+
+@pytest.mark.parametrize(
+    "make", [a2_seed, lambda: linear_path_seed(3), amalgam_seed], ids=["a2", "A3", "amalgam"]
+)
+def test_enumerate_seed_isos_is_complete(make):
+    """Every label bijection (ex -> ex, fr -> fr) that is_seed_iso accepts
+    is yielded, and nothing else, between the image seeds of regular
+    elements."""
+    S = enumerate_endpar(make())
+    P = green_relations(S)
+    images = {image_seed(S.elements[i]) for i in range(len(S)) if P.regular_flags[i]}
+    for a, b in itertools.product(images, repeat=2):
+        if (a.n, a.m) != (b.n, b.m):
+            continue
+        brute = set()
+        for ex in itertools.permutations(b.exchangeable_labels):
+            for fr in itertools.permutations(b.frozen_labels):
+                m = dict(zip(a.exchangeable_labels + a.frozen_labels, ex + fr))
+                hom = PartialSeedHom.from_dict(a, spec(), b, m)
+                if is_seed_iso(hom):
+                    brute.add(hom.mapping)
+        found = [g.mapping for g in enumerate_seed_isos(a, b)]
+        assert len(found) == len(set(found))
+        assert set(found) == brute

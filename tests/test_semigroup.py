@@ -6,7 +6,10 @@ semigroup sizes on the small seeds; everything downstream cross-checks
 against it.
 """
 
+import dataclasses
+import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from clusterseeds import (
     ResourceCapExceeded,
     SeedError,
     SubSeedSpec,
+    TheoremViolation,
     check_structural_green,
     compose,
     d_by_composition,
@@ -320,13 +324,58 @@ def test_all_h_class_groups_verify(name):
 # ----------------------------------------------------- structural formulas
 
 
-@pytest.mark.parametrize("name", ["a2", "trivial_m2"])
+STRUCTURAL_SEEDS = dict(
+    BENCHMARK_SEEDS,
+    A3=lambda: linear_path_seed(3),
+    a2_y2=a2_y2_seed,
+    A4=lambda: linear_path_seed(4),
+)
+REGULAR_COUNTS = dict(
+    {name: stats["regular"] for name, stats in PINNED_STATS.items()},
+    A3=132,
+    a2_y2=714,
+    A4=1169,
+)
+
+
+@functools.cache
+def semigroup_and_green(name):
+    S = enumerate_endpar(STRUCTURAL_SEEDS[name]())
+    return S, green_relations(S)
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURAL_SEEDS))
 def test_structural_green_on_small_seeds(name):
-    S = enumerate_endpar(BENCHMARK_SEEDS[name]())
-    P = green_relations(S)
+    S, P = semigroup_and_green(name)
     report = check_structural_green(S, P)
+    r = REGULAR_COUNTS[name]
     assert report.ok
-    assert report.regular_count == PINNED_STATS[name]["regular"]
+    assert report.regular_count == r
+    assert report.checked_pairs == r * (r - 1) // 2
+
+
+@pytest.mark.parametrize("move", ["merge", "split"])
+@pytest.mark.parametrize("relation", ["R", "L", "H", "D"])
+@pytest.mark.parametrize("name", ["a2", "A3", "amalgam", "double_arrow"])
+def test_structural_green_rejects_perturbed_partitions(name, relation, move):
+    S, P = semigroup_and_green(name)
+    before = getattr(P, relation)
+    after = list(before)
+    regular = [i for i in range(len(S)) if P.regular_flags[i]]
+    if move == "merge":
+        # one regular element joins another element's class
+        x, y = next((x, y) for x in regular for y in regular if before[x] != before[y])
+        after[x] = before[y]
+    else:
+        # one regular element leaves its class to stand alone
+        x = next(x for x in regular if any(before[y] == before[x] for y in regular if y != x))
+        after[x] = len(S)  # the representative of no other element
+    bad = dataclasses.replace(P, **{relation: tuple(after)})
+    with pytest.raises(TheoremViolation, match=f"{relation}-characterization") as exc:
+        check_structural_green(S, bad)
+    a, b = map(int, re.search(r"pair \((\d+),(\d+)\)", str(exc.value)).groups())
+    assert P.regular_flags[a] and P.regular_flags[b]
+    assert (after[a] == after[b]) != (before[a] == before[b])
 
 
 # ---------------------------------------------------- path-quiver regularity
