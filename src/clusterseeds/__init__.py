@@ -15,6 +15,7 @@ from .seeds import (
     ExtendedExchangeMatrix,
     Seed,
     ValidationReport,
+    connected_components,
     find_symmetrizer,
     is_connected,
     matrix_mutation,

@@ -334,6 +334,17 @@ def cmd_surface_iso(args):
     return doc, (lambda d: "isomorphic" if d["isomorphic"] else "not isomorphic"), 0
 
 
+def _count(text: str) -> int:
+    """argparse type of depths, caps and cut sizes: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clusterseeds",
@@ -358,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("clusters", cmd_clusters, help="breadth-first cluster enumeration")
     p.add_argument("seed")
-    p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--cap", type=int, default=100_000, help="maximum explored states")
+    p.add_argument("--depth", type=_count, default=10)
+    p.add_argument("--cap", type=_count, default=100_000, help="maximum explored states")
 
     p = add("hom-check", cmd_hom_check, help="validate a partial seed homomorphism")
     p.add_argument("seed")
@@ -373,15 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("endpar", cmd_endpar, help="enumerate the partial endomorphism semigroup")
     p.add_argument("seed")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_count, default=DEFAULT_CAP)
 
     p = add("green", cmd_green, help="Green's relations egg-box report")
     p.add_argument("seed")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_count, default=DEFAULT_CAP)
 
     p = add("classify", cmd_classify, help="sub-seed iso-classes vs regular D-classes")
     p.add_argument("seed")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_count, default=DEFAULT_CAP)
 
     p = add("surface-seed", cmd_surface_seed, help="seed of a triangulated surface")
     p.add_argument("surface")
@@ -401,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i0", default="")
     p.add_argument("--i1", default="")
     p.add_argument("--all", action="store_true", help="sweep all specs up to --max-cut labels")
-    p.add_argument("--max-cut", type=int, default=2)
+    p.add_argument("--max-cut", type=_count, default=2)
 
     p = add("surface-iso", cmd_surface_iso, help="combinatorial surface isomorphism")
     p.add_argument("surface")

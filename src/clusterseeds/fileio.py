@@ -7,7 +7,7 @@ import json
 from .errors import ParseError
 from .homs import PartialSeedHom, SubSeedSpec
 from .seeds import Seed
-from .surface import SurfaceData, validate_surface
+from .surface import SurfaceData
 
 __all__ = [
     "seed_to_dict",
@@ -163,7 +163,7 @@ def surface_from_dict(doc) -> SurfaceData:
                 s, t = _pair(pair, f"lamination {i} curve")
                 cv.append((0, (min(s, t), max(s, t))))
             laminations.append((f"L{i}", tuple(sorted(cv))))
-        data = SurfaceData((N,), tuple(sorted(diagonals)), tuple(sorted(laminations)))
+        comps = [N]
     else:
         for field in ("components", "diagonals", "laminations"):
             _require(field in doc, f"surface document is missing {field!r}")
@@ -194,9 +194,8 @@ def surface_from_dict(doc) -> SurfaceData:
                 s, t = _pair(entry[1], f"lamination {lbl!r} curve")
                 cv.append((entry[0], (min(s, t), max(s, t))))
             laminations.append((lbl, tuple(sorted(cv))))
-        data = SurfaceData(tuple(comps), tuple(sorted(diagonals)), tuple(sorted(laminations)))
     try:
-        return validate_surface(data)
+        return SurfaceData(tuple(comps), tuple(sorted(diagonals)), tuple(sorted(laminations)))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

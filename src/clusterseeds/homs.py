@@ -145,9 +145,6 @@ class PartialSeedHom:
             self.source.labels
         )
 
-    def source_subseed(self) -> Seed:
-        return mixing_subseed(self.source, self.spec)
-
 
 def identity_inclusion(seed: Seed, spec: SubSeedSpec) -> PartialSeedHom:
     """The natural inclusion of the (I0, I1) sub-seed into the seed."""
@@ -168,7 +165,9 @@ def check_partial_hom(candidate: PartialSeedHom) -> tuple[bool, str | None]:
     target variables.  Condition (b): over all adjacent pairs (x, y),
     (z, w) of the sub-seed (x = z or b_xz nonzero), the products
     b'_{f(x)f(y)} b_{xy} never take opposite signs, and magnitudes never
-    shrink.  Per row the condition collapses to a single sign.
+    shrink.  Per row the condition collapses to a single sign.  The
+    sub-seed's matrix is the source matrix restricted to the domain, so
+    its entries are read off the source.
     """
     src, spec, tgt = candidate.source, candidate.spec, candidate.target
     try:
@@ -184,18 +183,18 @@ def check_partial_hom(candidate: PartialSeedHom) -> tuple[bool, str | None]:
             return False, f"{x!r} lies in the domain but is unmapped"
         elif v not in tgt_labels:
             return False, f"{x!r} maps to unknown target label {v!r}"
-    sub = candidate.source_subseed()
     f = candidate.map_dict()
-    dom_ex = candidate.dom_ex
+    dom_ex, dom_fr = spec.parts(src)
     for x in dom_ex:
         if not tgt.is_exchangeable(f[x]):
             return False, f"condition (a): exchangeable {x!r} maps to frozen {f[x]!r}"
-    # per-row sign of b'_{f(x)f(y)} * b_{xy}, and the magnitude condition
+    # per-row sign of b'_{f(x)f(y)} * b_{xy}, and the magnitude condition;
+    # columns in sub-seed order, so the first violation is the sub-seed's
     row_sign: dict[str, int] = {}
     for x in dom_ex:
         sign = 0
-        for y in sub.labels:
-            bxy = sub.b(x, y)
+        for y in dom_ex + dom_fr:
+            bxy = src.b(x, y)
             bpq = tgt.b(f[x], f[y])
             if abs(bpq) < abs(bxy):
                 return False, (
@@ -212,7 +211,7 @@ def check_partial_hom(candidate: PartialSeedHom) -> tuple[bool, str | None]:
                 sign = -1
         row_sign[x] = sign
     for x, z in itertools.combinations(dom_ex, 2):
-        if sub.b(x, z) != 0 and row_sign[x] * row_sign[z] < 0:
+        if src.b(x, z) != 0 and row_sign[x] * row_sign[z] < 0:
             return False, f"sign coherence fails across adjacent rows {x!r}, {z!r}"
     return True, None
 
@@ -279,7 +278,10 @@ def enumerate_seed_isos(a: Seed, b: Seed):
     bijections sending exchangeable to exchangeable).
 
     Backtracking over exchangeable labels first, pruned by per-vertex
-    weight multisets; each completed bijection is re-validated.
+    weight multisets; each completed bijection is re-validated by
+    check_partial_hom.  That check is also the magnitude test: it rules
+    out any entry shrinking, and a row that never shrinks and keeps its
+    sorted magnitudes (the vertex signature) keeps every magnitude.
     """
     if a.n != b.n or a.m != b.m:
         return
@@ -308,12 +310,7 @@ def enumerate_seed_isos(a: Seed, b: Seed):
     def backtrack(i: int):
         if i == len(order):
             hom = PartialSeedHom.from_dict(a, EMPTY_SPEC, b, assignment)
-            ok, _ = check_partial_hom(hom)
-            if ok and all(
-                abs(b.b(assignment[x], assignment[y])) == abs(a.b(x, y))
-                for x in a.exchangeable_labels
-                for y in a.labels
-            ):
+            if check_partial_hom(hom)[0]:
                 yield hom
             return
         x = order[i]

@@ -21,6 +21,7 @@ __all__ = [
     "ValidationReport",
     "validate_seed",
     "matrix_mutation",
+    "connected_components",
     "is_connected",
     "find_symmetrizer",
 ]
@@ -230,29 +231,34 @@ def mutate_seed_matrix(seed: Seed, k: int) -> Seed:
     return Seed(seed.exchangeable_labels, seed.frozen_labels, matrix_mutation(seed.matrix, k))
 
 
-def is_connected(seed: Seed) -> bool:
-    """True iff the extended cluster is joined up by connected pairs.
+def connected_components(seed: Seed) -> list[tuple[str, ...]]:
+    """Classes of connected pairs, in label order, each sorted by label order.
 
     (x, y) is a connected pair when x = y, or x != y with
     b_{xy}^2 + b_{yx}^2 != 0 and at least one of x, y exchangeable.
     """
-    total = seed.n + seed.m
-    if total <= 1:
-        return True
+    labels = seed.labels
     entries = seed.matrix.entries
     n = seed.n
+    seen: set[int] = set()
+    classes = []
+    for root in range(len(labels)):
+        if root in seen:
+            continue
+        seen.add(root)
+        members = [root]
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y in range(len(labels)):
+                if y not in seen and ((x < n and entries[x][y]) or (y < n and entries[y][x])):
+                    seen.add(y)
+                    members.append(y)
+                    stack.append(y)
+        classes.append(tuple(labels[i] for i in sorted(members)))
+    return classes
 
-    def linked(x: int, y: int) -> bool:
-        bxy = entries[x][y] if x < n else 0
-        byx = entries[y][x] if y < n else 0
-        return (bxy != 0 or byx != 0) and (x < n or y < n)
 
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in range(total):
-            if y not in seen and linked(x, y):
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == total
+def is_connected(seed: Seed) -> bool:
+    """True iff the extended cluster is joined up by connected pairs."""
+    return len(connected_components(seed)) <= 1

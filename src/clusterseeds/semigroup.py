@@ -26,7 +26,7 @@ from .homs import (
     image_seed,
     mixing_subseed,
 )
-from .seeds import Seed
+from .seeds import Seed, connected_components
 
 __all__ = [
     "SemigroupTable",
@@ -473,47 +473,12 @@ def is_linear_an(seed: Seed) -> bool:
         return False
     if sorted(deg)[:2] != [1, 1] or max(deg) > 2:
         return False
-    # connectivity of a graph with total-1 edges and path degrees
-    seen = {0}
-    stack = [0]
-    adj: dict[int, list[int]] = {}
-    for i, j in edges:
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    while stack:
-        u = stack.pop()
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == total
+    return len(connected_components(seed)) == 1
 
 
 def subseed_components(seed: Seed, spec: SubSeedSpec) -> list[tuple[str, ...]]:
     """Connected components of the (I0, I1) sub-seed's quiver."""
-    sub = mixing_subseed(seed, spec)
-    labels = sub.labels
-    if not labels:
-        return []
-    comp: dict[str, int] = {}
-    comps: list[list[str]] = []
-    for x in labels:
-        if x in comp:
-            continue
-        cid = len(comps)
-        comps.append([])
-        stack = [x]
-        comp[x] = cid
-        while stack:
-            u = stack.pop()
-            comps[cid].append(u)
-            for v in labels:
-                if v in comp:
-                    continue
-                if sub.b_or_zero(u, v) != 0 or sub.b_or_zero(v, u) != 0:
-                    comp[v] = cid
-                    stack.append(v)
-    return [tuple(sorted(c, key=labels.index)) for c in comps]
+    return connected_components(mixing_subseed(seed, spec))
 
 
 def regularity_linear_an(f: PartialSeedHom) -> bool:

@@ -46,11 +46,15 @@ class SurfaceData:
     components[c] is the vertex count of polygon c.  diagonals maps a
     label to (component, (a, b)); laminations maps a label to a sorted
     tuple of curves (parallel copies allowed, hence tuples not sets).
+    Construction validates the triangulations and curves.
     """
 
     components: tuple[int, ...]
     diagonals: tuple[tuple[str, tuple[int, tuple[int, int]]], ...]
     laminations: tuple[tuple[str, tuple[tuple[int, tuple[int, int]], ...]], ...]
+
+    def __post_init__(self):
+        validate_surface(self)
 
     def diagonal_map(self) -> dict[str, tuple[int, tuple[int, int]]]:
         return dict(self.diagonals)
@@ -79,7 +83,7 @@ def make_surface(N: int, diagonals, laminations=()) -> SurfaceData:
         (f"L{i}", tuple(sorted(_norm_curve(0, s, t) for s, t in curves)))
         for i, curves in enumerate(laminations)
     )
-    return validate_surface(SurfaceData((N,), diag, lams))
+    return SurfaceData((N,), diag, lams)
 
 
 def diagonals_cross(d1: tuple[int, int], d2: tuple[int, int], N: int) -> bool:
@@ -248,7 +252,6 @@ def shear_coordinates(data: SurfaceData, curves) -> dict[str, int]:
 
 def seed_from_surface(data: SurfaceData) -> Seed:
     """Seed with diagonals exchangeable and laminations frozen."""
-    validate_surface(data)
     ex_labels, B = b_matrix_from_triangulation(data)
     fr_labels = tuple(sorted(data.lamination_labels()))
     lam = data.lamination_map()
@@ -288,11 +291,6 @@ def cut_along(data: SurfaceData, x: str, mode: str = "delete") -> SurfaceData:
 
     def on_side1(v: int) -> bool:
         return a <= v <= b
-
-    def map_vertex(v: int):
-        if on_side1(v):
-            return c, v - a
-        return side2, (v - b) % N
 
     def seg_side1(s: int) -> bool:
         return a <= s < b
@@ -336,9 +334,7 @@ def cut_along(data: SurfaceData, x: str, mode: str = "delete") -> SurfaceData:
     if mode == "freeze":
         hug = sorted([_norm_curve(c, 0, k1 - 2), _norm_curve(side2, 0, k2 - 2)])
         new_laminations.append((x, tuple(hug)))
-    return validate_surface(
-        SurfaceData(tuple(comps), tuple(new_diagonals), tuple(sorted(new_laminations)))
-    )
+    return SurfaceData(tuple(comps), tuple(new_diagonals), tuple(sorted(new_laminations)))
 
 
 def paunched_surface(data: SurfaceData, I0, I1) -> SurfaceData:
@@ -390,8 +386,6 @@ def surface_iso(a: SurfaceData, b: SurfaceData) -> bool:
     """Combinatorial isomorphism: a bijection of components with a
     rotation or reflection of each polygon matching triangulations and
     matching the multi-laminations as unlabeled families of curve sets."""
-    validate_surface(a)
-    validate_surface(b)
     if sorted(a.components) != sorted(b.components):
         return False
     if len(a.diagonals) != len(b.diagonals) or len(a.laminations) != len(b.laminations):
@@ -453,10 +447,4 @@ def enumerate_triangulations(N: int) -> list[frozenset[tuple[int, int]]]:
                     out.append(frozenset(diags))
         return out
 
-    seen = set()
-    result = []
-    for t in rec(tuple(range(N))):
-        if t not in seen:
-            seen.add(t)
-            result.append(t)
-    return result
+    return rec(tuple(range(N)))

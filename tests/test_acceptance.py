@@ -148,7 +148,6 @@ def test_criterion_4_green_internal_consistency():
         for name, make in sorted(BENCHMARK_SEEDS.items()):
             S = enumerate_endpar(make())
             P = green_relations(S)
-            size = len(S)
             L, R, H = np.array(P.L), np.array(P.R), np.array(P.H)
             # H is exactly the meet of L and R
             assert np.array_equal(
@@ -158,8 +157,8 @@ def test_criterion_4_green_internal_consistency():
             # D by closure, by L∘R, and by R∘L coincide as partitions
             assert d_by_composition(S, P, via="LR") == P.D
             assert d_by_composition(S, P, via="RL") == P.D
-            # D refines J
-            assert all(P.J[i] == P.J[P.D[i]] for i in range(size))
+            # J = D in a finite semigroup
+            assert P.J == P.D
 
 
 def test_criterion_5_structural_green_crosscheck():

@@ -91,6 +91,26 @@ def test_exit_2_on_bad_mutation_index(capsys, a2_file):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("endpar", "SEED", "--cap", "-1"),
+        ("green", "SEED", "--cap", "-1"),
+        ("classify", "SEED", "--cap", "-1"),
+        ("clusters", "SEED", "--cap", "-1"),
+        ("clusters", "SEED", "--depth", "-3"),
+        ("check-sur", "SURFACE", "--all", "--max-cut", "-1"),
+    ],
+    ids=["endpar-cap", "green-cap", "classify-cap", "clusters-cap", "clusters-depth", "check-sur-max-cut"],
+)
+def test_exit_2_on_negative_count(capsys, a2_file, square_file, argv):
+    files = {"SEED": a2_file, "SURFACE": square_file}
+    with pytest.raises(SystemExit) as exc:
+        cli.main([files.get(a, a) for a in argv])
+    assert exc.value.code == 2
+    assert "must be at least 0" in capsys.readouterr().err
+
+
 def test_exit_3_on_cap(capsys, tmp_path):
     path = tmp_path / "amalgam.json"
     dump_seed(amalgam_seed(), str(path))

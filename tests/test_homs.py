@@ -25,10 +25,18 @@ from clusterseeds import (
     inverse_iso,
     is_retraction,
     is_seed_iso,
+    iso_classes_of_subseeds,
     mixing_subseed,
     require_hom,
 )
-from conftest import a2_seed, amalgam_seed, double_arrow_seed, linear_path_seed, trivial_seed
+from conftest import (
+    a2_seed,
+    a2_y2_seed,
+    amalgam_seed,
+    double_arrow_seed,
+    linear_path_seed,
+    trivial_seed,
+)
 
 
 def spec(i0=(), i1=()):
@@ -140,6 +148,105 @@ def test_sign_coherence_across_adjacent_rows():
     # sees opposite sign products on its two neighbours, so it must be
     # rejected
     assert not ok
+
+
+def reference_check_partial_hom(candidate):
+    """Reference validity check: builds the sub-seed and reads the
+    condition (b) entries from it, columns in the sub-seed's label order."""
+    src, sp, tgt = candidate.source, candidate.spec, candidate.target
+    try:
+        sp.validate(src)
+    except SpecError as exc:
+        return False, str(exc)
+    for x, v in zip(src.labels, candidate.mapping):
+        if x in sp.I1:
+            if v is not None:
+                return False, f"{x!r} lies in I1 but is mapped"
+        elif v is None:
+            return False, f"{x!r} lies in the domain but is unmapped"
+        elif v not in tgt.labels:
+            return False, f"{x!r} maps to unknown target label {v!r}"
+    sub = mixing_subseed(src, sp)
+    f = candidate.map_dict()
+    dom_ex = candidate.dom_ex
+    for x in dom_ex:
+        if not tgt.is_exchangeable(f[x]):
+            return False, f"condition (a): exchangeable {x!r} maps to frozen {f[x]!r}"
+    row_sign = {}
+    for x in dom_ex:
+        sign = 0
+        for y in sub.labels:
+            bxy = sub.b(x, y)
+            bpq = tgt.b(f[x], f[y])
+            if abs(bpq) < abs(bxy):
+                return False, (
+                    f"magnitude: |b'_({f[x]},{f[y]})|={abs(bpq)} < |b_({x},{y})|={abs(bxy)}"
+                )
+            s = bpq * bxy
+            if s > 0:
+                if sign < 0:
+                    return False, f"sign coherence fails within row {x!r}"
+                sign = 1
+            elif s < 0:
+                if sign > 0:
+                    return False, f"sign coherence fails within row {x!r}"
+                sign = -1
+        row_sign[x] = sign
+    for x, z in itertools.combinations(dom_ex, 2):
+        if sub.b(x, z) != 0 and row_sign[x] * row_sign[z] < 0:
+            return False, f"sign coherence fails across adjacent rows {x!r}, {z!r}"
+    return True, None
+
+
+def all_candidates(source, target):
+    """Every spec of the source with every map of its domain into the
+    target's labels (exchangeable variables included, so condition (a)
+    is reached too)."""
+    ex = source.exchangeable_labels
+    for r0 in range(len(ex) + 1):
+        for I0 in itertools.combinations(ex, r0):
+            pool = [x for x in source.labels if x not in I0]
+            for r1 in range(len(pool) + 1):
+                for I1 in itertools.combinations(pool, r1):
+                    s = spec(I0, I1)
+                    dom = [x for x in source.labels if x not in I1]
+                    for values in itertools.product(target.labels, repeat=len(dom)):
+                        yield PartialSeedHom.from_dict(source, s, target, dict(zip(dom, values)))
+
+
+@pytest.mark.parametrize(
+    "source, target",
+    [
+        ("a2", "a2"),
+        ("A3", "A3"),
+        ("amalgam", "amalgam"),
+        ("double_arrow", "double_arrow"),
+        ("a2_y2", "a2_y2"),
+        ("A4", "A4"),
+        ("amalgam", "double_arrow"),
+        ("double_arrow", "amalgam"),
+        ("a2", "a2_y2"),
+    ],
+)
+def test_check_partial_hom_matches_subseed_reference(source, target):
+    """Same verdict and same first violation as the sub-seed-building
+    reference, on every candidate."""
+    seeds = {
+        "a2": a2_seed,
+        "A3": lambda: linear_path_seed(3),
+        "amalgam": amalgam_seed,
+        "double_arrow": double_arrow_seed,
+        "a2_y2": a2_y2_seed,
+        "A4": lambda: linear_path_seed(4),
+    }
+    src, tgt = seeds[source](), seeds[target]()
+    count = 0
+    for cand in all_candidates(src, tgt):
+        assert check_partial_hom(cand) == reference_check_partial_hom(cand), cand
+        count += 1
+    # per label: I1, or a target label (and, if exchangeable, I0 with one)
+    t = len(tgt.labels)
+    assert count == (2 * t + 1) ** src.n * (t + 1) ** src.m
 
 
 # ------------------------------------------------------------- composition
@@ -306,3 +413,55 @@ def test_enumerate_seed_isos_is_complete(make):
         found = [g.mapping for g in enumerate_seed_isos(a, b)]
         assert len(found) == len(set(found))
         assert set(found) == brute
+
+
+def vf2_isos(a, b):
+    """Mappings of the label bijections a -> b that networkx's VF2 matcher
+    finds on the weighted quivers and is_seed_iso accepts.
+
+    Each seed is a digraph with node class ex/fr and an edge x -> y of
+    weight |b_xy| for every exchangeable x and nonzero b_xy.
+    """
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import DiGraphMatcher
+
+    def graph(seed):
+        g = nx.DiGraph()
+        for x in seed.labels:
+            g.add_node(x, kind="ex" if seed.is_exchangeable(x) else "fr")
+        for x in seed.exchangeable_labels:
+            for y in seed.labels:
+                if seed.b(x, y):
+                    g.add_edge(x, y, weight=abs(seed.b(x, y)))
+        return g
+
+    matcher = DiGraphMatcher(
+        graph(a),
+        graph(b),
+        node_match=lambda u, v: u["kind"] == v["kind"],
+        edge_match=lambda u, v: u["weight"] == v["weight"],
+    )
+    out = set()
+    for m in matcher.isomorphisms_iter():
+        hom = PartialSeedHom.from_dict(a, spec(), b, m)
+        if is_seed_iso(hom):
+            out.add(hom.mapping)
+    return out
+
+
+@pytest.mark.parametrize("make", [lambda: linear_path_seed(4), a2_y2_seed], ids=["A4", "a2_y2"])
+def test_enumerate_seed_isos_matches_vf2(make):
+    """On every sub-seed: the isos onto itself and onto its class
+    representative are the ones VF2 finds, and the automorphism group
+    has VF2's order (which is also the number of isos onto it)."""
+    seed = make()
+    for cls in iso_classes_of_subseeds(seed):
+        rep = mixing_subseed(seed, cls.representative)
+        rep_order = len(vf2_isos(rep, rep))
+        for member in cls.members:
+            sub = mixing_subseed(seed, member)
+            for other in (sub, rep):
+                found = [g.mapping for g in enumerate_seed_isos(sub, other)]
+                assert len(found) == len(set(found))
+                assert set(found) == vf2_isos(sub, other)
+            assert len(automorphism_group(sub)) == rep_order

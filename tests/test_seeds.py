@@ -7,6 +7,7 @@ from clusterseeds import (
     ExtendedExchangeMatrix,
     Seed,
     SeedError,
+    connected_components,
     find_symmetrizer,
     is_connected,
     matrix_mutation,
@@ -194,3 +195,8 @@ def test_is_connected_examples():
     assert not is_connected(trivial_seed(2))
     mixed = Seed.from_data(["x"], ["t"], [[0, 1]])
     assert is_connected(mixed)
+    # classes in label order, each in label order; t1 joins x2 through
+    # b_(x2,t1), and t2 is joined to nothing
+    seed = Seed.from_data(["x1", "x2"], ["t1", "t2"], [[0, 0, 0, 0], [0, 0, 1, 0]])
+    assert connected_components(seed) == [("x1",), ("x2", "t1"), ("t2",)]
+    assert connected_components(trivial_seed(0)) == []
