@@ -298,6 +298,8 @@ def cmd_check_sur(args):
     dlabels = data.diagonal_labels()
     labels = dlabels + data.lamination_labels()
     if args.all:
+        if args.i0 or args.i1:
+            raise ParseError("--i0 and --i1 name one spec and cannot be combined with --all")
         specs = []
         for size in range(args.max_cut + 1):
             for chosen in itertools.combinations(labels, size):

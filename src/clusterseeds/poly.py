@@ -11,7 +11,11 @@ value.
 
 from __future__ import annotations
 
+import heapq
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 
 from .errors import LaurentViolation, ResourceCapExceeded
 from .seeds import ExtendedExchangeMatrix, Seed, matrix_mutation
@@ -31,6 +35,62 @@ MAX_TERMS = 10**6
 
 def _grlex_key(exponents):
     return (sum(exponents), exponents)
+
+
+def _max_abs(terms) -> int:
+    return max(map(abs, chain.from_iterable(terms)), default=0)
+
+
+class _Packing:
+    """Exponent vectors of length n packed into ints.
+
+    The key of e is sum(e) in the top field and e[0], ..., e[n-1] below
+    it, each in a signed field of ``bits`` bits.  While every exponent
+    lies in (-2**(bits-1), 2**(bits-1)), key order is grlex order and the
+    key of a product of monomials is the sum of their keys.  The total
+    degree sits in the unbounded top field, so it never overflows.
+    """
+
+    __slots__ = ("bits", "bias", "low", "nbytes", "fields")
+
+    def __init__(self, n: int, bits: int, fmt: str):
+        self.bits = bits
+        half = 1 << (bits - 1)
+        # half in every exponent field: adding it makes each field
+        # nonnegative without a borrow from the field above
+        self.bias = sum(half << (bits * i) for i in range(n))
+        self.low = (1 << (bits * n)) - 1
+        self.nbytes = bits * n // 8
+        self.fields = struct.Struct(f">{n}{fmt}")
+
+    def pack(self, e: tuple[int, ...]) -> int:
+        key = sum(e)
+        bits = self.bits
+        for v in e:
+            key = (key << bits) + v
+        return key
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        # biased fields with the top bit flipped are two's complement fields
+        key = ((key + self.bias) ^ self.bias) & self.low
+        return self.fields.unpack(key.to_bytes(self.nbytes, "big"))
+
+    def nonnegative(self, key: int) -> bool:
+        """Whether every exponent field of key is at least 0."""
+        return (key + self.bias) & self.bias == self.bias
+
+
+@lru_cache(maxsize=64)
+def _packing_of_width(n: int, bits: int, fmt: str) -> _Packing:
+    return _Packing(n, bits, fmt)
+
+
+def _packing(n: int, bound: int) -> _Packing:
+    """The packing for n exponents of absolute value at most bound."""
+    for bits, fmt in ((8, "b"), (16, "h"), (32, "i"), (64, "q")):
+        if bound < 1 << (bits - 1):
+            return _packing_of_width(n, bits, fmt)
+    raise ResourceCapExceeded(f"exponent bound {bound} does not fit a 64-bit field")
 
 
 class MultiPoly:
@@ -82,16 +142,19 @@ class MultiPoly:
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        out: dict[tuple[int, ...], int] = {}
+        p = _packing(len(self.context), _max_abs(self.terms) + _max_abs(other.terms))
+        right = [(p.pack(e), c) for e, c in other.terms.items()]
+        out: dict[int, int] = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
+            k1 = p.pack(e1)
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = out.get(k, 0) + c1 * c2
         if len(out) > MAX_TERMS:
             raise ResourceCapExceeded(
                 f"polynomial exceeded {MAX_TERMS} terms", partial_count=len(out)
             )
-        return MultiPoly(self.context, out)
+        return MultiPoly(self.context, {p.unpack(k): c for k, c in out.items() if c})
 
     def __truediv__(self, other: "MultiPoly") -> "MultiPoly":
         """The exact quotient in Z[x^+-1]; LaurentViolation if there is none."""
@@ -99,11 +162,10 @@ class MultiPoly:
             raise ZeroDivisionError("division by the zero Laurent polynomial")
         if self.is_zero():
             return self
-        a, b = self.min_exponents(), other.min_exponents()
-        quot = self.shift(tuple(-v for v in a)).exact_div(other.shift(tuple(-v for v in b)))
+        quot = self._divide(other, self.min_exponents(), other.min_exponents())
         if quot is None:
             raise LaurentViolation("the quotient is not a Laurent polynomial")
-        return quot.shift(tuple(i - j for i, j in zip(a, b)))
+        return quot
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
@@ -118,10 +180,6 @@ class MultiPoly:
                 base = base * base
             k >>= 1
         return result
-
-    def leading(self):
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
 
     def min_exponents(self) -> tuple[int, ...]:
         its = iter(self.terms)
@@ -144,18 +202,62 @@ class MultiPoly:
         """Quotient self/other of polynomials over Z if the division is exact, else None."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quot: dict[tuple[int, ...], int] = {}
-        rem = self
-        le, lc = other.leading()
-        while not rem.is_zero():
-            re, rc = rem.leading()
-            q, r = divmod(rc, lc)
-            if r != 0 or any(a < b for a, b in zip(re, le)):
+        zero = (0,) * len(self.context)
+        return self._divide(other, zero, zero)
+
+    def _divide(self, other: "MultiPoly", a, b) -> "MultiPoly | None":
+        """The exact quotient (self*x^-a) / (other*x^-b), times x^(a-b), or None.
+
+        Sparse heap division (Johnson 1974; Monagan and Pearce, JSC 46,
+        2011): the remainder is one dict updated in place, and a max-heap
+        of its keys yields the leading term.  A key whose coefficient
+        cancels stays in the heap and is skipped when popped.  The
+        division fails as soon as a leading coefficient does not divide
+        or a quotient exponent would be negative.
+        """
+        n = len(self.context)
+        # With |exponents| <= M in the operands, a and b, the shifted
+        # operands lie in [-2M, 2M]; every remainder monomial is then
+        # >= -2M in each variable and of total degree <= 2nM, so every
+        # exponent met below, the quotient's included, lies in
+        # [-4M, (4n+2)M].
+        p = _packing(n, (4 * n + 2) * max(_max_abs(self.terms), _max_abs(other.terms)))
+        ka, kb = p.pack(a), p.pack(b)
+        rem = {p.pack(e) - ka: c for e, c in self.terms.items()}
+        heap = [-k for k in rem]
+        heapq.heapify(heap)
+        divisor = sorted(((p.pack(e) - kb, c) for e, c in other.terms.items()), reverse=True)
+        lead, lc = divisor[0]
+        tail = divisor[1:]
+        quot: dict[int, int] = {}
+        while heap:
+            key = -heapq.heappop(heap)
+            c = rem.pop(key, 0)
+            if not c:
+                continue
+            q, r = divmod(c, lc)
+            e = key - lead
+            if r or not p.nonnegative(e):
                 return None
-            e = tuple(a - b for a, b in zip(re, le))
             quot[e] = q
-            rem = rem - MultiPoly(self.context, {e: q}) * other
-        return MultiPoly(self.context, quot)
+            for k, gc in tail:
+                m = e + k
+                v = rem.get(m)
+                if v is None:
+                    rem[m] = -q * gc
+                    heapq.heappush(heap, -m)
+                else:
+                    v -= q * gc
+                    if v:
+                        rem[m] = v
+                    else:
+                        del rem[m]
+            if len(rem) > MAX_TERMS:
+                raise ResourceCapExceeded(
+                    f"division remainder exceeded {MAX_TERMS} terms", partial_count=len(rem)
+                )
+        shift = ka - kb
+        return MultiPoly(self.context, {p.unpack(e + shift): c for e, c in quot.items()})
 
     def _den_exponents(self) -> tuple[int, ...]:
         if not self.terms:

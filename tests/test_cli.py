@@ -1,11 +1,12 @@
 """End-to-end command-line behaviour: reports, formats, and exit codes."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
-from clusterseeds import MultiPoly, cli, initial_state
+from clusterseeds import MultiPoly, Seed, cli, initial_state
 from clusterseeds.fileio import dump_seed, surface_to_dict
 from conftest import a2_seed, amalgam_seed, double_arrow_seed
 from clusterseeds import make_surface
@@ -111,6 +112,14 @@ def test_exit_2_on_negative_count(capsys, a2_file, square_file, argv):
     assert "must be at least 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--i0", "--i1"])
+def test_exit_2_on_single_spec_with_all(capsys, square_file, flag):
+    # --all sweeps every spec, so a single spec given with it is an input error
+    code, out, err = run(capsys, "check-sur", square_file, "--all", "--max-cut", "1", flag, "nope")
+    assert code == 2 and out == ""
+    assert "cannot be combined with --all" in err
+
+
 def test_exit_3_on_cap(capsys, tmp_path):
     path = tmp_path / "amalgam.json"
     dump_seed(amalgam_seed(), str(path))
@@ -163,6 +172,31 @@ def test_clusters_depth_truncation(capsys, a2_file):
         capsys, "--format", "machine", "clusters", a2_file, "--depth", "1"
     )
     assert json.loads(out)["status"] == "truncated"
+
+
+# sha256 of the machine JSON, recorded before heap division replaced the
+# remainder-rebuilding division, so the printed form is pinned byte for byte
+DEEP_CLUSTERS = {
+    "markov": (
+        [[0, 2, -2], [-2, 0, 2], [2, -2, 0]], 6, 190,
+        "4e4624885827bc7c0e45dc19a9deb62164e5d781dd4265b4f44ca5039c4540cd",
+    ),
+    "kronecker": (
+        [[0, 2], [-2, 0]], 20, 41,
+        "a199d22bdca366d71952ec6a91eedf5a783c8231bf155095fa04ef43a8306c27",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_CLUSTERS))
+def test_deep_clusters_are_pinned(capsys, tmp_path, name):
+    matrix, depth, count, sha256 = DEEP_CLUSTERS[name]
+    path = tmp_path / f"{name}.json"
+    dump_seed(Seed.from_data([f"x{i + 1}" for i in range(len(matrix))], [], matrix), str(path))
+    code, out, _ = run(capsys, "--format", "machine", "clusters", str(path), "--depth", str(depth))
+    doc = json.loads(out)
+    assert (code, doc["count"], doc["status"]) == (0, count, "truncated")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_hom_check_and_compose(capsys, tmp_path):

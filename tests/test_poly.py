@@ -1,6 +1,8 @@
 """Exact Laurent-polynomial arithmetic and symbolic cluster enumeration."""
 
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +10,15 @@ from hypothesis import given, settings, strategies as st
 from clusterseeds import (
     LaurentViolation,
     MultiPoly,
+    ResourceCapExceeded,
     Seed,
     enumerate_clusters,
     exchange,
     initial_state,
     mutate_state,
+    poly as poly_module,
 )
+from clusterseeds.poly import _grlex_key, _packing
 from conftest import a2_seed, linear_path_seed
 
 CTX = ("x1", "x2")
@@ -51,6 +56,134 @@ def test_poly_exact_division():
     assert p.exact_div(x1 + x2) is None
     with pytest.raises(ZeroDivisionError):
         p.exact_div(MultiPoly.constant(CTX, 0))
+
+
+# ------------------------------------------------- division oracle
+
+
+def reference_exact_div(f, g):
+    """Reference for the heap division: plain long division on exponent
+    tuples, rebuilding the remainder and rescanning it for its leading
+    term at every step."""
+    le = max(g.terms, key=_grlex_key)
+    lc = g.terms[le]
+    quot, rem = {}, dict(f.terms)
+    while rem:
+        re = max(rem, key=_grlex_key)
+        q, r = divmod(rem[re], lc)
+        if r != 0 or any(a < b for a, b in zip(re, le)):
+            return None
+        e = tuple(a - b for a, b in zip(re, le))
+        quot[e] = q
+        product = {tuple(a + b for a, b in zip(e, ge)): q * gc for ge, gc in g.terms.items()}
+        rem = {
+            m: c
+            for m in rem.keys() | product.keys()
+            if (c := rem.get(m, 0) - product.get(m, 0))
+        }
+    return MultiPoly(f.context, quot)
+
+
+def _shifted(p):
+    return p.shift(tuple(-v for v in p.min_exponents()))
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Turn a division that never ends into a failure: without the
+    negative-exponent test, dividing by a non-monomial loops forever."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_exact_div_rejects_inexact_quotients():
+    x1, x2, one = gen("x1"), gen("x2"), const(1)
+    cases = [
+        (one, x1),  # a negative quotient exponent, with nothing left over
+        (const(2) * x1 + one, const(2)),  # 1 is not divisible by 2
+        (one, x1 + one),  # a negative quotient exponent
+        (x2, x1 + x2),
+    ]
+    for f, g in cases:
+        assert reference_exact_div(f, g) is None
+        assert f.exact_div(g) is None
+    for f, g in [(const(2) * x1 + one, const(2) * x1), (x1, x1 + one)]:
+        with pytest.raises(LaurentViolation):
+            f / g
+
+
+_coefficients = st.sampled_from([-2, -1, 1, 2, 3])
+
+
+@st.composite
+def _laurent_pair(draw):
+    n = draw(st.integers(1, 3))
+    ctx = tuple(f"x{i + 1}" for i in range(n))
+    # wide exponents reach past an 8-bit packed field
+    exps = st.tuples(*[st.integers(-3, 3) | st.integers(-150, 150)] * n)
+
+    def laurent():
+        return MultiPoly(ctx, draw(st.dictionaries(exps, _coefficients, min_size=1, max_size=4)))
+
+    return laurent(), laurent()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laurent_pair())
+def test_exact_div_matches_reference(pair):
+    a, b = pair
+    with _time_limit(2):
+        for f, g in [(a * b, b), (_shifted(a * b), _shifted(b)), (a, b), (_shifted(a), _shifted(b))]:
+            assert f.exact_div(g) == reference_exact_div(f, g)
+        assert (a * b) / b == a
+        assert _shifted(a * b).exact_div(_shifted(b)) is not None
+
+
+def test_division_honours_the_term_cap(monkeypatch):
+    x1, x2, one = gen("x1"), gen("x2"), const(1)
+    f, g = (x1 + x2 + one) ** 4, x1 + x2 + one
+    assert f / g == g**3
+    monkeypatch.setattr(poly_module, "MAX_TERMS", 12)
+    with pytest.raises(ResourceCapExceeded) as exc:
+        f / g
+    assert exc.value.partial_count > 12
+
+
+# ------------------------------------------------------ packed monomials
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([3, 100, 2**14, 2**30, 2**62]), st.data())
+def test_packed_keys_order_like_grlex(n, bound, data):
+    # every sum of two vectors stays within the bound the fields are sized for
+    half = st.integers(-(bound // 2), bound // 2)
+    vectors = data.draw(st.lists(st.tuples(*[half] * n), min_size=1, max_size=20))
+    p = _packing(n, bound)
+    keys = [p.pack(e) for e in vectors]
+    assert [p.unpack(k) for k in keys] == vectors
+    assert sorted(vectors, key=p.pack) == sorted(vectors, key=_grlex_key)
+    for e1, k1 in zip(vectors, keys):
+        for e2, k2 in zip(vectors, keys):
+            assert p.unpack(k1 + k2) == tuple(a + b for a, b in zip(e1, e2))
+
+
+def test_packed_fields_never_overflow_silently():
+    x1 = gen("x1")
+    big = x1 ** (2**40)
+    assert (big * big).terms == {(2**41, 0): 1}
+    assert (big * big) / big == big
+    assert (x1 ** (2**61) * x1 ** (2**61)).terms == {(2**62, 0): 1}
+    with pytest.raises(ResourceCapExceeded):
+        x1 ** (2**62) * x1 ** (2**62)
 
 
 def test_poly_str_uses_caret_powers():
