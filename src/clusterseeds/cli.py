@@ -231,10 +231,9 @@ def cmd_classify(args):
     seed = require_valid(load_seed(args.seed))
     report = theorem_number_report(seed, cap=args.cap)
     S, P = report.table, report.green
-    order = seed.labels
 
     def spec_doc(spec):
-        return {"I0": sorted(spec.I0, key=order.index), "I1": sorted(spec.I1, key=order.index)}
+        return {"I0": sorted(spec.I0, key=seed.index), "I1": sorted(spec.I1, key=seed.index)}
 
     id_member = dict(report.regular)
     classes = []

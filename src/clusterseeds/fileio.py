@@ -81,11 +81,11 @@ def dump_seed(seed: Seed, path: str) -> None:
 
 
 def hom_to_dict(hom: PartialSeedHom) -> dict:
-    order = hom.source.labels
+    source = hom.source
     return {
-        "I0": sorted(hom.spec.I0, key=order.index),
-        "I1": sorted(hom.spec.I1, key=order.index),
-        "map": {x: v for x, v in zip(order, hom.mapping) if v is not None},
+        "I0": sorted(hom.spec.I0, key=source.index),
+        "I1": sorted(hom.spec.I1, key=source.index),
+        "map": hom.map_dict(),
     }
 
 

@@ -68,12 +68,11 @@ class SubSeedSpec:
 
     def sort_key(self, seed: Seed):
         """Lexicographic key in the seed's label order, I0 before I1."""
-        order = {x: i for i, x in enumerate(seed.labels)}
         return (
             len(self.I0),
-            sorted(order[x] for x in self.I0),
+            sorted(map(seed.index, self.I0)),
             len(self.I1),
-            sorted(order[x] for x in self.I1),
+            sorted(map(seed.index, self.I1)),
         )
 
 
@@ -287,13 +286,12 @@ def enumerate_seed_isos(a: Seed, b: Seed):
         return
     sig_a = {x: _vertex_signature(a, x) for x in a.labels}
     sig_b = {x: _vertex_signature(b, x) for x in b.labels}
-    order = list(a.exchangeable_labels) + list(a.frozen_labels)
     candidates = {
         x: [y for y in (b.exchangeable_labels if a.is_exchangeable(x) else b.frozen_labels)
             if sig_b[y] == sig_a[x]]
-        for x in order
+        for x in a.labels
     }
-    if any(not candidates[x] for x in order):
+    if any(not candidates[x] for x in a.labels):
         return
 
     assignment: dict[str, str] = {}
@@ -308,12 +306,12 @@ def enumerate_seed_isos(a: Seed, b: Seed):
         return True
 
     def backtrack(i: int):
-        if i == len(order):
+        if i == len(a.labels):
             hom = PartialSeedHom.from_dict(a, EMPTY_SPEC, b, assignment)
             if check_partial_hom(hom)[0]:
                 yield hom
             return
-        x = order[i]
+        x = a.labels[i]
         for y in candidates[x]:
             if y in used or not consistent(x, y):
                 continue

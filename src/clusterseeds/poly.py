@@ -12,9 +12,10 @@ value.
 from __future__ import annotations
 
 import heapq
+import operator
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 
 from .errors import LaurentViolation, ResourceCapExceeded
@@ -170,16 +171,13 @@ class MultiPoly:
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             return MultiPoly.constant(self.context, 1) / self**-k
-        result = MultiPoly.constant(self.context, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k >>= 1
-        return result
+        if k == 0:
+            return MultiPoly.constant(self.context, 1)
+        if k == 1:
+            return self
+        half = self ** (k >> 1)
+        square = half * half
+        return square * self if k & 1 else square
 
     def min_exponents(self) -> tuple[int, ...]:
         its = iter(self.terms)
@@ -345,19 +343,14 @@ def exchange(state: LabeledSeedState, k: int) -> MultiPoly:
 
     The division by the outgoing variable is exact or raises
     LaurentViolation."""
-    n, m = state.matrix.n, state.matrix.m
+    n = state.matrix.n
     if not 0 <= k < n:
         raise IndexError(f"exchange direction {k} out of range 0..{n - 1}")
-    context = state.seed.labels
-    plus = MultiPoly.constant(context, 1)
-    minus = MultiPoly.constant(context, 1)
     row = state.matrix.entries[k]
-    for t in range(n + m):
-        b = row[t]
-        if b > 0:
-            plus = plus * state.variable(t) ** b
-        elif b < 0:
-            minus = minus * state.variable(t) ** (-b)
+    plus = [state.variable(t) ** b for t, b in enumerate(row) if b > 0]
+    minus = [state.variable(t) ** -b for t, b in enumerate(row) if b < 0]
+    one = [MultiPoly.constant(state.seed.labels, 1)]  # the product of no factors
+    plus, minus = (reduce(operator.mul, side or one) for side in (plus, minus))
     return (plus + minus) / state.assignment[k]
 
 

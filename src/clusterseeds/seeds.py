@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import SeedError
@@ -95,22 +96,29 @@ class Seed:
     def m(self) -> int:
         return self.matrix.m
 
-    @property
+    # labels and _position are cached per instance, outside the dataclass
+    # fields, so equality, hashing and repr see only the three fields.
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         """All variables, exchangeable first (the extended cluster)."""
         return self.exchangeable_labels + self.frozen_labels
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        """Label -> position in labels: the one label index of the seed."""
+        return {x: i for i, x in enumerate(self.labels)}
 
     def is_trivial(self) -> bool:
         return self.n == 0
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._position[label]
+        except KeyError:
             raise SeedError(f"unknown variable {label!r}") from None
 
     def is_exchangeable(self, label: str) -> bool:
-        return label in self.exchangeable_labels
+        return self._position.get(label, self.n) < self.n
 
     def b(self, x: str, y: str) -> int:
         """Entry b_{xy}; defined whenever x is exchangeable."""
@@ -121,10 +129,7 @@ class Seed:
 
     def b_or_zero(self, x: str, y: str) -> int:
         """b_{xy} when defined, else 0 (frozen row)."""
-        i = self.index(x)
-        if i >= self.n:
-            return 0
-        return self.matrix.entries[i][self.index(y)]
+        return self.b(x, y) if self.index(x) < self.n else 0
 
 
 @dataclass

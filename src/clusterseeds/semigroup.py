@@ -97,15 +97,28 @@ def enumerate_endpar(seed: Seed, cap: int = DEFAULT_CAP) -> SemigroupTable:
     so candidate maps range over X for the exchangeable part and over
     the whole extended cluster for the frozen part; each candidate is
     validated.  Exceeding the element cap fails loudly.
+
+    Each accepted element is also written as a row of digits, one per
+    label position p: 2*(v+1)+f, where v is the position of the image of
+    labels[p] and f marks labels[p] as frozen in the domain, and 0
+    outside the domain.  Read in base 2*width+2, a row is the element's
+    int64 code in the product table.
     """
     labels = seed.labels
     ex_labels = seed.exchangeable_labels
+    width = max(len(labels), 1)
+    if (2 * width + 2) ** width > 2**63:
+        raise ResourceCapExceeded(
+            f"{width} labels do not fit the 64-bit element code", partial_count=0
+        )
     elements: list[PartialSeedHom] = []
     index: dict[PartialSeedHom, int] = {}
+    digits: list[list[int]] = []
     for spec in _all_specs(seed):
         dom_ex, dom_fr = spec.parts(seed)
         pools = [ex_labels] * len(dom_ex) + [labels] * len(dom_fr)
         dom = dom_ex + dom_fr
+        places = [(seed.index(x), 2 + (x in dom_fr)) for x in dom]  # (p, 2 + f)
         for values in itertools.product(*pools):
             cand = PartialSeedHom.from_dict(seed, spec, seed, dict(zip(dom, values)))
             ok, _ = check_partial_hom(cand)
@@ -118,7 +131,11 @@ def enumerate_endpar(seed: Seed, cap: int = DEFAULT_CAP) -> SemigroupTable:
                 )
             index[cand] = len(elements)
             elements.append(cand)
-    product, zero_index = _product_table(elements, labels)
+            row = [0] * width
+            for (p, d), v in zip(places, values):
+                row[p] = 2 * seed.index(v) + d
+            digits.append(row)
+    product, zero_index = _product_table(np.array(digits, dtype=np.int64))
     return SemigroupTable(seed, elements, index, product, zero_index)
 
 
@@ -126,33 +143,16 @@ def enumerate_endpar(seed: Seed, cap: int = DEFAULT_CAP) -> SemigroupTable:
 _BLOCK_CELLS = 1 << 18
 
 
-def _product_table(elements: list[PartialSeedHom], labels: tuple[str, ...]) -> tuple[np.ndarray, int]:
-    """Product table of the elements, and the index of the empty hom.
-
-    Each element is coded as one int64 whose digit p, in base
-    2*width+2, is 2*(v+1)+f: v is the position of the image of labels[p]
-    (-1 outside the domain) and f marks labels[p] as frozen in the
-    domain.  The code of each composite is assembled one position at a
-    time, over a block of columns, and looked up among the sorted codes.
+def _product_table(digits: np.ndarray) -> tuple[np.ndarray, int]:
+    """Product table of the elements, given their digit rows as written
+    by enumerate_endpar, and the index of the empty hom.  The code of
+    each composite is assembled one position at a time, over a block of
+    columns, and looked up among the sorted codes.
     """
-    size = len(elements)
-    width = max(len(labels), 1)
+    size, width = digits.shape
     base = 2 * width + 2
-    if base**width > 2**63:
-        raise ResourceCapExceeded(
-            f"{width} labels do not fit the 64-bit element code", partial_count=size
-        )
-    pos = {x: p for p, x in enumerate(labels)}
-    V = np.full((size, width), -1, dtype=np.int64)
-    F = np.zeros((size, width), dtype=np.int64)
-    for i, h in enumerate(elements):
-        fr_set = set(h.dom_fr)
-        for p, x in enumerate(labels):
-            v = h.mapping[p]
-            if v is not None:
-                V[i, p] = pos[v]
-                F[i, p] = x in fr_set
-    digits = 2 * (V + 1) + F  # 0 outside the domain
+    V = digits // 2 - 1  # image position, -1 outside the domain
+    F = digits % 2  # frozen in the domain
     weights = base ** np.arange(width, dtype=np.int64)
     codes = digits @ weights
     order = np.argsort(codes)

@@ -170,22 +170,21 @@ def _triangles_cached(N: int, diagonals) -> list[tuple[int, int, int]]:
 def b_matrix_from_triangulation(data: SurfaceData) -> tuple[tuple[str, ...], list[list[int]]]:
     """Skew-symmetric matrix over the diagonals: within each triangle,
     consecutive counterclockwise diagonal sides (x, y) add b_xy += 1."""
-    labels = sorted(data.diagonal_labels())
-    pos = {lbl: i for i, lbl in enumerate(labels)}
-    by_geom = {(c, d): lbl for lbl, (c, d) in data.diagonals}
-    k = len(labels)
+    diagonals = sorted(data.diagonals)  # in label order
+    at = {geom: i for i, (_, geom) in enumerate(diagonals)}
+    k = len(diagonals)
     B = [[0] * k for _ in range(k)]
     for c, N in enumerate(data.components):
         diags = [d for _, (cc, d) in data.diagonals if cc == c]
         for u, v, w in triangles_of(N, diags):
             sides = [(u, v), (v, w), (min(u, w), max(u, w))]
             for i in range(3):
-                x = by_geom.get((c, sides[i]))
-                y = by_geom.get((c, sides[(i + 1) % 3]))
+                x = at.get((c, sides[i]))
+                y = at.get((c, sides[(i + 1) % 3]))
                 if x is not None and y is not None:
-                    B[pos[x]][pos[y]] += 1
-                    B[pos[y]][pos[x]] -= 1
-    return tuple(labels), B
+                    B[x][y] += 1
+                    B[y][x] -= 1
+    return tuple(lbl for lbl, _ in diagonals), B
 
 
 def curve_crosses(curve, comp: int, diag: tuple[int, int]) -> bool:
@@ -359,11 +358,16 @@ def paunched_surface(data: SurfaceData, I0, I1) -> SurfaceData:
     return out
 
 
+@lru_cache(maxsize=1)
+def _base_seed(data: SurfaceData) -> Seed:
+    """The surface's own seed, built once for a sweep of specs on one surface."""
+    return seed_from_surface(data)
+
+
 def check_theorem_sur(data: SurfaceData, I0, I1) -> bool:
     """Sub-seed of the surface seed vs seed of the paunched surface,
     compared through the canonical label correspondence."""
-    base = seed_from_surface(data)
-    left = mixing_subseed(base, SubSeedSpec(frozenset(I0), frozenset(I1)))
+    left = mixing_subseed(_base_seed(data), SubSeedSpec(frozenset(I0), frozenset(I1)))
     right = seed_from_surface(paunched_surface(data, I0, I1))
     if set(left.exchangeable_labels) != set(right.exchangeable_labels):
         return False

@@ -8,7 +8,7 @@ import pytest
 
 from clusterseeds import MultiPoly, Seed, cli, initial_state
 from clusterseeds.fileio import dump_seed, surface_to_dict
-from conftest import a2_seed, amalgam_seed, double_arrow_seed
+from conftest import a2_seed, a2_y2_seed, amalgam_seed, double_arrow_seed, linear_path_seed
 from clusterseeds import make_surface
 
 
@@ -197,6 +197,39 @@ def test_deep_clusters_are_pinned(capsys, tmp_path, name):
     doc = json.loads(out)
     assert (code, doc["count"], doc["status"]) == (0, count, "truncated")
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# sha256 of the machine JSON, recorded before the label index moved into
+# Seed and element codes were written at enumeration
+SEMIGROUP_REPORTS = {
+    ("A3", "endpar"): "495e010eb4584a26f7a9d7fed7ce09f8038741ec6876095be23506fabed8248e",
+    ("A3", "green"): "d3d60cb6eabb3f98dcf4fe3ea825fa5121e6f1727209e2df5fd0c8583407d174",
+    ("A3", "classify"): "f32b024c8746d1bc58eeab1ba5a0b5e2b95faf3b1583acd49966ef9b9855f235",
+    ("a2_y2", "endpar"): "ba1977af998bb0923a233a07b0fc958d1b5ad6b138e9ec5a09da1d889c443610",
+    ("a2_y2", "green"): "d046801422be8d00acd8d96c7d005ee8cf1317b078bbe8981b98af60e22a83cd",
+    ("a2_y2", "classify"): "803ab404d9cee1adecd4e07e29257354ee0f7357f95122ce4ef6c230095259cf",
+}
+
+
+@pytest.mark.parametrize("name,command", sorted(SEMIGROUP_REPORTS))
+def test_semigroup_reports_are_pinned(capsys, tmp_path, name, command):
+    seed = {"A3": linear_path_seed(3), "a2_y2": a2_y2_seed()}[name]
+    path = tmp_path / f"{name}.json"
+    dump_seed(seed, str(path))
+    code, out, _ = run(capsys, "--format", "machine", command, str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SEMIGROUP_REPORTS[name, command]
+
+
+def test_surface_sweep_is_pinned(capsys, tmp_path):
+    surf = make_surface(6, [(0, 2), (0, 3), (3, 5)], laminations=[[(1, 4)]])
+    path = tmp_path / "hexagon.json"
+    path.write_text(json.dumps(surface_to_dict(surf)))
+    code, out, _ = run(capsys, "--format", "machine", "check-sur", str(path), "--all", "--max-cut", "2")
+    assert (code, json.loads(out)["checked"]) == (0, 26)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1efcc02815312d76207910ef69a8472ed8f477c4649b57a4a31f2bce19b5021b"
+    )
 
 
 def test_hom_check_and_compose(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Seed construction, validation, symmetrizers, and matrix mutation."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,6 +51,25 @@ def test_entry_accessors():
     assert seed.labels == ("x1", "x2", "t")
     assert not seed.is_trivial()
     assert trivial_seed(2).is_trivial()
+
+
+def test_label_index_is_cached_outside_the_fields():
+    queried = Seed.from_data(["x1", "x2"], ["t"], [[0, 1, 2], [-1, 0, 0]])
+    fresh = Seed.from_data(["x1", "x2"], ["t"], [[0, 1, 2], [-1, 0, 0]])
+    assert queried.index("t") == 2 and queried.b("x2", "x1") == -1
+    assert queried == fresh and hash(queried) == hash(fresh)
+    assert repr(queried) == repr(fresh)
+    with pytest.raises(SeedError, match="unknown variable"):
+        queried.index("nope")
+    assert queried.is_exchangeable("x2")
+    assert not queried.is_exchangeable("t")
+    assert not queried.is_exchangeable("nope")
+    # a replaced seed answers with its own positions, not its origin's
+    swapped = dataclasses.replace(queried, exchangeable_labels=("x2", "x1"))
+    assert swapped.labels == ("x2", "x1", "t")
+    assert (swapped.index("x1"), swapped.index("x2")) == (1, 0)
+    assert swapped.b("x1", "x2") == -1
+    assert swapped != queried
 
 
 # ---------------------------------------------------------------- validation

@@ -148,11 +148,11 @@ def test_product_table_matches_object_composition():
 
 
 def test_element_code_width_is_checked():
-    # 14 labels need digits in base 30, and 30**14 exceeds a 64-bit code
-    from clusterseeds.semigroup import _product_table
-
-    with pytest.raises(ResourceCapExceeded):
-        _product_table([], tuple(f"y{i}" for i in range(14)))
+    # 14 labels need digits in base 30, and 30**14 exceeds a 64-bit code;
+    # the check comes before any candidate is tried
+    with pytest.raises(ResourceCapExceeded, match="64-bit element code") as exc:
+        enumerate_endpar(trivial_seed(14))
+    assert exc.value.partial_count == 0
 
 
 def test_zero_absorbs():
