@@ -8,6 +8,7 @@ derived from that document, never computed separately.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -346,7 +347,10 @@ def _count(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    later main call in the process (parse_args leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="clusterseeds",
         description="Seeds, partial seed endomorphisms, Green's relations, "

@@ -88,8 +88,9 @@ def mixing_subseed(seed: Seed, spec: SubSeedSpec) -> Seed:
     """
     spec.validate(seed)
     ex, fr = spec.parts(seed)
-    cols = ex + fr
-    rows = tuple(tuple(seed.b(x, y) for y in cols) for x in ex)
+    cols = [seed.index(y) for y in ex + fr]
+    entries = seed.matrix.entries
+    rows = tuple(tuple(map(entries[i].__getitem__, cols)) for i in cols[: len(ex)])
     matrix = ExtendedExchangeMatrix(n=len(ex), m=len(fr), entries=rows)
     return Seed(ex, fr, matrix)
 

@@ -9,6 +9,7 @@ indices are an internal ordering.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -45,7 +46,7 @@ class ExtendedExchangeMatrix:
         for i, row in enumerate(self.entries):
             if len(row) != width:
                 raise SeedError(f"row {i} has length {len(row)}, expected {width}")
-            if not all(isinstance(v, int) for v in row):
+            if not all(map(isinstance, row, itertools.repeat(int))):
                 raise SeedError(f"row {i} contains non-integer entries")
 
     @staticmethod

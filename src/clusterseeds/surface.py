@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import SeedError
 from .seeds import ExtendedExchangeMatrix, Seed
@@ -113,16 +114,9 @@ def validate_surface(data: SurfaceData) -> SurfaceData:
             raise SeedError(f"diagonal {lbl!r} joins adjacent vertices")
         per_comp[c].append((a, b))
     for c, diags in per_comp.items():
-        N = data.components[c]
-        if len(set(diags)) != len(diags):
-            raise SeedError(f"component {c} repeats a diagonal")
-        for d1, d2 in itertools.combinations(diags, 2):
-            if diagonals_cross(d1, d2, N):
-                raise SeedError(f"diagonals {d1} and {d2} cross in component {c}")
-        if len(diags) != N - 3:
-            raise SeedError(
-                f"component {c}: {len(diags)} diagonals, a triangulation needs {N - 3}"
-            )
+        fault = _triangulation_fault(data.components[c], tuple(diags))
+        if fault is not None:
+            raise SeedError(fault.format(c=c))
     for lbl, curves in data.laminations:
         for c, (s, t) in curves:
             if not 0 <= c < len(data.components):
@@ -142,11 +136,15 @@ def triangles_of(N: int, diagonals) -> list[tuple[int, int, int]]:
     side graph (boundary plus diagonals) are exactly the faces; the
     count is checked.
     """
-    return _triangles_cached(N, tuple(sorted(tuple(d) for d in diagonals)))
+    return list(_triangles_cached(N, tuple(sorted(tuple(d) for d in diagonals))))
+
+
+# The caches below are keyed by one polygon's (N, diagonals) and return
+# immutable values, so every caller can share them.
 
 
 @lru_cache(maxsize=4096)
-def _triangles_cached(N: int, diagonals) -> list[tuple[int, int, int]]:
+def _triangles_cached(N: int, diagonals) -> tuple[tuple[int, int, int], ...]:
     edges = {(i, (i + 1) % N) for i in range(N)}
     edges = {(min(a, b), max(a, b)) for a, b in edges}
     edges |= {tuple(d) for d in diagonals}
@@ -164,7 +162,33 @@ def _triangles_cached(N: int, diagonals) -> list[tuple[int, int, int]]:
                     faces.append((u, v, w))
     if len(faces) != N - 2:
         raise SeedError(f"{len(faces)} triangles in an {N}-gon, expected {N - 2}")
-    return faces
+    return tuple(faces)
+
+
+@lru_cache(maxsize=4096)
+def _triangulation_fault(N: int, diagonals) -> str | None:
+    """First reason the diagonals (in the given order) do not triangulate
+    the N-gon, with a {c} field for the component, or None."""
+    if len(set(diagonals)) != len(diagonals):
+        return "component {c} repeats a diagonal"
+    for d1, d2 in itertools.combinations(diagonals, 2):
+        if diagonals_cross(d1, d2, N):
+            return f"diagonals {d1} and {d2} cross in component {{c}}"
+    if len(diagonals) != N - 3:
+        return f"component {{c}}: {len(diagonals)} diagonals, a triangulation needs {N - 3}"
+    return None
+
+
+@lru_cache(maxsize=4096)
+def _apex_table(N: int, diagonals) -> MappingProxyType:
+    """Diagonal (a, b) -> apexes (p, q) of its two triangles: p inside
+    the counterclockwise arc a..b, q outside.  diagonals is sorted."""
+    inner: dict[tuple[int, int], int] = {}
+    outer: dict[tuple[int, int], int] = {}
+    for u, v, w in _triangles_cached(N, diagonals):
+        for side, apex in (((u, v), w), ((v, w), u), ((u, w), v)):
+            (inner if side[0] < apex < side[1] else outer)[side] = apex
+    return MappingProxyType({d: (p, outer[d]) for d, p in inner.items() if d in outer})
 
 
 def b_matrix_from_triangulation(data: SurfaceData) -> tuple[tuple[str, ...], list[list[int]]]:
@@ -195,22 +219,23 @@ def curve_crosses(curve, comp: int, diag: tuple[int, int]) -> bool:
     return (a <= s < b) != (a <= t < b)
 
 
-def _quadrilateral(N: int, diagonals, diag: tuple[int, int]) -> tuple[int, int]:
-    """Apexes (p, q) of the two triangles adjacent to diag: p inside the
-    counterclockwise arc a..b, q outside."""
+def _crossing_sign(N: int, diag: tuple[int, int], apexes, curve) -> int:
+    """Contribution of a curve that crosses diag, with the apexes of
+    diag's triangles read from apexes (an _apex_table)."""
+    _, (s, t) = curve
+    try:
+        p, q = apexes[tuple(diag)]
+    except KeyError:
+        raise SeedError(f"diagonal {diag} is not in the triangulation") from None
     a, b = diag
-    p = q = None
-    for u, v, w in triangles_of(N, diagonals):
-        tri = {u, v, w}
-        if a in tri and b in tri:
-            (apex,) = tri - {a, b}
-            if a < apex < b:
-                p = apex
-            else:
-                q = apex
-    if p is None or q is None:
-        raise SeedError(f"diagonal {diag} is not in the triangulation")
-    return p, q
+    inner, outer = (s, t) if a <= s < b else (t, s)
+    near_a_inner = a <= inner < p  # curve leaves through side (a, p)
+    near_b_outer = (outer - b) % N < (q - b) % N  # side (b, q), cyclic arc b..q
+    if near_a_inner and near_b_outer:
+        return -1
+    if not near_a_inner and not near_b_outer:
+        return 1
+    return 0
 
 
 def shear_contribution(N: int, diagonals, diag: tuple[int, int], curve) -> int:
@@ -222,31 +247,26 @@ def shear_contribution(N: int, diagonals, diag: tuple[int, int], curve) -> int:
     two adjacent sides contributes 0.  The convention is pinned by the
     companion-curve row identity after a freeze cut.
     """
-    comp_of_curve, (s, t) = curve
-    a, b = diag
-    if not ((a <= s < b) != (a <= t < b)):
+    if not curve_crosses(curve, curve[0], diag):
         return 0
-    p, q = _quadrilateral(N, diagonals, diag)
-    inner, outer = (s, t) if a <= s < b else (t, s)
-    near_a_inner = a <= inner < p  # curve leaves through side (a, p)
-    near_b_outer = (outer - b) % N < (q - b) % N  # side (b, q), cyclic arc b..q
-    if near_a_inner and near_b_outer:
-        return -1
-    if not near_a_inner and not near_b_outer:
-        return 1
-    return 0
+    apexes = _apex_table(N, tuple(sorted(tuple(d) for d in diagonals)))
+    return _crossing_sign(N, diag, apexes, curve)
 
 
 def shear_coordinates(data: SurfaceData, curves) -> dict[str, int]:
     """Shear row of one lamination: diagonal label -> summed contribution."""
-    row: dict[str, int] = {}
-    for lbl, (c, d) in data.diagonals:
-        N = data.components[c]
-        diags = [dd for _, (cc, dd) in data.diagonals if cc == c]
-        row[lbl] = sum(
-            shear_contribution(N, diags, d, curve) for curve in curves if curve[0] == c
+    per_comp: dict[int, list[tuple[int, int]]] = {c: [] for c in range(len(data.components))}
+    for _, (c, d) in data.diagonals:
+        per_comp[c].append(d)
+    apexes = {c: _apex_table(data.components[c], tuple(sorted(ds))) for c, ds in per_comp.items()}
+    return {
+        lbl: sum(
+            _crossing_sign(data.components[c], d, apexes[c], curve)
+            for curve in curves
+            if curve_crosses(curve, c, d)
         )
-    return row
+        for lbl, (c, d) in data.diagonals
+    }
 
 
 def seed_from_surface(data: SurfaceData) -> Seed:
@@ -373,10 +393,12 @@ def check_theorem_sur(data: SurfaceData, I0, I1) -> bool:
         return False
     if set(left.frozen_labels) != set(right.frozen_labels):
         return False
+    # each row of left against right's row of the same label, read in left's column order
+    cols = [right.index(y) for y in left.labels]
+    entries = right.matrix.entries
     return all(
-        left.b(xx, yy) == right.b(xx, yy)
-        for xx in left.exchangeable_labels
-        for yy in left.labels
+        row == tuple(map(entries[right.index(x)].__getitem__, cols))
+        for x, row in zip(left.exchangeable_labels, left.matrix.entries)
     )
 
 

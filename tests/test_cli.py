@@ -3,10 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from clusterseeds import MultiPoly, Seed, cli, initial_state
+import clusterseeds
+from clusterseeds import MultiPoly, Seed, SurfaceData, cli, initial_state
 from clusterseeds.fileio import dump_seed, surface_to_dict
 from conftest import a2_seed, a2_y2_seed, amalgam_seed, double_arrow_seed, linear_path_seed
 from clusterseeds import make_surface
@@ -230,6 +234,64 @@ def test_surface_sweep_is_pinned(capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "1efcc02815312d76207910ef69a8472ed8f477c4649b57a4a31f2bce19b5021b"
     )
+
+
+def test_two_component_sweep_is_pinned(capsys, tmp_path):
+    # a hexagon and a pentagon, two laminations with curves on both; the
+    # upper-case lamination labels sort before the frozen diagonals
+    surf = SurfaceData(
+        (6, 5),
+        (
+            ("a", (0, (0, 2))),
+            ("b", (0, (0, 3))),
+            ("c", (0, (3, 5))),
+            ("e", (1, (1, 3))),
+            ("f", (1, (1, 4))),
+        ),
+        (
+            ("L0", ((0, (1, 4)), (1, (0, 2)))),
+            ("L1", ((0, (0, 3)), (1, (0, 3)), (1, (2, 4)))),
+        ),
+    )
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(surface_to_dict(surf)))
+    code, out, _ = run(capsys, "--format", "machine", "check-sur", str(path), "--all", "--max-cut", "2")
+    assert (code, json.loads(out)["checked"]) == (0, 74)
+    # recorded before the sweep compared rows and memoised polygon checks
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "736ac9773c498c844203d8eb383c05ab1083145ac6fc70201012999bb3944d7c"
+    )
+
+
+def test_reused_parser_matches_fresh_processes(capsys, monkeypatch, a2_file, square_file):
+    # argparse wraps usage lines to the terminal width; fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clusterseeds.__file__)))
+    calls = [
+        ["check-sur", square_file, "--all"],
+        ["check-sur", square_file, "--i0", "d0_2"],
+        ["--format", "machine", "check-sur", square_file, "--i1", "L0"],
+        ["check-sur", square_file, "--i1", "L0"],
+        ["endpar", a2_file, "--cap", "5"],
+        ["endpar", a2_file],
+        ["check-sur", square_file, "--max-cut", "-1"],
+        ["--format", "machine", "validate", a2_file],
+    ]
+    codes = []
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "clusterseeds.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 3, 0, 2, 0]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_hom_check_and_compose(capsys, tmp_path):

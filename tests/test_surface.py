@@ -1,8 +1,13 @@
 """Triangulated polygons, shear coordinates, cutting, and isomorphism."""
 
+import itertools
+import random
+
 import pytest
 
+import clusterseeds.surface as surface_module
 from clusterseeds import (
+    Seed,
     SeedError,
     SubSeedSpec,
     SurfaceData,
@@ -46,10 +51,44 @@ def test_validation_rejects_bad_surfaces():
         make_surface(4, [(0, 2)], laminations=[[(1, 1)]])  # boundary-parallel
 
 
+# (diagonals of one pentagon, message with the component as {c})
+TRIANGULATION_FAULTS = {
+    "repeated": ([(0, 2), (0, 2)], "component {c} repeats a diagonal"),
+    "crossing": ([(0, 2), (1, 3)], "diagonals (0, 2) and (1, 3) cross in component {c}"),
+    "missing": ([(0, 2)], "component {c}: 1 diagonals, a triangulation needs 2"),
+}
+
+
+def two_pentagons(bad_component, bad_diagonals):
+    diagonals = []
+    for c in (0, 1):
+        ds = bad_diagonals if c == bad_component else [(0, 2), (0, 3)]
+        diagonals += [(f"c{c}_{i}", (c, d)) for i, d in enumerate(ds)]
+    return SurfaceData((5, 5), tuple(diagonals), ())
+
+
+@pytest.mark.parametrize("fault", sorted(TRIANGULATION_FAULTS))
+def test_validation_messages_name_the_faulty_component(fault):
+    # the same faulty pentagon in component 0, then 1, each built twice
+    bad, message = TRIANGULATION_FAULTS[fault]
+    for c in (0, 0, 1, 1, 0):
+        with pytest.raises(SeedError) as excinfo:
+            two_pentagons(c, bad)
+        assert str(excinfo.value) == message.format(c=c)
+    assert two_pentagons(None, bad).components == (5, 5)
+
+
 def test_triangle_faces():
     assert triangles_of(3, []) == [(0, 1, 2)]
     assert triangles_of(4, [(0, 2)]) == [(0, 1, 2), (0, 2, 3)]
     assert len(triangles_of(6, fan(6))) == 4
+
+
+def test_triangle_faces_are_a_fresh_list_per_call():
+    faces = triangles_of(4, [(0, 2)])
+    faces.append((9, 9, 9))
+    faces[0] = (7, 7, 7)
+    assert triangles_of(4, [(0, 2)]) == [(0, 1, 2), (0, 2, 3)]
 
 
 def test_diagonal_crossing_predicate():
@@ -197,6 +236,84 @@ def test_paunch_square_with_curve():
     assert check_theorem_sur(surf, ("d0_2",), ())
     assert check_theorem_sur(surf, (), ("d0_2",))
     assert check_theorem_sur(surf, (), ("L0",))
+
+
+def reference_check_theorem_sur(data, I0, I1) -> bool:
+    """The entrywise comparison: b_xy of the surface seed against b_xy of
+    the paunched surface's seed, looked up by label, for every row x and
+    column y of the sub-seed."""
+    base = surface_module.seed_from_surface(data)
+    spec = SubSeedSpec.of(I0, I1)
+    spec.validate(base)
+    ex, fr = spec.parts(base)
+    right = surface_module.seed_from_surface(paunched_surface(data, I0, I1))
+    if set(ex) != set(right.exchangeable_labels) or set(fr) != set(right.frozen_labels):
+        return False
+    return all(base.b(x, y) == right.b(x, y) for x in ex for y in ex + fr)
+
+
+def sweep_specs(data, max_cut):
+    """Every (I0, I1) of check-sur --all --max-cut max_cut."""
+    dlabels = data.diagonal_labels()
+    labels = dlabels + data.lamination_labels()
+    for size in range(max_cut + 1):
+        for chosen in itertools.combinations(labels, size):
+            diag_part = [x for x in chosen if x in dlabels]
+            for r in range(len(diag_part) + 1):
+                for I0 in itertools.combinations(diag_part, r):
+                    yield I0, tuple(x for x in chosen if x not in I0)
+
+
+def test_row_comparison_matches_the_entrywise_reference():
+    rng = random.Random(8)
+    checked = 0
+    for N in range(4, 8):
+        for tri in enumerate_triangulations(N):
+            curves = [tuple(rng.sample(range(N), 2)) for _ in range(rng.randint(1, 2))]
+            surf = make_surface(N, tri, laminations=[curves])
+            for I0, I1 in sweep_specs(surf, 2):
+                expected = reference_check_theorem_sur(surf, I0, I1)
+                assert check_theorem_sur(surf, I0, I1) == expected, (N, tri, curves, I0, I1)
+                checked += 1
+    assert checked == 2 * 6 + 5 * 14 + 14 * 26 + 42 * 42  # 2 + 2d + 2d² specs, d = N - 3
+
+
+def _perturbed(seed: Seed, kind: str) -> Seed:
+    n = seed.n
+    rows = [list(r) for r in seed.matrix.entries]
+    frozen = list(seed.frozen_labels)
+    if kind == "exchangeable entry":
+        rows[0][1] += 1
+    elif kind == "frozen entry":
+        rows[0][n] += 1
+    elif kind == "frozen columns swapped":
+        for r in rows:
+            r[n], r[n + 1] = r[n + 1], r[n]
+    else:  # a frozen label renamed
+        frozen[0] += "_renamed"
+    return Seed.from_data(seed.exchangeable_labels, frozen, rows)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["exchangeable entry", "frozen entry", "frozen columns swapped", "frozen label renamed"],
+)
+def test_row_comparison_rejects_a_perturbed_paunched_seed(monkeypatch, kind):
+    surf = make_surface(6, fan(6), laminations=[[(1, 4)]])
+    I0, I1 = ("d0_2",), ()
+    assert check_theorem_sur(surf, I0, I1) and reference_check_theorem_sur(surf, I0, I1)
+    real = surface_module.seed_from_surface
+    paunched = paunched_surface(surf, I0, I1)
+    seed = real(paunched)
+    assert (seed.n, seed.frozen_labels) == (2, ("L0", "d0_2"))
+    assert _perturbed(seed, kind) != seed
+
+    def perturbed_seed_from_surface(data):
+        return _perturbed(real(data), kind) if data == paunched else real(data)
+
+    monkeypatch.setattr(surface_module, "seed_from_surface", perturbed_seed_from_surface)
+    assert reference_check_theorem_sur(surf, I0, I1) is False
+    assert check_theorem_sur(surf, I0, I1) is False
 
 
 def test_paunch_validates_labels():
