@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .errors import SeedError
@@ -68,6 +68,17 @@ class SurfaceData:
 
     def lamination_labels(self) -> tuple[str, ...]:
         return tuple(lbl for lbl, _ in self.laminations)
+
+    # cached per instance, outside the dataclass fields, so equality,
+    # hashing and repr see only the three fields
+    @cached_property
+    def _polygons(self) -> dict[int, tuple[int, tuple[tuple[int, int], ...], dict]]:
+        """Component with diagonals -> (vertex count, sorted diagonals,
+        diagonal -> label); the first two key the per-polygon tables below."""
+        label_of: dict[int, dict[tuple[int, int], str]] = {}
+        for lbl, (c, d) in self.diagonals:
+            label_of.setdefault(c, {})[d] = lbl
+        return {c: (self.components[c], tuple(sorted(ds)), ds) for c, ds in label_of.items()}
 
 
 def _norm_curve(comp: int, s: int, t: int):
@@ -191,24 +202,33 @@ def _apex_table(N: int, diagonals) -> MappingProxyType:
     return MappingProxyType({d: (p, outer[d]) for d, p in inner.items() if d in outer})
 
 
+@lru_cache(maxsize=4096)
+def _side_pairs(N: int, diagonals) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+    """(x, y) for each pair of consecutive counterclockwise sides of a
+    triangle that are both diagonals.  diagonals is sorted."""
+    inside = set(diagonals)
+    pairs = []
+    for u, v, w in _triangles_cached(N, diagonals):
+        sides = ((u, v), (v, w), (u, w))
+        for i in range(3):
+            x, y = sides[i], sides[(i + 1) % 3]
+            if x in inside and y in inside:
+                pairs.append((x, y))
+    return tuple(pairs)
+
+
 def b_matrix_from_triangulation(data: SurfaceData) -> tuple[tuple[str, ...], list[list[int]]]:
     """Skew-symmetric matrix over the diagonals: within each triangle,
     consecutive counterclockwise diagonal sides (x, y) add b_xy += 1."""
-    diagonals = sorted(data.diagonals)  # in label order
-    at = {geom: i for i, (_, geom) in enumerate(diagonals)}
-    k = len(diagonals)
-    B = [[0] * k for _ in range(k)]
-    for c, N in enumerate(data.components):
-        diags = [d for _, (cc, d) in data.diagonals if cc == c]
-        for u, v, w in triangles_of(N, diags):
-            sides = [(u, v), (v, w), (min(u, w), max(u, w))]
-            for i in range(3):
-                x = at.get((c, sides[i]))
-                y = at.get((c, sides[(i + 1) % 3]))
-                if x is not None and y is not None:
-                    B[x][y] += 1
-                    B[y][x] -= 1
-    return tuple(lbl for lbl, _ in diagonals), B
+    labels = tuple(sorted(data.diagonal_labels()))
+    at = {lbl: i for i, lbl in enumerate(labels)}
+    B = [[0] * len(labels) for _ in labels]
+    for N, diagonals, label_of in data._polygons.values():
+        for x, y in _side_pairs(N, diagonals):
+            i, j = at[label_of[x]], at[label_of[y]]
+            B[i][j] += 1
+            B[j][i] -= 1
+    return labels, B
 
 
 def curve_crosses(curve, comp: int, diag: tuple[int, int]) -> bool:
@@ -253,20 +273,27 @@ def shear_contribution(N: int, diagonals, diag: tuple[int, int], curve) -> int:
     return _crossing_sign(N, diag, apexes, curve)
 
 
+@lru_cache(maxsize=4096)
+def _shear_row(N: int, diagonals, segments: tuple[int, int]) -> MappingProxyType:
+    """Diagonal -> _crossing_sign for each diagonal that the curve with
+    ends on segments = (s, t) crosses.  diagonals is sorted."""
+    apexes = _apex_table(N, diagonals)
+    curve = (0, segments)
+    return MappingProxyType(
+        {d: _crossing_sign(N, d, apexes, curve) for d in diagonals if curve_crosses(curve, 0, d)}
+    )
+
+
 def shear_coordinates(data: SurfaceData, curves) -> dict[str, int]:
     """Shear row of one lamination: diagonal label -> summed contribution."""
-    per_comp: dict[int, list[tuple[int, int]]] = {c: [] for c in range(len(data.components))}
-    for _, (c, d) in data.diagonals:
-        per_comp[c].append(d)
-    apexes = {c: _apex_table(data.components[c], tuple(sorted(ds))) for c, ds in per_comp.items()}
-    return {
-        lbl: sum(
-            _crossing_sign(data.components[c], d, apexes[c], curve)
-            for curve in curves
-            if curve_crosses(curve, c, d)
-        )
-        for lbl, (c, d) in data.diagonals
-    }
+    row = dict.fromkeys(data.diagonal_labels(), 0)
+    polygons = data._polygons
+    for c, (s, t) in curves:
+        if c in polygons:
+            N, diagonals, label_of = polygons[c]
+            for d, sign in _shear_row(N, diagonals, (s, t)).items():
+                row[label_of[d]] += sign
+    return row
 
 
 def seed_from_surface(data: SurfaceData) -> Seed:
@@ -274,11 +301,9 @@ def seed_from_surface(data: SurfaceData) -> Seed:
     ex_labels, B = b_matrix_from_triangulation(data)
     fr_labels = tuple(sorted(data.lamination_labels()))
     lam = data.lamination_map()
-    rows = []
-    shear_by_lam = {lbl: shear_coordinates(data, lam[lbl]) for lbl in fr_labels}
-    for i, x in enumerate(ex_labels):
-        rows.append(tuple(B[i]) + tuple(shear_by_lam[lbl][x] for lbl in fr_labels))
-    matrix = ExtendedExchangeMatrix(n=len(ex_labels), m=len(fr_labels), entries=tuple(rows))
+    columns = [shear_coordinates(data, lam[lbl]) for lbl in fr_labels]
+    rows = tuple(tuple(B[i]) + tuple(col[x] for col in columns) for i, x in enumerate(ex_labels))
+    matrix = ExtendedExchangeMatrix(n=len(ex_labels), m=len(fr_labels), entries=rows)
     return Seed(ex_labels, fr_labels, matrix)
 
 
@@ -368,11 +393,13 @@ def paunched_surface(data: SurfaceData, I0, I1) -> SurfaceData:
         raise SeedError(f"I0 contains non-diagonals: {sorted(I0 - dlabels)}")
     if not I1 <= dlabels | llabels:
         raise SeedError(f"unknown labels in I1: {sorted(I1 - dlabels - llabels)}")
-    out = SurfaceData(
-        data.components,
-        data.diagonals,
-        tuple((lbl, cv) for lbl, cv in data.laminations if lbl not in I1),
-    )
+    out = data
+    if I1 & llabels:
+        out = SurfaceData(
+            data.components,
+            data.diagonals,
+            tuple((lbl, cv) for lbl, cv in data.laminations if lbl not in I1),
+        )
     for x in sorted((I0 | I1) & dlabels):
         out = cut_along(out, x, mode="freeze" if x in I0 else "delete")
     return out

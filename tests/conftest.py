@@ -6,9 +6,11 @@ classification, and acceptance tests; their semigroup sizes are pinned
 by independent enumeration in test_semigroup.
 """
 
+import random
+
 import pytest
 
-from clusterseeds import Seed
+from clusterseeds import Seed, enumerate_triangulations, make_surface
 
 
 def linear_path_seed(n: int) -> Seed:
@@ -83,3 +85,13 @@ PINNED_STATS = {
 }
 
 LINEAR_SIZES = {1: 3, 2: 19, 3: 162, 4: 1727}
+
+
+def seeded_polygons(seed: int = 9):
+    """Every triangulated N-gon, N = 3..7, each with one lamination of one
+    or two curves drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    for N in range(3, 8):
+        for tri in enumerate_triangulations(N):
+            curves = [tuple(rng.sample(range(N), 2)) for _ in range(rng.randint(1, 2))]
+            yield make_surface(N, tri, laminations=[curves])

@@ -12,7 +12,14 @@ import pytest
 import clusterseeds
 from clusterseeds import MultiPoly, Seed, SurfaceData, cli, initial_state
 from clusterseeds.fileio import dump_seed, surface_to_dict
-from conftest import a2_seed, a2_y2_seed, amalgam_seed, double_arrow_seed, linear_path_seed
+from conftest import (
+    a2_seed,
+    a2_y2_seed,
+    amalgam_seed,
+    double_arrow_seed,
+    linear_path_seed,
+    seeded_polygons,
+)
 from clusterseeds import make_surface
 
 
@@ -260,6 +267,26 @@ def test_two_component_sweep_is_pinned(capsys, tmp_path):
     # recorded before the sweep compared rows and memoised polygon checks
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "736ac9773c498c844203d8eb383c05ab1083145ac6fc70201012999bb3944d7c"
+    )
+
+
+def test_polygon_sweeps_are_pinned(capsys, tmp_path):
+    # every triangulated N-gon, N = 3..7, with a seeded lamination: one
+    # sha256 over the 64 machine reports, recorded before the surface seed
+    # was built from per-polygon side-pair and shear-row tables
+    digest = hashlib.sha256()
+    checked = 0
+    for i, surf in enumerate(seeded_polygons()):
+        path = tmp_path / f"polygon{i}.json"
+        path.write_text(json.dumps(surface_to_dict(surf)))
+        code, out, err = run(capsys, "--format", "machine", "check-sur", str(path), "--all", "--max-cut", "2")
+        doc = json.loads(out)
+        assert (code, err, doc["all_ok"]) == (0, "", True)
+        checked += doc["checked"]
+        digest.update(out.encode())
+    assert (i, checked) == (63, 2 * 1 + 6 * 2 + 14 * 5 + 26 * 14 + 42 * 42)  # 2 + 2d + 2d² specs
+    assert digest.hexdigest() == (
+        "cf73edfd3b1c306ddb3987833758dae6c1ea070dc152ab3b5ac5c6fb9e019fc4"
     )
 
 

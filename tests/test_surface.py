@@ -28,6 +28,7 @@ from clusterseeds import (
     triangles_of,
     validate_surface,
 )
+from conftest import seeded_polygons
 
 
 def fan(N):
@@ -322,6 +323,117 @@ def test_paunch_validates_labels():
         paunched_surface(surf, ("nope",), ())
     with pytest.raises(SeedError):
         paunched_surface(surf, ("d0_2",), ("d0_2",))
+
+
+# --------------------------------------------------- per-polygon tables
+
+
+def reference_b_matrix_from_triangulation(data):
+    """The face scan: for each triangle of each component, consecutive
+    counterclockwise sides that are both diagonals add b_xy += 1."""
+    diagonals = sorted(data.diagonals)  # in label order
+    at = {geom: i for i, (_, geom) in enumerate(diagonals)}
+    k = len(diagonals)
+    B = [[0] * k for _ in range(k)]
+    for c, N in enumerate(data.components):
+        diags = [d for _, (cc, d) in data.diagonals if cc == c]
+        for u, v, w in triangles_of(N, diags):
+            sides = [(u, v), (v, w), (min(u, w), max(u, w))]
+            for i in range(3):
+                x = at.get((c, sides[i]))
+                y = at.get((c, sides[(i + 1) % 3]))
+                if x is not None and y is not None:
+                    B[x][y] += 1
+                    B[y][x] -= 1
+    return tuple(lbl for lbl, _ in diagonals), B
+
+
+def reference_shear_coordinates(data, curves):
+    """Per diagonal, the sum of shear_contribution over the curves on its
+    component."""
+    diags = {c: [d for _, (cc, d) in data.diagonals if cc == c] for c in range(len(data.components))}
+    return {
+        lbl: sum(shear_contribution(data.components[c], diags[c], d, cv) for cv in curves if cv[0] == c)
+        for lbl, (c, d) in data.diagonals
+    }
+
+
+def assert_matches_the_references(data):
+    assert b_matrix_from_triangulation(data) == reference_b_matrix_from_triangulation(data)
+    for lbl, curves in data.laminations:
+        assert shear_coordinates(data, curves) == reference_shear_coordinates(data, curves), lbl
+
+
+def test_polygon_tables_match_the_face_scan_on_every_paunched_surface():
+    checked = 0
+    for surf in seeded_polygons():
+        for I0, I1 in sweep_specs(surf, 2):
+            assert_matches_the_references(paunched_surface(surf, I0, I1))
+            checked += 1
+    assert checked == 2 * 1 + 6 * 2 + 14 * 5 + 26 * 14 + 42 * 42  # 2 + 2d + 2d² specs
+
+
+def test_polygon_tables_keep_each_component_labels_apart():
+    # two hexagons with the same triangulation, so one (N, diagonals) key,
+    # labelled in different orders; curves on both components
+    surf = SurfaceData(
+        (6, 6),
+        (
+            ("p", (0, (0, 2))),
+            ("q", (0, (0, 3))),
+            ("r", (0, (3, 5))),
+            ("c", (1, (0, 2))),
+            ("a", (1, (0, 3))),
+            ("b", (1, (3, 5))),
+        ),
+        (
+            ("L0", ((0, (1, 4)), (1, (1, 4)), (1, (2, 5)))),
+            ("L1", ((0, (0, 4)), (1, (1, 3)))),
+        ),
+    )
+    assert_matches_the_references(surf)
+    labels, B = b_matrix_from_triangulation(surf)
+    at = {x: i for i, x in enumerate(labels)}
+    same = {"p": "c", "q": "a", "r": "b"}
+    assert all(B[at[x]][at[y]] == B[at[same[x]]][at[same[y]]] for x in same for y in same)
+    assert any(B[at[x]][at[y]] for x in same for y in same)
+    assert all(B[at[x]][at[y]] == 0 for x in same for y in same.values())
+    for I0, I1 in sweep_specs(surf, 2):
+        assert_matches_the_references(paunched_surface(surf, I0, I1))
+
+
+def test_matrix_and_shear_row_are_fresh_per_call():
+    surf = make_surface(6, fan(6), laminations=[[(1, 4), (2, 5)]])
+    curves = surf.lamination_map()["L0"]
+    labels, B = b_matrix_from_triangulation(surf)
+    row = shear_coordinates(surf, curves)
+    expected = (labels, [r[:] for r in B]), dict(row)
+    B[0][1] += 5
+    B[1].append(9)
+    B.append([])
+    row["d0_2"] += 7
+    row["extra"] = 1
+    # the same surface object, whose grouping is cached, and an equal new one
+    for data in (surf, make_surface(6, fan(6), laminations=[[(1, 4), (2, 5)]])):
+        assert (b_matrix_from_triangulation(data), shear_coordinates(data, curves)) == expected
+    assert expected[1] == reference_shear_coordinates(surf, curves)
+
+
+def test_surface_caches_are_bounded():
+    maxsizes = {
+        name: obj.cache_parameters()["maxsize"]
+        for name, obj in vars(surface_module).items()
+        if hasattr(obj, "cache_parameters")
+    }
+    assert {
+        "_triangles_cached",
+        "_triangulation_fault",
+        "_apex_table",
+        "_side_pairs",
+        "_shear_row",
+        "_base_seed",
+    } <= set(maxsizes)
+    assert all(isinstance(m, int) and m > 0 for m in maxsizes.values()), maxsizes
 
 
 # ---------------------------------------------------------- isomorphism
