@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from clusterseeds import Seed, enumerate_triangulations, make_surface
+from clusterseeds import Seed, SurfaceData, enumerate_triangulations, make_surface
 
 
 def linear_path_seed(n: int) -> Seed:
@@ -95,3 +95,22 @@ def seeded_polygons(seed: int = 9):
         for tri in enumerate_triangulations(N):
             curves = [tuple(rng.sample(range(N), 2)) for _ in range(rng.randint(1, 2))]
             yield make_surface(N, tri, laminations=[curves])
+
+
+def two_component_surface() -> SurfaceData:
+    """A hexagon and a pentagon, two laminations with curves on both; the
+    upper-case lamination labels sort before the frozen diagonals."""
+    return SurfaceData(
+        (6, 5),
+        (
+            ("a", (0, (0, 2))),
+            ("b", (0, (0, 3))),
+            ("c", (0, (3, 5))),
+            ("e", (1, (1, 3))),
+            ("f", (1, (1, 4))),
+        ),
+        (
+            ("L0", ((0, (1, 4)), (1, (0, 2)))),
+            ("L1", ((0, (0, 3)), (1, (0, 3)), (1, (2, 4)))),
+        ),
+    )

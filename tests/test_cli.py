@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import clusterseeds
-from clusterseeds import MultiPoly, Seed, SurfaceData, cli, initial_state
+from clusterseeds import MultiPoly, Seed, cli, initial_state
 from clusterseeds.fileio import dump_seed, surface_to_dict
 from conftest import (
     a2_seed,
@@ -19,6 +19,7 @@ from conftest import (
     double_arrow_seed,
     linear_path_seed,
     seeded_polygons,
+    two_component_surface,
 )
 from clusterseeds import make_surface
 
@@ -244,22 +245,7 @@ def test_surface_sweep_is_pinned(capsys, tmp_path):
 
 
 def test_two_component_sweep_is_pinned(capsys, tmp_path):
-    # a hexagon and a pentagon, two laminations with curves on both; the
-    # upper-case lamination labels sort before the frozen diagonals
-    surf = SurfaceData(
-        (6, 5),
-        (
-            ("a", (0, (0, 2))),
-            ("b", (0, (0, 3))),
-            ("c", (0, (3, 5))),
-            ("e", (1, (1, 3))),
-            ("f", (1, (1, 4))),
-        ),
-        (
-            ("L0", ((0, (1, 4)), (1, (0, 2)))),
-            ("L1", ((0, (0, 3)), (1, (0, 3)), (1, (2, 4)))),
-        ),
-    )
+    surf = two_component_surface()
     path = tmp_path / "two.json"
     path.write_text(json.dumps(surface_to_dict(surf)))
     code, out, _ = run(capsys, "--format", "machine", "check-sur", str(path), "--all", "--max-cut", "2")

@@ -1,6 +1,8 @@
 """Triangulated polygons, shear coordinates, cutting, and isomorphism."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -28,7 +30,8 @@ from clusterseeds import (
     triangles_of,
     validate_surface,
 )
-from conftest import seeded_polygons
+from clusterseeds.fileio import surface_to_dict
+from conftest import seeded_polygons, two_component_surface
 
 
 def fan(N):
@@ -323,6 +326,26 @@ def test_paunch_validates_labels():
         paunched_surface(surf, ("nope",), ())
     with pytest.raises(SeedError):
         paunched_surface(surf, ("d0_2",), ("d0_2",))
+
+
+def test_paunched_and_cut_surfaces_are_pinned():
+    # one sha256 over every paunched surface of the --max-cut 2 sweep and
+    # every single cut in both modes, recorded before cut_along and
+    # paunched_surface shared one cut step
+    digest = hashlib.sha256()
+    counts = [0, 0]
+    for surf in [*seeded_polygons(), two_component_surface()]:
+        for I0, I1 in sweep_specs(surf, 2):
+            digest.update(json.dumps(surface_to_dict(paunched_surface(surf, I0, I1))).encode())
+            counts[0] += 1
+        for x in surf.diagonal_labels():
+            for mode in ("delete", "freeze"):
+                digest.update(json.dumps(surface_to_dict(cut_along(surf, x, mode))).encode())
+                counts[1] += 1
+    assert counts == [2 * 1 + 6 * 2 + 14 * 5 + 26 * 14 + 42 * 42 + 74, 2 * (2 * 1 + 5 * 2 + 14 * 3 + 42 * 4 + 5)]
+    assert digest.hexdigest() == (
+        "7523be97207d1dff869bd08c54d4270281a8b67a1b91d7be47158a61f4167742"
+    )
 
 
 # --------------------------------------------------- per-polygon tables
