@@ -446,8 +446,12 @@ def main(argv=None) -> int:
     doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **doc}
     text = json.dumps(doc, indent=2) if args.format == "machine" else human(doc)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"input error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return code

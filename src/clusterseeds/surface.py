@@ -6,6 +6,9 @@ set of noncrossing diagonals; a lamination curve is recorded purely
 combinatorially by its pair of boundary-segment endpoints.  Cutting a
 polygon along a diagonal splits it in two, clips the curves, and in
 freeze mode inserts the pair of companion curves hugging the cut side.
+A paunched surface makes all its cuts on the plain fields and is
+validated once.  What depends on one triangulated polygon alone (its
+faces, apexes, side pairs and curve rows) is cached per (N, diagonals).
 """
 
 from __future__ import annotations
@@ -64,13 +67,17 @@ class SurfaceData:
         return dict(self.laminations)
 
     def diagonal_labels(self) -> tuple[str, ...]:
-        return tuple(lbl for lbl, _ in self.diagonals)
+        return self._labels[0]
 
     def lamination_labels(self) -> tuple[str, ...]:
-        return tuple(lbl for lbl, _ in self.laminations)
+        return self._labels[1]
 
     # cached per instance, outside the dataclass fields, so equality,
     # hashing and repr see only the three fields
+    @cached_property
+    def _labels(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        return tuple(lbl for lbl, _ in self.diagonals), tuple(lbl for lbl, _ in self.laminations)
+
     @cached_property
     def _polygons(self) -> dict[int, tuple[int, tuple[tuple[int, int], ...], dict]]:
         """Component with diagonals -> (vertex count, sorted diagonals,
@@ -147,7 +154,7 @@ def triangles_of(N: int, diagonals) -> list[tuple[int, int, int]]:
     side graph (boundary plus diagonals) are exactly the faces; the
     count is checked.
     """
-    return list(_triangles_cached(N, tuple(sorted(tuple(d) for d in diagonals))))
+    return list(_polygon_table(N, tuple(sorted(tuple(d) for d in diagonals)))[0])
 
 
 # The caches below are keyed by one polygon's (N, diagonals) and return
@@ -155,7 +162,11 @@ def triangles_of(N: int, diagonals) -> list[tuple[int, int, int]]:
 
 
 @lru_cache(maxsize=4096)
-def _triangles_cached(N: int, diagonals) -> tuple[tuple[int, int, int], ...]:
+def _polygon_table(N: int, diagonals) -> tuple[tuple, MappingProxyType, tuple]:
+    """Faces u < v < w, diagonal (a, b) -> apexes (p, q) of its two
+    triangles (p inside the counterclockwise arc a..b, q outside), and the
+    (x, y) of consecutive counterclockwise triangle sides that are both
+    diagonals, for the N-gon triangulated by the sorted diagonals."""
     edges = {(i, (i + 1) % N) for i in range(N)}
     edges = {(min(a, b), max(a, b)) for a, b in edges}
     edges |= {tuple(d) for d in diagonals}
@@ -173,7 +184,19 @@ def _triangles_cached(N: int, diagonals) -> tuple[tuple[int, int, int], ...]:
                     faces.append((u, v, w))
     if len(faces) != N - 2:
         raise SeedError(f"{len(faces)} triangles in an {N}-gon, expected {N - 2}")
-    return tuple(faces)
+    inside = set(diagonals)
+    inner: dict[tuple[int, int], int] = {}
+    outer: dict[tuple[int, int], int] = {}
+    pairs = []
+    for u, v, w in faces:
+        sides = ((u, v), (v, w), (u, w))
+        for i, apex in enumerate((w, u, v)):
+            x, y = sides[i], sides[(i + 1) % 3]
+            (inner if x[0] < apex < x[1] else outer)[x] = apex
+            if x in inside and y in inside:
+                pairs.append((x, y))
+    apexes = MappingProxyType({d: (p, outer[d]) for d, p in inner.items() if d in outer})
+    return tuple(faces), apexes, tuple(pairs)
 
 
 @lru_cache(maxsize=4096)
@@ -190,33 +213,6 @@ def _triangulation_fault(N: int, diagonals) -> str | None:
     return None
 
 
-@lru_cache(maxsize=4096)
-def _apex_table(N: int, diagonals) -> MappingProxyType:
-    """Diagonal (a, b) -> apexes (p, q) of its two triangles: p inside
-    the counterclockwise arc a..b, q outside.  diagonals is sorted."""
-    inner: dict[tuple[int, int], int] = {}
-    outer: dict[tuple[int, int], int] = {}
-    for u, v, w in _triangles_cached(N, diagonals):
-        for side, apex in (((u, v), w), ((v, w), u), ((u, w), v)):
-            (inner if side[0] < apex < side[1] else outer)[side] = apex
-    return MappingProxyType({d: (p, outer[d]) for d, p in inner.items() if d in outer})
-
-
-@lru_cache(maxsize=4096)
-def _side_pairs(N: int, diagonals) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
-    """(x, y) for each pair of consecutive counterclockwise sides of a
-    triangle that are both diagonals.  diagonals is sorted."""
-    inside = set(diagonals)
-    pairs = []
-    for u, v, w in _triangles_cached(N, diagonals):
-        sides = ((u, v), (v, w), (u, w))
-        for i in range(3):
-            x, y = sides[i], sides[(i + 1) % 3]
-            if x in inside and y in inside:
-                pairs.append((x, y))
-    return tuple(pairs)
-
-
 def b_matrix_from_triangulation(data: SurfaceData) -> tuple[tuple[str, ...], list[list[int]]]:
     """Skew-symmetric matrix over the diagonals: within each triangle,
     consecutive counterclockwise diagonal sides (x, y) add b_xy += 1."""
@@ -224,7 +220,8 @@ def b_matrix_from_triangulation(data: SurfaceData) -> tuple[tuple[str, ...], lis
     at = {lbl: i for i, lbl in enumerate(labels)}
     B = [[0] * len(labels) for _ in labels]
     for N, diagonals, label_of in data._polygons.values():
-        for x, y in _side_pairs(N, diagonals):
+        _, _, side_pairs = _polygon_table(N, diagonals)
+        for x, y in side_pairs:
             i, j = at[label_of[x]], at[label_of[y]]
             B[i][j] += 1
             B[j][i] -= 1
@@ -241,7 +238,7 @@ def curve_crosses(curve, comp: int, diag: tuple[int, int]) -> bool:
 
 def _crossing_sign(N: int, diag: tuple[int, int], apexes, curve) -> int:
     """Contribution of a curve that crosses diag, with the apexes of
-    diag's triangles read from apexes (an _apex_table)."""
+    diag's triangles read from apexes (of a _polygon_table)."""
     _, (s, t) = curve
     try:
         p, q = apexes[tuple(diag)]
@@ -269,7 +266,7 @@ def shear_contribution(N: int, diagonals, diag: tuple[int, int], curve) -> int:
     """
     if not curve_crosses(curve, curve[0], diag):
         return 0
-    apexes = _apex_table(N, tuple(sorted(tuple(d) for d in diagonals)))
+    _, apexes, _ = _polygon_table(N, tuple(sorted(tuple(d) for d in diagonals)))
     return _crossing_sign(N, diag, apexes, curve)
 
 
@@ -277,7 +274,7 @@ def shear_contribution(N: int, diagonals, diag: tuple[int, int], curve) -> int:
 def _shear_row(N: int, diagonals, segments: tuple[int, int]) -> MappingProxyType:
     """Diagonal -> _crossing_sign for each diagonal that the curve with
     ends on segments = (s, t) crosses.  diagonals is sorted."""
-    apexes = _apex_table(N, diagonals)
+    _, apexes, _ = _polygon_table(N, diagonals)
     curve = (0, segments)
     return MappingProxyType(
         {d: _crossing_sign(N, d, apexes, curve) for d in diagonals if curve_crosses(curve, 0, d)}
@@ -299,9 +296,9 @@ def shear_coordinates(data: SurfaceData, curves) -> dict[str, int]:
 def seed_from_surface(data: SurfaceData) -> Seed:
     """Seed with diagonals exchangeable and laminations frozen."""
     ex_labels, B = b_matrix_from_triangulation(data)
-    fr_labels = tuple(sorted(data.lamination_labels()))
-    lam = data.lamination_map()
-    columns = [shear_coordinates(data, lam[lbl]) for lbl in fr_labels]
+    laminations = sorted(data.laminations)
+    fr_labels = tuple(lbl for lbl, _ in laminations)
+    columns = [shear_coordinates(data, curves) for _, curves in laminations]
     rows = tuple(tuple(B[i]) + tuple(col[x] for col in columns) for i, x in enumerate(ex_labels))
     matrix = ExtendedExchangeMatrix(n=len(ex_labels), m=len(fr_labels), entries=rows)
     return Seed(ex_labels, fr_labels, matrix)
@@ -318,15 +315,19 @@ def cut_along(data: SurfaceData, x: str, mode: str = "delete") -> SurfaceData:
     """
     if mode not in ("delete", "freeze"):
         raise SeedError(f"unknown cut mode {mode!r}")
-    dmap = data.diagonal_map()
-    if x not in dmap:
+    if x not in data.diagonal_labels():
         raise SeedError(f"{x!r} is not a diagonal of the surface")
-    c, (a, b) = dmap[x]
-    N = data.components[c]
+    return SurfaceData(*_cut(data.components, data.diagonals, data.laminations, x, mode))
+
+
+def _cut(components, diagonals, laminations, x: str, mode: str):
+    """The fields of a surface cut along diagonal x; nothing is validated."""
+    c, (a, b) = dict(diagonals)[x]
+    N = components[c]
     k1 = b - a + 1  # side-1 vertex count; cut segment k1-1
     k2 = N - (b - a) + 1  # side-2 vertex count; cut segment k2-1
 
-    comps = list(data.components)
+    comps = list(components)
     comps[c : c + 1] = [k1, k2]
     side2 = c + 1
 
@@ -345,7 +346,7 @@ def cut_along(data: SurfaceData, x: str, mode: str = "delete") -> SurfaceData:
         return side2, (s - b) % N
 
     new_diagonals = []
-    for lbl, (cc, (u, v)) in data.diagonals:
+    for lbl, (cc, (u, v)) in diagonals:
         if lbl == x:
             continue
         if cc != c:
@@ -372,13 +373,13 @@ def cut_along(data: SurfaceData, x: str, mode: str = "delete") -> SurfaceData:
         ]
 
     new_laminations = []
-    for lbl, curves in data.laminations:
+    for lbl, curves in laminations:
         clipped = sorted(itertools.chain.from_iterable(clip(cv) for cv in curves))
         new_laminations.append((lbl, tuple(clipped)))
     if mode == "freeze":
         hug = sorted([_norm_curve(c, 0, k1 - 2), _norm_curve(side2, 0, k2 - 2)])
         new_laminations.append((x, tuple(hug)))
-    return SurfaceData(tuple(comps), tuple(new_diagonals), tuple(sorted(new_laminations)))
+    return tuple(comps), tuple(new_diagonals), tuple(sorted(new_laminations))
 
 
 def paunched_surface(data: SurfaceData, I0, I1) -> SurfaceData:
@@ -393,16 +394,14 @@ def paunched_surface(data: SurfaceData, I0, I1) -> SurfaceData:
         raise SeedError(f"I0 contains non-diagonals: {sorted(I0 - dlabels)}")
     if not I1 <= dlabels | llabels:
         raise SeedError(f"unknown labels in I1: {sorted(I1 - dlabels - llabels)}")
-    out = data
-    if I1 & llabels:
-        out = SurfaceData(
-            data.components,
-            data.diagonals,
-            tuple((lbl, cv) for lbl, cv in data.laminations if lbl not in I1),
-        )
+    if not I0 | I1:
+        return data
+    laminations = tuple((lbl, cv) for lbl, cv in data.laminations if lbl not in I1)
+    fields = data.components, data.diagonals, laminations
+    # one label at a time in sorted order, which fixes the component order
     for x in sorted((I0 | I1) & dlabels):
-        out = cut_along(out, x, mode="freeze" if x in I0 else "delete")
-    return out
+        fields = _cut(*fields, x, "freeze" if x in I0 else "delete")
+    return SurfaceData(*fields)
 
 
 @lru_cache(maxsize=1)

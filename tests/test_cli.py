@@ -99,6 +99,28 @@ def test_exit_2_on_missing_file(capsys):
     assert code == 2
 
 
+def test_exit_2_on_unwritable_out(capsys, a2_file, tmp_path):
+    dest = tmp_path / "absent" / "report.json"
+    code, out, err = run(capsys, "--out", str(dest), "validate", a2_file)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot write {dest}: ")
+    assert not dest.parent.exists()
+
+
+@pytest.mark.parametrize("kind", ["seed", "hom", "surface"])
+def test_exit_2_on_non_utf8_input(capsys, a2_file, tmp_path, kind):
+    bad = tmp_path / f"{kind}.json"
+    bad.write_bytes(b"\xff\xfe")
+    argv = {
+        "seed": ["validate", str(bad)],
+        "hom": ["hom-check", a2_file, str(bad)],
+        "surface": ["surface-seed", str(bad)],
+    }[kind]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {bad} is not UTF-8: ")
+
+
 def test_exit_2_on_bad_mutation_index(capsys, a2_file):
     code, _, err = run(capsys, "mutate", a2_file, "7")
     assert code == 2
