@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("clusters", cmd_clusters, help="breadth-first cluster enumeration")
     p.add_argument("seed")
     p.add_argument("--depth", type=_count, default=10)
-    p.add_argument("--cap", type=_count, default=100_000, help="maximum explored states")
+    p.add_argument("--cap", type=_count, default=100_000, help="maximum clusters kept")
 
     p = add("hom-check", cmd_hom_check, help="validate a partial seed homomorphism")
     p.add_argument("seed")

@@ -373,40 +373,39 @@ class ClusterEnumeration:
 def enumerate_clusters(
     seed: Seed, max_depth: int, max_states: int = 100_000
 ) -> ClusterEnumeration:
-    """Breadth-first closure of labeled seed states up to max_depth.
+    """Breadth-first search over unordered clusters up to max_depth.
 
-    Clusters are deduplicated as unordered sets of Laurent polynomials.
-    The status is "closed" only when the state graph was exhausted within
-    the depth and state caps.
+    A seed of geometric type is determined by its cluster (conjectured
+    by Fomin-Zelevinsky, Compositio 2007, Conj. 4.14; proved by
+    Gekhtman-Shapiro-Vainshtein, Math. Res. Lett. 2008), so the search
+    keeps one labeled state per cluster: the first that reached it,
+    with the direction k that did.  Mutation is an involution, so
+    direction k only leads back to the parent and is skipped.  The
+    status is "closed" once a level finds no new cluster within the
+    depth, and max_states caps the number of clusters kept.
     """
     start = initial_state(seed)
-    seen_states = {(start.assignment, start.matrix.entries)}
     clusters = {start.cluster()}
     order = [start.cluster()]
-    frontier = [start]
-    status = "closed" if seed.n == 0 else None
+    frontier = [(start, None)] if seed.n else []
     depth = 0
-    while frontier and status is None:
+    while frontier:
         if depth >= max_depth:
-            status = "truncated"
-            break
+            return ClusterEnumeration(order, "truncated")
         depth += 1
         new_frontier = []
-        for state in frontier:
+        for state, back in frontier:
             for k in range(seed.n):
-                nxt = mutate_state(state, k)
-                key = (nxt.assignment, nxt.matrix.entries)
-                if key in seen_states:
+                if k == back:
                     continue
-                if len(seen_states) >= max_states:
-                    return ClusterEnumeration(order, "truncated")
-                seen_states.add(key)
-                new_frontier.append(nxt)
+                nxt = mutate_state(state, k)
                 c = nxt.cluster()
-                if c not in clusters:
-                    clusters.add(c)
-                    order.append(c)
-        if not new_frontier:
-            status = "closed"
+                if c in clusters:
+                    continue
+                if len(clusters) >= max_states:
+                    return ClusterEnumeration(order, "truncated")
+                clusters.add(c)
+                order.append(c)
+                new_frontier.append((nxt, k))
         frontier = new_frontier
-    return ClusterEnumeration(order, status or "closed")
+    return ClusterEnumeration(order, "closed")

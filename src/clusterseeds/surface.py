@@ -321,65 +321,57 @@ def cut_along(data: SurfaceData, x: str, mode: str = "delete") -> SurfaceData:
 
 
 def _cut(components, diagonals, laminations, x: str, mode: str):
-    """The fields of a surface cut along diagonal x; nothing is validated."""
-    c, (a, b) = dict(diagonals)[x]
+    """The fields of a surface cut along diagonal x; nothing is validated.
+
+    Components after the cut one move up by one.  That map is strictly
+    increasing, so a lamination with no curve on the cut component keeps
+    its sorted order and is not sorted again.
+    """
+    c, (a, b) = next(d for lbl, d in diagonals if lbl == x)
     N = components[c]
     k1 = b - a + 1  # side-1 vertex count; cut segment k1-1
     k2 = N - (b - a) + 1  # side-2 vertex count; cut segment k2-1
-
-    comps = list(components)
-    comps[c : c + 1] = [k1, k2]
     side2 = c + 1
-
-    def map_comp(cc: int) -> int:
-        return cc if cc < c else cc + 1
-
-    def on_side1(v: int) -> bool:
-        return a <= v <= b
-
-    def seg_side1(s: int) -> bool:
-        return a <= s < b
-
-    def map_segment(s: int):
-        if seg_side1(s):
-            return c, s - a
-        return side2, (s - b) % N
+    comps = (*components[:c], k1, k2, *components[c + 1 :])
 
     new_diagonals = []
     for lbl, (cc, (u, v)) in diagonals:
-        if lbl == x:
-            continue
         if cc != c:
-            new_diagonals.append((lbl, (map_comp(cc), (u, v))))
+            new_diagonals.append((lbl, (cc + (cc > c), (u, v))))
+        elif lbl == x:
             continue
-        if on_side1(u) and on_side1(v) and not (u == a and v == b):
+        elif a <= u <= b and a <= v <= b and not (u == a and v == b):
             nu, nv = u - a, v - a
             new_diagonals.append((lbl, (c, (min(nu, nv), max(nu, nv)))))
         else:
             nu, nv = (u - b) % N, (v - b) % N
             new_diagonals.append((lbl, (side2, (min(nu, nv), max(nu, nv)))))
 
-    def clip(curve):
-        cc, (s, t) = curve
-        if cc != c:
-            return [(map_comp(cc), (s, t))]
-        if seg_side1(s) == seg_side1(t):
-            (c1, s1), (c2, t1) = map_segment(s), map_segment(t)
-            return [_norm_curve(c1, s1, t1)]
-        inner, outer = (s, t) if seg_side1(s) else (t, s)
-        return [
-            _norm_curve(c, inner - a, k1 - 1),
-            _norm_curve(side2, (outer - b) % N, k2 - 1),
-        ]
-
     new_laminations = []
     for lbl, curves in laminations:
-        clipped = sorted(itertools.chain.from_iterable(clip(cv) for cv in curves))
-        new_laminations.append((lbl, tuple(clipped)))
+        clipped = []
+        on_cut = False
+        for cc, (s, t) in curves:
+            if cc != c:
+                clipped.append((cc + (cc > c), (s, t)))
+                continue
+            # stays on side 1 or side 2 if both segments do, else one
+            # fragment per side, ending on the cut segment
+            on_cut = True
+            on1, on2 = a <= s < b, a <= t < b
+            if on1 and on2:
+                clipped.append(_norm_curve(c, s - a, t - a))
+            elif not (on1 or on2):
+                clipped.append(_norm_curve(side2, (s - b) % N, (t - b) % N))
+            else:
+                inner, outer = (s, t) if on1 else (t, s)
+                clipped.append(_norm_curve(c, inner - a, k1 - 1))
+                clipped.append(_norm_curve(side2, (outer - b) % N, k2 - 1))
+        new_laminations.append((lbl, tuple(sorted(clipped) if on_cut else clipped)))
     if mode == "freeze":
         hug = sorted([_norm_curve(c, 0, k1 - 2), _norm_curve(side2, 0, k2 - 2)])
         new_laminations.append((x, tuple(hug)))
-    return tuple(comps), tuple(new_diagonals), tuple(sorted(new_laminations))
+    return comps, tuple(new_diagonals), tuple(sorted(new_laminations))
 
 
 def paunched_surface(data: SurfaceData, I0, I1) -> SurfaceData:

@@ -208,6 +208,26 @@ def test_clusters_depth_truncation(capsys, a2_file):
     assert json.loads(out)["status"] == "truncated"
 
 
+@pytest.mark.parametrize(
+    "name, options, count, status",
+    [
+        ("a2", ("--depth", "3"), 5, "closed"),
+        ("A4", ("--depth", "5"), 42, "closed"),
+        ("A4", ("--depth", "30", "--cap", "42"), 42, "closed"),
+        ("A4", ("--depth", "30", "--cap", "41"), 41, "truncated"),
+    ],
+    ids=["a2-d3", "A4-d5", "A4-cap42", "A4-cap41"],
+)
+def test_clusters_close_with_no_new_cluster_and_cap_counts_clusters(
+    capsys, tmp_path, name, options, count, status
+):
+    path = tmp_path / f"{name}.json"
+    dump_seed({"a2": a2_seed(), "A4": linear_path_seed(4)}[name], str(path))
+    code, out, _ = run(capsys, "--format", "machine", "clusters", str(path), *options)
+    doc = json.loads(out)
+    assert (code, doc["count"], doc["status"]) == (0, count, status)
+
+
 # sha256 of the machine JSON, recorded before heap division replaced the
 # remainder-rebuilding division, so the printed form is pinned byte for byte
 DEEP_CLUSTERS = {

@@ -1,0 +1,198 @@
+"""Cluster enumeration against the labeled-state search it replaced, and
+the polygon model against cluster enumeration (d-vectors = crossings)."""
+
+import sys
+from math import comb
+
+import pytest
+
+from clusterseeds import (
+    Seed,
+    diagonals_cross,
+    enumerate_clusters,
+    enumerate_triangulations,
+    make_surface,
+    poly as poly_module,
+    seed_from_surface,
+)
+from clusterseeds.poly import ClusterEnumeration, initial_state, mutate_state
+from conftest import a2_seed, linear_path_seed, trivial_seed
+
+
+def reference_enumerate_clusters(
+    seed: Seed, max_depth: int, max_states: int = 100_000
+) -> ClusterEnumeration:
+    """Breadth-first closure of labeled seed states up to max_depth.
+
+    Clusters are deduplicated as unordered sets of Laurent polynomials.
+    The status is "closed" only when the state graph was exhausted within
+    the depth and state caps.
+    """
+    start = initial_state(seed)
+    seen_states = {(start.assignment, start.matrix.entries)}
+    clusters = {start.cluster()}
+    order = [start.cluster()]
+    frontier = [start]
+    status = "closed" if seed.n == 0 else None
+    depth = 0
+    while frontier and status is None:
+        if depth >= max_depth:
+            status = "truncated"
+            break
+        depth += 1
+        new_frontier = []
+        for state in frontier:
+            for k in range(seed.n):
+                nxt = mutate_state(state, k)
+                key = (nxt.assignment, nxt.matrix.entries)
+                if key in seen_states:
+                    continue
+                if len(seen_states) >= max_states:
+                    return ClusterEnumeration(order, "truncated")
+                seen_states.add(key)
+                new_frontier.append(nxt)
+                c = nxt.cluster()
+                if c not in clusters:
+                    clusters.add(c)
+                    order.append(c)
+        if not new_frontier:
+            status = "closed"
+        frontier = new_frontier
+    return ClusterEnumeration(order, status or "closed")
+
+
+def d4_seed():
+    return Seed.from_data(
+        ["x1", "x2", "x3", "x4"],
+        [],
+        [[0, 1, 0, 0], [-1, 0, -1, -1], [0, 1, 0, 0], [0, 1, 0, 0]],
+    )
+
+
+def a3_principal_seed():
+    return Seed.from_data(
+        ["x1", "x2", "x3"],
+        ["y1", "y2", "y3"],
+        [[0, 1, 0, 1, 0, 0], [-1, 0, 1, 0, 1, 0], [0, -1, 0, 0, 0, 1]],
+    )
+
+
+def markov_seed():
+    return Seed.from_data(["x1", "x2", "x3"], [], [[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
+
+
+def kronecker_seed():
+    return Seed.from_data(["x1", "x2"], [], [[0, 2], [-2, 0]])
+
+
+def polygon_seed(N):
+    """The seed of the first triangulation of the N-gon, no laminations."""
+    return seed_from_surface(make_surface(N, enumerate_triangulations(N)[0]))
+
+
+# seed, pinned (or closing) depth
+ORACLE_SEEDS = {
+    "A1": (lambda: linear_path_seed(1), 10),
+    "a2": (a2_seed, 10),
+    "A3": (lambda: linear_path_seed(3), 30),
+    "A4": (lambda: linear_path_seed(4), 30),
+    "D4": (d4_seed, 30),
+    "A3_prin": (a3_principal_seed, 30),
+    "trivial": (lambda: trivial_seed(1), 3),
+    "markov": (markov_seed, 6),
+    "kronecker": (kronecker_seed, 20),
+    **{f"polygon{N}": (lambda N=N: polygon_seed(N), 2 * N) for N in range(4, 8)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SEEDS))
+def test_cluster_search_matches_the_labeled_search(monkeypatch, name):
+    """At every depth up to the pinned one: the same clusters in the same
+    order, and "closed" and "truncated" never contradict the oracle.
+    This checks, on these seeds, that a seed is determined by its cluster."""
+    # both searches, at every depth, share one table of mutations
+    memo = {}
+    mutate = poly_module.mutate_state
+
+    def remembered(state, k):
+        key = (state.assignment, state.matrix.entries, k)
+        if key not in memo:
+            memo[key] = mutate(state, k)
+        return memo[key]
+
+    monkeypatch.setattr(poly_module, "mutate_state", remembered)
+    monkeypatch.setattr(sys.modules[__name__], "mutate_state", remembered)
+    make_seed, pinned = ORACLE_SEEDS[name]
+    seed = make_seed()
+    reference = None
+    for depth in range(pinned + 1):
+        # a labeled search that closed stopped before its depth check,
+        # so every larger depth repeats it exactly
+        if reference is None or reference.status != "closed":
+            reference = reference_enumerate_clusters(seed, depth)
+        result = enumerate_clusters(seed, depth)
+        assert result.clusters == reference.clusters, depth
+        if reference.status == "closed":
+            assert result.status == "closed", depth
+        if result.status == "truncated":
+            assert reference.status == "truncated", depth
+
+
+# exchanges of one search: one per direction out of each cluster kept,
+# less the direction back to its parent
+EXCHANGES = {
+    "A4": (lambda: linear_path_seed(4), 30, 42, 127),
+    "D4": (d4_seed, 30, 50, 151),
+    "A3_prin": (a3_principal_seed, 30, 14, 29),
+    "markov": (markov_seed, 6, 190, 189),
+    "kronecker": (kronecker_seed, 20, 41, 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXCHANGES))
+def test_cluster_search_exchange_counts_are_pinned(monkeypatch, name):
+    make_seed, depth, count, exchanges = EXCHANGES[name]
+    calls = []
+    exchange = poly_module.exchange
+
+    def counting(state, k):
+        calls.append(k)
+        return exchange(state, k)
+
+    monkeypatch.setattr(poly_module, "exchange", counting)
+    result = enumerate_clusters(make_seed(), depth)
+    assert (len(result.clusters), len(calls)) == (count, exchanges)
+
+
+# ------------------------------------------- d-vectors = crossing numbers
+
+
+@pytest.mark.parametrize("N", range(4, 9))
+def test_polygon_d_vectors_are_crossing_numbers(N):
+    """Fomin-Shapiro-Thurston (Acta Math. 2008): for the polygon seed with
+    no laminations, each non-initial cluster variable has as denominator
+    exponents the crossings of one arc with the initial triangulation,
+    and the clusters are the triangulations, Catalan(N-2) of them."""
+    data = make_surface(N, enumerate_triangulations(N)[0])
+    seed = seed_from_surface(data)
+    diagonal = data.diagonal_map()
+    initial = [diagonal[x][1] for x in seed.exchangeable_labels]
+    arcs = [(a, b) for a in range(N) for b in range(a + 2, N) if b - a != N - 1]
+    crossings = {}
+    for arc in arcs:
+        if arc not in initial:
+            crossings.setdefault(tuple(int(diagonals_cross(arc, d, N)) for d in initial), []).append(arc)
+
+    result = enumerate_clusters(seed, 2 * N)
+    assert (len(result.clusters), result.status) == (comb(2 * (N - 2), N - 2) // (N - 1), "closed")
+    start = initial_state(seed)
+    arc_of = dict(zip(start.assignment, initial))
+    for cluster in result.clusters:
+        for v in cluster:
+            if v not in arc_of:
+                matches = crossings.get(v._den_exponents(), [])
+                assert len(matches) == 1, str(v)
+                arc_of[v] = matches[0]
+    assert len(set(arc_of.values())) == len(arc_of) == len(arcs)
+    triangulations = {frozenset(arc_of[v] for v in cluster) for cluster in result.clusters}
+    assert triangulations == set(enumerate_triangulations(N))
