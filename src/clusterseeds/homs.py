@@ -174,31 +174,47 @@ def check_partial_hom(candidate: PartialSeedHom) -> tuple[bool, str | None]:
         spec.validate(src)
     except SpecError as exc:
         return False, str(exc)
-    tgt_labels = set(tgt.labels)
-    for x, v in zip(src.labels, candidate.mapping):
+    labels, mapping = src.labels, candidate.mapping
+    tgt_pos = tgt._position
+    # target position of each source position's image (-1 outside the
+    # domain), and the domain's positions: exchangeable rows, then the
+    # frozen part (I0 and the frozen labels, which all follow I0)
+    image, rows, frozen = [], [], []
+    for p, (x, v) in enumerate(zip(labels, mapping)):
         if x in spec.I1:
             if v is not None:
                 return False, f"{x!r} lies in I1 but is mapped"
+            image.append(-1)
         elif v is None:
             return False, f"{x!r} lies in the domain but is unmapped"
-        elif v not in tgt_labels:
+        elif v not in tgt_pos:
             return False, f"{x!r} maps to unknown target label {v!r}"
-    f = candidate.map_dict()
-    dom_ex, dom_fr = spec.parts(src)
-    for x in dom_ex:
-        if not tgt.is_exchangeable(f[x]):
-            return False, f"condition (a): exchangeable {x!r} maps to frozen {f[x]!r}"
+        else:
+            image.append(tgt_pos[v])
+            (rows if p < src.n and x not in spec.I0 else frozen).append(p)
+    for i in rows:
+        if image[i] >= tgt.n:
+            return False, (
+                f"condition (a): exchangeable {labels[i]!r} maps to frozen {mapping[i]!r}"
+            )
+    cols = rows + frozen
     # per-row sign of b'_{f(x)f(y)} * b_{xy}, and the magnitude condition;
-    # columns in sub-seed order, so the first violation is the sub-seed's
-    row_sign: dict[str, int] = {}
-    for x in dom_ex:
+    # columns in sub-seed order, so the first violation is the sub-seed's.
+    # A zero b_{xy} can break neither.
+    src_b, tgt_b = src.matrix.entries, tgt.matrix.entries
+    row_sign = []
+    for i in rows:
+        x, b_row, t_row = labels[i], src_b[i], tgt_b[image[i]]
         sign = 0
-        for y in dom_ex + dom_fr:
-            bxy = src.b(x, y)
-            bpq = tgt.b(f[x], f[y])
+        for j in cols:
+            bxy = b_row[j]
+            if not bxy:
+                continue
+            bpq = t_row[image[j]]
             if abs(bpq) < abs(bxy):
                 return False, (
-                    f"magnitude: |b'_({f[x]},{f[y]})|={abs(bpq)} < |b_({x},{y})|={abs(bxy)}"
+                    f"magnitude: |b'_({mapping[i]},{mapping[j]})|={abs(bpq)} "
+                    f"< |b_({x},{labels[j]})|={abs(bxy)}"
                 )
             s = bpq * bxy
             if s > 0:
@@ -209,10 +225,12 @@ def check_partial_hom(candidate: PartialSeedHom) -> tuple[bool, str | None]:
                 if sign > 0:
                     return False, f"sign coherence fails within row {x!r}"
                 sign = -1
-        row_sign[x] = sign
-    for x, z in itertools.combinations(dom_ex, 2):
-        if src.b(x, z) != 0 and row_sign[x] * row_sign[z] < 0:
-            return False, f"sign coherence fails across adjacent rows {x!r}, {z!r}"
+        row_sign.append(sign)
+    for (i, si), (k, sk) in itertools.combinations(zip(rows, row_sign), 2):
+        if src_b[i][k] != 0 and si * sk < 0:
+            return False, (
+                f"sign coherence fails across adjacent rows {labels[i]!r}, {labels[k]!r}"
+            )
     return True, None
 
 

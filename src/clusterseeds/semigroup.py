@@ -139,15 +139,25 @@ def enumerate_endpar(seed: Seed, cap: int = DEFAULT_CAP) -> SemigroupTable:
     return SemigroupTable(seed, elements, index, product, zero_index)
 
 
-# Cells per block of product-table columns; bounds the int64 temporaries.
+# Cells per block of rows or columns of a size² table; bounds the
+# temporaries of _product_table and green_relations.
 _BLOCK_CELLS = 1 << 18
+
+
+def _blocks(size: int):
+    """(start, stop) of each block of rows or columns of a size² table."""
+    step = max(1, _BLOCK_CELLS // max(size, 1))
+    for start in range(0, size, step):
+        yield start, min(size, start + step)
 
 
 def _product_table(digits: np.ndarray) -> tuple[np.ndarray, int]:
     """Product table of the elements, given their digit rows as written
     by enumerate_endpar, and the index of the empty hom.  The code of
     each composite is assembled one position at a time, over a block of
-    columns, and looked up among the sorted codes.
+    columns, and looked up in a dense table indexed by code (-1 where no
+    element has the code), or among the sorted codes when that table
+    would have more entries than the product table.
     """
     size, width = digits.shape
     base = 2 * width + 2
@@ -155,10 +165,28 @@ def _product_table(digits: np.ndarray) -> tuple[np.ndarray, int]:
     F = digits % 2  # frozen in the domain
     weights = base ** np.arange(width, dtype=np.int64)
     codes = digits @ weights
-    order = np.argsort(codes)
-    sorted_codes = codes[order]
-    if np.any(sorted_codes[1:] == sorted_codes[:-1]):
+    product = np.empty((size, size), dtype=np.int16 if size < 32768 else np.int32)
+    if base**width > size * size:
+        order = np.argsort(codes).astype(product.dtype)
+        sorted_codes = codes[order]
+        shared = np.any(sorted_codes[1:] == sorted_codes[:-1])
+
+        def lookup(acc):
+            at = np.searchsorted(sorted_codes, acc)
+            np.minimum(at, size - 1, out=at)
+            return np.where(sorted_codes[at] == acc, order[at], -1)
+
+    else:
+        lut = np.full(base**width, -1, dtype=product.dtype)
+        elems = np.arange(size, dtype=product.dtype)
+        lut[codes] = elems
+        shared = not np.array_equal(lut[codes], elems)  # a later write won
+        lookup = lut.__getitem__
+    if shared:
         raise TheoremViolation("two elements of the semigroup share a code")
+    zero = np.flatnonzero(codes == 0)
+    if not zero.size:
+        raise TheoremViolation("the empty homomorphism is missing from the semigroup")
     # Composing x after y: where y sends position p to q with frozen flag f,
     # the composite takes x's digit at q if x's flag there is also f, else
     # leaves p outside the domain.  hit[x, 2q+f] is that digit; the last
@@ -168,37 +196,29 @@ def _product_table(digits: np.ndarray) -> tuple[np.ndarray, int]:
         hit[:, f : 2 * width : 2] = np.where(F == f, digits, 0)
     weighted_hit = hit[None, :, :] * weights[:, None, None]
     col = np.where(V >= 0, 2 * V + F, 2 * width)
-    product = np.empty((size, size), dtype=np.int16 if size < 32768 else np.int32)
-    step = max(1, _BLOCK_CELLS // max(size, 1))
-    for j0 in range(0, size, step):
-        j1 = min(size, j0 + step)
+    for j0, j1 in _blocks(size):
         acc = np.zeros((size, j1 - j0), dtype=np.int64)
         for p in range(width):
             acc += weighted_hit[p][:, col[j0:j1, p]]
-        at = np.searchsorted(sorted_codes, acc)
-        np.minimum(at, size - 1, out=at)
-        missing = sorted_codes[at] != acc
-        if missing.any():
-            j, i = np.argwhere(missing.T)[0]
+        block = lookup(acc)
+        if block.min(initial=0) < 0:
+            j, i = np.argwhere(block.T < 0)[0]
             raise TheoremViolation(
                 f"composition of elements {i} and {j0 + j} left the semigroup"
             )
-        product[:, j0:j1] = order[at]
-    zero = np.flatnonzero(codes == 0)
-    if not zero.size:
-        raise TheoremViolation("the empty homomorphism is missing from the semigroup")
+        product[:, j0:j1] = block
     return product, int(zero[0])
 
 
 @dataclass
 class GreenPartition:
-    """Class representative (least member index) per element, per relation."""
+    """Class representative (least member index) per element, per relation;
+    J = D, since the semigroup is finite."""
 
     L: tuple[int, ...]
     R: tuple[int, ...]
     H: tuple[int, ...]
     D: tuple[int, ...]
-    J: tuple[int, ...]
     regular_flags: tuple[bool, ...]
     idempotent_flags: tuple[bool, ...]
 
@@ -211,28 +231,29 @@ def _reps_from_keys(keys) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _reps_from_rows(M: np.ndarray) -> tuple[int, ...]:
-    """Least index of an equal row, per row of a boolean matrix."""
-    _, first, inverse = np.unique(
-        np.packbits(M, axis=1), axis=0, return_index=True, return_inverse=True
-    )
-    return tuple(first[inverse.reshape(-1)].tolist())
+def _ideal_keys(P: np.ndarray, left: bool) -> list[bytes]:
+    """One key per element x: the packed incidence row of S¹x (left) or
+    xS¹, built over blocks of rows so no temporary exceeds _BLOCK_CELLS."""
+    size = len(P)
+    keys: list[bytes] = []
+    for x0, x1 in _blocks(size):
+        # flat indices into the block's rows: x's products, then x itself
+        at = (P[:, x0:x1].T if left else P[x0:x1]).astype(np.intp)
+        at += np.arange(0, (x1 - x0) * size, size)[:, None]
+        M = np.zeros((x1 - x0) * size, dtype=bool)
+        M[at] = True
+        M[np.arange(x1 - x0) * (size + 1) + x0] = True
+        keys.extend(row.tobytes() for row in np.packbits(M.reshape(x1 - x0, size), axis=1))
+    return keys
 
 
 def green_relations(S: SemigroupTable) -> GreenPartition:
-    """L, R and J compare the incidence rows of the principal ideals
-    S¹x, xS¹ and S¹xS¹; H is the meet of L and R, D the join."""
+    """L and R compare the incidence rows of the principal ideals S¹x
+    and xS¹; H is the meet of L and R, D the join (and J = D)."""
     P = S.product
     size = len(S)
-    elems = np.arange(size)
-    Lm = np.zeros((size, size), dtype=bool)  # Lm[x] = S¹x
-    Rm = np.zeros((size, size), dtype=bool)  # Rm[x] = xS¹
-    Lm[elems[:, None], P.T] = True
-    Rm[elems[:, None], P] = True
-    Lm[elems, elems] = True
-    Rm[elems, elems] = True
-    L = _reps_from_rows(Lm)
-    R = _reps_from_rows(Rm)
+    L = _reps_from_keys(_ideal_keys(P, left=True))
+    R = _reps_from_keys(_ideal_keys(P, left=False))
     H = _reps_from_keys(list(zip(L, R)))
     # D: transitive closure of L union R via union-find
     parent = list(range(size))
@@ -252,12 +273,16 @@ def green_relations(S: SemigroupTable) -> GreenPartition:
         union(i, L[i])
         union(i, R[i])
     D = tuple(find(i) for i in range(size))
-    # S¹xS¹ is the union of S¹y over y in xS¹; a float32 sum of 0/1 terms
-    # is positive exactly when some term is, so the test needs no exact count
-    J = _reps_from_rows(Rm.astype(np.float32) @ Lm.astype(np.float32) > 0)
-    regular = tuple((P[P, elems[:, None]] == elems[:, None]).any(axis=1).tolist())
-    idem = tuple((np.diagonal(P) == elems).tolist())
-    return GreenPartition(L, R, H, D, J, regular, idem)
+    # x is regular iff x∘g∘x = x for some g, read over blocks of rows
+    regular: list[bool] = []
+    for x0, x1 in _blocks(size):
+        xs = np.arange(x0, x1)[:, None]
+        at = P[x0:x1].astype(np.intp)  # flat index of (x∘g, x)
+        at *= size
+        at += xs
+        regular.extend((P.take(at) == xs).any(axis=1).tolist())
+    idem = tuple((np.diagonal(P) == np.arange(size)).tolist())
+    return GreenPartition(L, R, H, D, tuple(regular), idem)
 
 
 def d_by_composition(S: SemigroupTable, P: GreenPartition, via: str = "LR") -> tuple[int, ...]:

@@ -8,6 +8,7 @@ by independent enumeration in test_semigroup.
 
 import random
 
+import numpy as np
 import pytest
 
 from clusterseeds import Seed, SurfaceData, enumerate_triangulations, make_surface
@@ -85,6 +86,41 @@ PINNED_STATS = {
 }
 
 LINEAR_SIZES = {1: 3, 2: 19, 3: 162, 4: 1727}
+
+
+def green_oracle(S):
+    """Green's relations straight from the ideal definitions, with sets.
+
+    L and R compare S¹x and xS¹ as frozensets, J compares S¹xS¹ built
+    with np.unique, D is the composite L∘R, and the regular flags search
+    for a witness g with xgx = x one element at a time.
+    """
+    P = S.product
+    size = len(S)
+
+    def reps(keys):
+        first = {}
+        return tuple(first.setdefault(k, i) for i, k in enumerate(keys))
+
+    left = [frozenset(P[:, x].tolist()) | {x} for x in range(size)]
+    right = [frozenset(P[x, :].tolist()) | {x} for x in range(size)]
+    L, R = reps(left), reps(right)
+    H = reps(zip(L, R))
+    members_of_l, members_of_r = {}, {}
+    for i in range(size):
+        members_of_l.setdefault(L[i], []).append(i)
+        members_of_r.setdefault(R[i], []).append(i)
+    D = tuple(
+        min(min(members_of_r[R[z]]) for z in members_of_l[L[x]]) for x in range(size)
+    )
+    two_sided = [
+        frozenset(np.unique(P[:, np.unique(P[x, :])]).tolist()) | left[x] | right[x]
+        for x in range(size)
+    ]
+    J = reps(two_sided)
+    regular = tuple(bool(np.any(P[P[x, :], x] == x)) for x in range(size))
+    idem = tuple(bool(P[x, x] == x) for x in range(size))
+    return dict(L=L, R=R, H=H, D=D, J=J, regular_flags=regular, idempotent_flags=idem)
 
 
 def seeded_polygons(seed: int = 9):

@@ -52,6 +52,7 @@ from conftest import (
     a2_seed,
     amalgam_seed,
     double_arrow_seed,
+    green_oracle,
     linear_path_seed,
     trivial_seed,
 )
@@ -157,8 +158,8 @@ def test_criterion_4_green_internal_consistency():
             # D by closure, by L∘R, and by R∘L coincide as partitions
             assert d_by_composition(S, P, via="LR") == P.D
             assert d_by_composition(S, P, via="RL") == P.D
-            # J = D in a finite semigroup
-            assert P.J == P.D
+            # J = D in a finite semigroup, with J from the set oracle
+            assert green_oracle(S)["J"] == P.D
 
 
 def test_criterion_5_structural_green_crosscheck():

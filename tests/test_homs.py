@@ -27,8 +27,10 @@ from clusterseeds import (
     is_seed_iso,
     iso_classes_of_subseeds,
     mixing_subseed,
+    projected_endpar_bound,
     require_hom,
 )
+from clusterseeds import semigroup as semigroup_module
 from conftest import (
     a2_seed,
     a2_y2_seed,
@@ -247,6 +249,172 @@ def test_check_partial_hom_matches_subseed_reference(source, target):
     # per label: I1, or a target label (and, if exchangeable, I0 with one)
     t = len(tgt.labels)
     assert count == (2 * t + 1) ** src.n * (t + 1) ** src.m
+
+
+def seed_b_check_partial_hom(candidate: PartialSeedHom) -> tuple[bool, str | None]:
+    """Validate the homomorphism conditions; returns (ok, first violation).
+
+    Condition (a): exchangeable domain variables map to exchangeable
+    target variables.  Condition (b): over all adjacent pairs (x, y),
+    (z, w) of the sub-seed (x = z or b_xz nonzero), the products
+    b'_{f(x)f(y)} b_{xy} never take opposite signs, and magnitudes never
+    shrink.  Per row the condition collapses to a single sign.  The
+    sub-seed's matrix is the source matrix restricted to the domain, so
+    its entries are read off the source.
+    """
+    src, spec, tgt = candidate.source, candidate.spec, candidate.target
+    try:
+        spec.validate(src)
+    except SpecError as exc:
+        return False, str(exc)
+    tgt_labels = set(tgt.labels)
+    for x, v in zip(src.labels, candidate.mapping):
+        if x in spec.I1:
+            if v is not None:
+                return False, f"{x!r} lies in I1 but is mapped"
+        elif v is None:
+            return False, f"{x!r} lies in the domain but is unmapped"
+        elif v not in tgt_labels:
+            return False, f"{x!r} maps to unknown target label {v!r}"
+    f = candidate.map_dict()
+    dom_ex, dom_fr = spec.parts(src)
+    for x in dom_ex:
+        if not tgt.is_exchangeable(f[x]):
+            return False, f"condition (a): exchangeable {x!r} maps to frozen {f[x]!r}"
+    # per-row sign of b'_{f(x)f(y)} * b_{xy}, and the magnitude condition;
+    # columns in sub-seed order, so the first violation is the sub-seed's
+    row_sign: dict[str, int] = {}
+    for x in dom_ex:
+        sign = 0
+        for y in dom_ex + dom_fr:
+            bxy = src.b(x, y)
+            bpq = tgt.b(f[x], f[y])
+            if abs(bpq) < abs(bxy):
+                return False, (
+                    f"magnitude: |b'_({f[x]},{f[y]})|={abs(bpq)} < |b_({x},{y})|={abs(bxy)}"
+                )
+            s = bpq * bxy
+            if s > 0:
+                if sign < 0:
+                    return False, f"sign coherence fails within row {x!r}"
+                sign = 1
+            elif s < 0:
+                if sign > 0:
+                    return False, f"sign coherence fails within row {x!r}"
+                sign = -1
+        row_sign[x] = sign
+    for x, z in itertools.combinations(dom_ex, 2):
+        if src.b(x, z) != 0 and row_sign[x] * row_sign[z] < 0:
+            return False, f"sign coherence fails across adjacent rows {x!r}, {z!r}"
+    return True, None
+
+
+SEED_B_ORACLE_SEEDS = {
+    "a2": a2_seed,
+    "amalgam": amalgam_seed,
+    "double_arrow": double_arrow_seed,
+    "trivial_m1": lambda: trivial_seed(1),
+    "trivial_m2": lambda: trivial_seed(2),
+    "A1": lambda: linear_path_seed(1),
+    "A3": lambda: linear_path_seed(3),
+    "a2_y2": a2_y2_seed,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_B_ORACLE_SEEDS))
+def test_check_partial_hom_matches_seed_b_oracle_on_enumerated_candidates(
+    monkeypatch, name
+):
+    """The label-position check returns what the check through Seed.b
+    returns, on every candidate enumerate_endpar tries."""
+    seed = SEED_B_ORACLE_SEEDS[name]()
+    verdicts = []
+
+    def both(cand):
+        got = check_partial_hom(cand)
+        assert got == seed_b_check_partial_hom(cand), cand
+        verdicts.append(got[0])
+        return got
+
+    monkeypatch.setattr(semigroup_module, "check_partial_hom", both)
+    S = enumerate_endpar(seed)
+    assert len(verdicts) == projected_endpar_bound(seed)
+    assert sum(verdicts) == len(S)
+
+
+def malformed_candidates(seed):
+    """Candidates that fail before condition (a): a bad spec, a label of
+    I1 that is mapped, a domain label that is unmapped, a target label
+    the target does not have, and pairs of the last two."""
+    ex, fr, labels = seed.exchangeable_labels, seed.frozen_labels, seed.labels
+    ident = dict(zip(labels, labels))
+    bad_specs = [spec(["zz"]), spec((), ["zz"])]
+    bad_specs += [spec(ex[:1], ex[:1])] if ex else []
+    bad_specs += [spec(fr[:1])] if fr else []
+    for s in bad_specs:
+        yield PartialSeedHom.from_dict(seed, s, seed, ident)
+    for r in range(len(labels) + 1):
+        for I1 in itertools.combinations(labels, r):
+            base = identity_inclusion(seed, spec((), I1)).mapping
+            for p, x in enumerate(labels):
+                wrong = [labels[0]] if x in I1 else [None, "zz"]
+                for v in wrong:
+                    mapping = base[:p] + (v,) + base[p + 1 :]
+                    yield PartialSeedHom(seed, spec((), I1), seed, mapping)
+                for q in range(p + 1, len(labels)):
+                    if x in I1 or labels[q] in I1:
+                        continue
+                    for v, w in ((None, "zz"), ("zz", None)):
+                        mapping = list(base)
+                        mapping[p], mapping[q] = v, w
+                        yield PartialSeedHom(seed, spec((), I1), seed, tuple(mapping))
+
+
+MALFORMED_KINDS = (
+    "not exchangeable in the seed",
+    "not in the extended cluster",
+    "overlap",
+    "lies in I1 but is mapped",
+    "lies in the domain but is unmapped",
+    "unknown target label",
+)
+
+
+def test_check_partial_hom_matches_seed_b_oracle_on_malformed_candidates():
+    kinds = set()
+    for seed in (a2_y2_seed(), double_arrow_seed(), trivial_seed(2)):
+        for cand in malformed_candidates(seed):
+            got = check_partial_hom(cand)
+            assert got == seed_b_check_partial_hom(cand), cand
+            assert not got[0]
+            kinds.add(next(k for k in MALFORMED_KINDS if k in got[1]))
+    assert kinds == set(MALFORMED_KINDS)
+
+
+def test_check_partial_hom_matches_seed_b_oracle_into_another_seed():
+    """Every candidate from one seed into another; a source whose matrix
+    is not sign-skew-symmetric also reaches the adjacent-rows condition,
+    which a sign-skew-symmetric source and target never break alone."""
+    sign_symmetric = Seed.from_data(["x1", "x2"], [], [[0, 1], [1, 0]])
+    pairs = [
+        (a2_y2_seed(), double_arrow_seed()),
+        (double_arrow_seed(), a2_y2_seed()),
+        (trivial_seed(2), a2_y2_seed()),
+        (linear_path_seed(3), a2_seed()),
+        (a2_seed(), trivial_seed(1)),
+        (sign_symmetric, a2_seed()),
+        (a2_y2_seed(), sign_symmetric),
+    ]
+    kinds = set()
+    for src, tgt in pairs:
+        for cand in all_candidates(src, tgt):
+            got = check_partial_hom(cand)
+            assert got == seed_b_check_partial_hom(cand), cand
+            kinds.update(k for k in CONDITION_KINDS if k in (got[1] or ""))
+    assert kinds == set(CONDITION_KINDS)
+
+
+CONDITION_KINDS = ("condition (a)", "magnitude", "within row", "across adjacent rows")
 
 
 # ------------------------------------------------------------- composition

@@ -38,6 +38,7 @@ from clusterseeds import (
     regularity_linear_an,
     subseed_components,
 )
+from clusterseeds.semigroup import _BLOCK_CELLS, _product_table
 from conftest import (
     BENCHMARK_SEEDS,
     LINEAR_SIZES,
@@ -46,6 +47,7 @@ from conftest import (
     a2_y2_seed,
     amalgam_seed,
     double_arrow_seed,
+    green_oracle,
     linear_path_seed,
     trivial_seed,
 )
@@ -155,6 +157,102 @@ def test_element_code_width_is_checked():
     assert exc.value.partial_count == 0
 
 
+TABLE_SEEDS = {
+    **BENCHMARK_SEEDS,
+    **{f"A{n}": (lambda n=n: linear_path_seed(n)) for n in (1, 3, 4)},  # A2 is a2
+    "a2_y2": a2_y2_seed,
+}
+
+
+@functools.cache
+def endpar_of(name):
+    return enumerate_endpar(TABLE_SEEDS[name]())
+
+
+def digit_rows(S):
+    """The elements' digit rows as enumerate_endpar documents them:
+    2*(v+1)+f at each domain position, 0 outside the domain."""
+    seed = S.seed
+    rows = []
+    for h in S.elements:
+        frozen = set(h.dom_fr)
+        rows.append(
+            [0 if v is None else 2 * (seed.index(v) + 1) + (x in frozen)
+             for x, v in zip(seed.labels, h.mapping)]
+        )
+    return np.array(rows, dtype=np.int64)
+
+
+def both_paths(digits):
+    """The digit rows for each lookup path: as given, which takes the
+    dense code table on every seed here, and padded with all-zero columns
+    to width 7, whose 16**7 codes outnumber size² on every seed here and
+    so take the sorted-code search.  Padding changes no product, since a
+    padded position lies outside every domain."""
+    size, width = digits.shape
+    assert (2 * width + 2) ** width <= size * size < 16**7
+    return {"dense": digits, "sorted": np.pad(digits, ((0, 0), (0, 7 - width)))}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SEEDS))
+def test_product_table_lookup_paths_agree(name):
+    S = endpar_of(name)
+    for path, digits in both_paths(digit_rows(S)).items():
+        product, zero = _product_table(digits)
+        assert product.dtype == S.product.dtype, path
+        assert np.array_equal(product, S.product), path
+        assert zero == S.zero_index, path
+
+
+@pytest.mark.parametrize("path", ["dense", "sorted"])
+@pytest.mark.parametrize("name, stride", [("a2", 1), ("a2_y2", 31)])
+def test_product_table_closure_check_names_the_first_product_outside(name, stride, path):
+    """Remove one non-zero row: the first product that lands on it, in
+    the order the table is built (column by column, each top to bottom),
+    is the one reported."""
+    S = endpar_of(name)
+    size = len(S)
+    raised = []
+    for r in range(1, size, stride):
+        if r == S.zero_index:
+            continue
+        keep = [k for k in range(size) if k != r]
+        digits = both_paths(digit_rows(S)[keep])[path]
+        table = S.product[np.ix_(keep, keep)]
+        outside = np.argwhere(table.T == r)
+        if not len(outside):
+            # the rows left are closed: their table, renumbered past r
+            assert np.array_equal(_product_table(digits)[0], table - (table > r))
+            continue
+        j, i = outside[0]
+        with pytest.raises(
+            TheoremViolation, match=rf"^composition of elements {i} and {j} left the semigroup$"
+        ):
+            _product_table(digits)
+        raised.append(j)
+    assert len(raised) > size // stride // 2
+    if name == "a2_y2":  # some first products lie past the first block of columns
+        assert max(raised) >= _BLOCK_CELLS // size
+
+
+@pytest.mark.parametrize("path", ["dense", "sorted"])
+def test_product_table_rejects_a_shared_code(path):
+    S = endpar_of("a2")
+    digits = digit_rows(S)
+    for r in (0, S.zero_index, len(S) - 1):
+        twice = np.insert(digits, r + 1, digits[r], axis=0)
+        with pytest.raises(TheoremViolation, match="two elements of the semigroup share a code"):
+            _product_table(both_paths(twice)[path])
+
+
+@pytest.mark.parametrize("path", ["dense", "sorted"])
+def test_product_table_rejects_a_missing_zero(path):
+    S = endpar_of("a2")
+    digits = np.delete(digit_rows(S), S.zero_index, axis=0)
+    with pytest.raises(TheoremViolation, match="the empty homomorphism is missing"):
+        _product_table(both_paths(digits)[path])
+
+
 def test_zero_absorbs():
     S = enumerate_endpar(a2_seed())
     z = S.zero_index
@@ -163,41 +261,6 @@ def test_zero_absorbs():
 
 
 # --------------------------------------------------------- Green relations
-
-
-def green_oracle(S):
-    """Green's relations straight from the ideal definitions, with sets.
-
-    L and R compare S¹x and xS¹ as frozensets, J compares S¹xS¹ built
-    with np.unique, D is the composite L∘R, and the regular flags search
-    for a witness g with xgx = x one element at a time.
-    """
-    P = S.product
-    size = len(S)
-
-    def reps(keys):
-        first = {}
-        return tuple(first.setdefault(k, i) for i, k in enumerate(keys))
-
-    left = [frozenset(P[:, x].tolist()) | {x} for x in range(size)]
-    right = [frozenset(P[x, :].tolist()) | {x} for x in range(size)]
-    L, R = reps(left), reps(right)
-    H = reps(zip(L, R))
-    members_of_l, members_of_r = {}, {}
-    for i in range(size):
-        members_of_l.setdefault(L[i], []).append(i)
-        members_of_r.setdefault(R[i], []).append(i)
-    D = tuple(
-        min(min(members_of_r[R[z]]) for z in members_of_l[L[x]]) for x in range(size)
-    )
-    two_sided = [
-        frozenset(np.unique(P[:, np.unique(P[x, :])]).tolist()) | left[x] | right[x]
-        for x in range(size)
-    ]
-    J = reps(two_sided)
-    regular = tuple(bool(np.any(P[P[x, :], x] == x)) for x in range(size))
-    idem = tuple(bool(P[x, x] == x) for x in range(size))
-    return dict(L=L, R=R, H=H, D=D, J=J, regular_flags=regular, idempotent_flags=idem)
 
 
 ORACLE_SEEDS = {
@@ -211,7 +274,10 @@ ORACLE_SEEDS = {
 def test_green_relations_match_set_oracle(name):
     S = enumerate_endpar(ORACLE_SEEDS[name]())
     P = green_relations(S)
-    for field, expected in green_oracle(S).items():
+    oracle = green_oracle(S)
+    # J = D in a finite semigroup: the oracle's J, from S¹xS¹, is Green's D
+    assert oracle.pop("J") == P.D
+    for field, expected in oracle.items():
         assert getattr(P, field) == expected, field
 
 
@@ -228,8 +294,8 @@ def test_green_internal_consistency(name):
     # D as a closure equals D as a relational composition, both ways
     assert d_by_composition(S, P, via="LR") == P.D
     assert d_by_composition(S, P, via="RL") == P.D
-    # J = D in a finite semigroup
-    assert P.J == P.D
+    # J = D in a finite semigroup, with J from the set oracle
+    assert green_oracle(S)["J"] == P.D
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_SEEDS))
