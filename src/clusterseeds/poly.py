@@ -7,6 +7,12 @@ coefficients.  Division shifts each operand by its own smallest
 exponents and divides exactly; a quotient outside Z[x^+-1] raises
 ``LaurentViolation`` and aborts the run instead of returning a wrong
 value.
+
+A polynomial keeps the packed form it was computed in (each exponent
+vector packed into one int) together with its exact exponent ranges,
+so an operand is packed once however often it is squared or divided,
+and the tuple-keyed ``terms`` and the printed text are made on first
+use only.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import operator
 import struct
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain
+from types import MappingProxyType
 
 from .errors import LaurentViolation, ResourceCapExceeded
 from .seeds import ExtendedExchangeMatrix, Seed, matrix_mutation
@@ -34,22 +40,16 @@ __all__ = [
 MAX_TERMS = 10**6
 
 
-def _grlex_key(exponents):
-    return (sum(exponents), exponents)
-
-
-def _max_abs(terms) -> int:
-    return max(map(abs, chain.from_iterable(terms)), default=0)
-
-
 class _Packing:
     """Exponent vectors of length n packed into ints.
 
     The key of e is sum(e) in the top field and e[0], ..., e[n-1] below
-    it, each in a signed field of ``bits`` bits.  While every exponent
-    lies in (-2**(bits-1), 2**(bits-1)), key order is grlex order and the
-    key of a product of monomials is the sum of their keys.  The total
-    degree sits in the unbounded top field, so it never overflows.
+    it, each in a signed field of ``bits`` bits.  Packing is linear, so
+    the key of a sum or difference of vectors is the sum or difference
+    of their keys; while every exponent lies in (-2**(bits-1),
+    2**(bits-1)), unpacking recovers the vector and key order is grlex
+    order.  The total degree sits in the unbounded top field, so it
+    never overflows.
     """
 
     __slots__ = ("bits", "bias", "low", "nbytes", "fields")
@@ -81,7 +81,7 @@ class _Packing:
         return (key + self.bias) & self.bias == self.bias
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)  # one packing per (n, field width)
 def _packing_of_width(n: int, bits: int, fmt: str) -> _Packing:
     return _Packing(n, bits, fmt)
 
@@ -94,15 +94,80 @@ def _packing(n: int, bound: int) -> _Packing:
     raise ResourceCapExceeded(f"exponent bound {bound} does not fit a 64-bit field")
 
 
-class MultiPoly:
-    """Integer Laurent polynomial in the ordered variables of an extended cluster."""
+def _bound(lo, hi) -> int:
+    return max(map(abs, lo + hi), default=0)
 
-    __slots__ = ("context", "terms", "_hash")
+
+def _square(items) -> dict[int, int]:
+    """The square of the packed terms: the pairs i <= j, each cross
+    term doubled, so about half the term products of a generic product."""
+    out: dict[int, int] = {}
+    get = out.get
+    for i, (k1, c1) in enumerate(items):
+        k = k1 + k1
+        out[k] = get(k, 0) + c1 * c1
+        c1 += c1
+        for k2, c2 in items[i + 1 :]:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return out
+
+
+def _product(left, right) -> dict[int, int]:
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, c1 in left:
+        for k2, c2 in right:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _factor(v: str, k: int) -> str:
+    return f"{v}^{k}" if k > 1 else v
+
+
+def _monomial_text(context, e) -> str:
+    return "*".join([_factor(v, k) for v, k in zip(context, e) if k])
+
+
+class MultiPoly:
+    """Integer Laurent polynomial in the ordered variables of an extended cluster.
+
+    Besides the context, a polynomial holds its exact exponent ranges
+    ``lo``..``hi`` per variable (None for zero) and, once made, its
+    packed form: a dict from packed keys to nonzero coefficients in the
+    packing sized by those ranges.  The ranges of a product are the sums
+    of the operands' ranges and those of an exact quotient the
+    differences (Newton polytopes add), so they stay exact without a
+    scan; equal polynomials have equal ranges, hence one packing and
+    equal packed dicts.
+    """
+
+    __slots__ = ("context", "_lo", "_hi", "_packing", "_packed", "_terms", "_hash", "_str")
 
     def __init__(self, context: tuple[str, ...], terms: dict[tuple[int, ...], int]):
         self.context = context
-        self.terms = {e: c for e, c in terms.items() if c != 0}
-        self._hash = None
+        terms = {e: c for e, c in terms.items() if c != 0}
+        self._terms = MappingProxyType(terms)
+        if terms:
+            self._lo = tuple(map(min, zip(*terms)))
+            self._hi = tuple(map(max, zip(*terms)))
+        else:
+            self._lo = self._hi = None
+        self._packing = self._packed = self._hash = self._str = None
+
+    @classmethod
+    def _from_packed(cls, context, packing: _Packing, packed: dict[int, int], lo, hi) -> "MultiPoly":
+        if not packed:
+            return cls(context, {})
+        self = object.__new__(cls)
+        self.context = context
+        self._lo, self._hi = lo, hi
+        self._packing, self._packed = packing, packed
+        self._terms = self._hash = self._str = None
+        return self
 
     @staticmethod
     def constant(context, value: int) -> "MultiPoly":
@@ -116,46 +181,114 @@ class MultiPoly:
         exp = tuple(1 if j == i else 0 for j in range(len(context)))
         return MultiPoly(context, {exp: 1})
 
+    @property
+    def terms(self):
+        """Exponent vector -> nonzero coefficient, as a read-only mapping."""
+        if self._terms is None:
+            unpack = self._packing.unpack
+            self._terms = MappingProxyType({unpack(k): c for k, c in self._packed.items()})
+        return self._terms
+
+    def _items(self):
+        """(exponents, coefficient) pairs, without keeping an unpacked copy."""
+        if self._terms is not None:
+            return self._terms.items()
+        unpack = self._packing.unpack
+        return ((unpack(k), c) for k, c in self._packed.items())
+
+    def _pack(self) -> tuple[_Packing, dict[int, int]]:
+        """The packing and the packed form, packed on first use."""
+        if self._packing is None:
+            p = _packing(len(self.context), _bound(self._lo, self._hi) if self._lo else 0)
+            self._packed = {p.pack(e): c for e, c in self._terms.items()}
+            self._packing = p
+        return self._packing, self._packed
+
+    def _keys(self, p: _Packing, shift=None) -> dict[int, int]:
+        """The packed form of self * x^-shift in packing p, which must
+        hold its exponents.  Packing is linear, so within self's own
+        packing a shift is one subtraction per key."""
+        if self._pack()[0] is p:
+            if shift is None:
+                return self._packed
+            ks = p.pack(shift)
+            return {k - ks: c for k, c in self._packed.items()}
+        if shift is None:
+            return {p.pack(e): c for e, c in self._items()}
+        return {p.pack(tuple(map(operator.sub, e, shift))): c for e, c in self._items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return self._lo is None
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._terms if self._terms is not None else self._packed) == 1
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MultiPoly) and self.context == other.context and self.terms == other.terms
+        if not isinstance(other, MultiPoly):
+            return False
+        if self.context != other.context or self._lo != other._lo or self._hi != other._hi:
+            return False
+        if self._terms is not None and other._terms is not None:
+            return self._terms == other._terms
+        # equal ranges, so one packing
+        return self._pack()[1] == other._pack()[1]
 
     def __hash__(self):
+        # from the ranges and the coefficient sum, which do not depend
+        # on whether the packed or the unpacked form is at hand
         if self._hash is None:
-            self._hash = hash((self.context, tuple(sorted(self.terms.items()))))
+            coefs = self._terms if self._terms is not None else self._packed
+            self._hash = hash((self.context, self._lo, self._hi, len(coefs), sum(coefs.values())))
         return self._hash
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return MultiPoly(self.context, out)
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        # the wider of the two packings holds both operands and the sum
+        p = max(self._pack()[0], other._pack()[0], key=operator.attrgetter("bits"))
+        out = dict(self._keys(p))
+        cancelled = False
+        for k, c in other._keys(p).items():
+            v = out.get(k, 0) + c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+                cancelled = True
+        if cancelled:  # the ranges may shrink: take them from the terms
+            return MultiPoly(self.context, {p.unpack(k): c for k, c in out.items()})
+        lo = tuple(map(min, self._lo, other._lo))
+        hi = tuple(map(max, self._hi, other._hi))
+        return MultiPoly._from_packed(self.context, p, out, lo, hi)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.context, {e: -c for e, c in self.terms.items()})
+        if self.is_zero():
+            return self
+        p, packed = self._pack()
+        return MultiPoly._from_packed(
+            self.context, p, {k: -c for k, c in packed.items()}, self._lo, self._hi
+        )
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        p = _packing(len(self.context), _max_abs(self.terms) + _max_abs(other.terms))
-        right = [(p.pack(e), c) for e, c in other.terms.items()]
-        out: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            k1 = p.pack(e1)
-            for k2, c2 in right:
-                k = k1 + k2
-                out[k] = out.get(k, 0) + c1 * c2
+        if self.is_zero() or other.is_zero():
+            return MultiPoly(self.context, {})
+        lo = tuple(map(operator.add, self._lo, other._lo))
+        hi = tuple(map(operator.add, self._hi, other._hi))
+        p = _packing(len(self.context), _bound(lo, hi))
+        if self is other:
+            out = _square(list(self._keys(p).items()))
+        else:
+            out = _product(self._keys(p).items(), list(other._keys(p).items()))
         if len(out) > MAX_TERMS:
             raise ResourceCapExceeded(
                 f"polynomial exceeded {MAX_TERMS} terms", partial_count=len(out)
             )
-        return MultiPoly(self.context, {p.unpack(k): c for k, c in out.items() if c})
+        return MultiPoly._from_packed(self.context, p, {k: c for k, c in out.items() if c}, lo, hi)
 
     def __truediv__(self, other: "MultiPoly") -> "MultiPoly":
         """The exact quotient in Z[x^+-1]; LaurentViolation if there is none."""
@@ -163,7 +296,7 @@ class MultiPoly:
             raise ZeroDivisionError("division by the zero Laurent polynomial")
         if self.is_zero():
             return self
-        quot = self._divide(other, self.min_exponents(), other.min_exponents())
+        quot = self._divide(other)
         if quot is None:
             raise LaurentViolation("the quotient is not a Laurent polynomial")
         return quot
@@ -180,62 +313,62 @@ class MultiPoly:
         return square * self if k & 1 else square
 
     def min_exponents(self) -> tuple[int, ...]:
-        its = iter(self.terms)
-        first = next(its)
-        mins = list(first)
-        for e in its:
-            for i, v in enumerate(e):
-                if v < mins[i]:
-                    mins[i] = v
-        return tuple(mins)
+        return self._lo
 
     def shift(self, exponents) -> "MultiPoly":
         """self times the monomial x^exponents; the exponents may be negative."""
         return MultiPoly(
             self.context,
-            {tuple(a + b for a, b in zip(e, exponents)): c for e, c in self.terms.items()},
+            {tuple(map(operator.add, e, exponents)): c for e, c in self._items()},
         )
 
     def exact_div(self, other: "MultiPoly") -> "MultiPoly | None":
         """Quotient self/other of polynomials over Z if the division is exact, else None."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        zero = (0,) * len(self.context)
-        return self._divide(other, zero, zero)
+        if self.is_zero():
+            return self
+        quot = self._divide(other)
+        return quot if quot is not None and min(quot._lo, default=0) >= 0 else None
 
-    def _divide(self, other: "MultiPoly", a, b) -> "MultiPoly | None":
-        """The exact quotient (self*x^-a) / (other*x^-b), times x^(a-b), or None.
+    def _divide(self, other: "MultiPoly") -> "MultiPoly | None":
+        """The quotient self/other in Z[x^+-1], or None if there is none.
 
+        Both operands are shifted by their exact smallest exponents, so
+        an exact quotient is a polynomial in the box from 0 to the
+        difference of the operands' spans, and no remainder term ever
+        leaves the dividend's box; the working fields hold that span.
         Sparse heap division (Johnson 1974; Monagan and Pearce, JSC 46,
         2011): the remainder is one dict updated in place, and a max-heap
         of its keys yields the leading term.  A key whose coefficient
         cancels stays in the heap and is skipped when popped.  The
         division fails as soon as a leading coefficient does not divide
-        or a quotient exponent would be negative.
+        or a quotient exponent leaves the box.
         """
+        lo = tuple(map(operator.sub, self._lo, other._lo))
+        hi = tuple(map(operator.sub, self._hi, other._hi))
+        if any(map(operator.gt, lo, hi)):  # other's span exceeds self's
+            return None
         n = len(self.context)
-        # With |exponents| <= M in the operands, a and b, the shifted
-        # operands lie in [-2M, 2M]; every remainder monomial is then
-        # >= -2M in each variable and of total degree <= 2nM, so every
-        # exponent met below, the quotient's included, lies in
-        # [-4M, (4n+2)M].
-        p = _packing(n, (4 * n + 2) * max(_max_abs(self.terms), _max_abs(other.terms)))
-        ka, kb = p.pack(a), p.pack(b)
-        rem = {p.pack(e) - ka: c for e, c in self.terms.items()}
+        w = _packing(n, max(map(operator.sub, self._hi, self._lo), default=0))
+        rem = self._keys(w, self._lo)
         heap = [-k for k in rem]
         heapq.heapify(heap)
-        divisor = sorted(((p.pack(e) - kb, c) for e, c in other.terms.items()), reverse=True)
+        divisor = sorted(other._keys(w, other._lo).items(), reverse=True)
         lead, lc = divisor[0]
         tail = divisor[1:]
+        upper = w.pack(tuple(map(operator.sub, hi, lo)))
+        nonnegative = w.nonnegative
+        heappop, heappush = heapq.heappop, heapq.heappush
         quot: dict[int, int] = {}
         while heap:
-            key = -heapq.heappop(heap)
+            key = -heappop(heap)
             c = rem.pop(key, 0)
             if not c:
                 continue
             q, r = divmod(c, lc)
             e = key - lead
-            if r or not p.nonnegative(e):
+            if r or not nonnegative(e) or not nonnegative(upper - e):
                 return None
             quot[e] = q
             for k, gc in tail:
@@ -243,7 +376,7 @@ class MultiPoly:
                 v = rem.get(m)
                 if v is None:
                     rem[m] = -q * gc
-                    heapq.heappush(heap, -m)
+                    heappush(heap, -m)
                 else:
                     v -= q * gc
                     if v:
@@ -254,13 +387,18 @@ class MultiPoly:
                 raise ResourceCapExceeded(
                     f"division remainder exceeded {MAX_TERMS} terms", partial_count=len(rem)
                 )
-        shift = ka - kb
-        return MultiPoly(self.context, {p.unpack(e + shift): c for e, c in quot.items()})
+        p = _packing(n, _bound(lo, hi))
+        if p is w:
+            s = w.pack(lo)
+            out = {e + s: c for e, c in quot.items()}
+        else:
+            out = {p.pack(tuple(map(operator.add, w.unpack(e), lo))): c for e, c in quot.items()}
+        return MultiPoly._from_packed(self.context, p, out, lo, hi)
 
     def _den_exponents(self) -> tuple[int, ...]:
-        if not self.terms:
+        if self.is_zero():
             return (0,) * len(self.context)
-        return tuple(max(0, -v) for v in self.min_exponents())
+        return tuple(max(0, -v) for v in self._lo)
 
     @property
     def den(self) -> "MultiPoly":
@@ -273,37 +411,42 @@ class MultiPoly:
         return self.shift(self._den_exponents())
 
     def __str__(self) -> str:
-        """A polynomial as is, else num/den, e.g. (x1 + x2 + 1)/x1*x2."""
-        if not self.terms:
+        """A polynomial as is, else num/den, e.g. (x1 + x2 + 1)/x1*x2.
+
+        Formatted once per polynomial: terms in decreasing packed-key
+        (grlex) order, the numerator's exponents shifted by den."""
+        if self._str is None:
+            self._str = self._format()
+        return self._str
+
+    def _format(self) -> str:
+        if self.is_zero():
             return "0"
+        context = self.context
+        p, packed = self._pack()
         d = self._den_exponents()
-        if any(d):
-            num = str(self.shift(d))
-            if len(self.terms) > 1:
-                num = f"({num})"
-            return f"{num}/{MultiPoly(self.context, {d: 1})}"
+        shift = d if any(d) else None
         parts = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[e]
-            factors = [
-                f"{v}^{k}" if k > 1 else v
-                for v, k in zip(self.context, e)
-                if k
-            ]
-            body = "*".join(factors)
+        for key in sorted(packed, reverse=True):
+            e = p.unpack(key)
+            if shift:
+                e = tuple(map(operator.add, e, shift))
+            c = packed[key]
+            body = _monomial_text(context, e)
             if not body:
                 mono = str(abs(c))
             elif abs(c) == 1:
                 mono = body
             else:
                 mono = f"{abs(c)}*{body}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, mono))
-        first_sign, first = parts[0]
-        out = (first if first_sign == "+" else f"-{first}")
-        for sign, mono in parts[1:]:
-            out += f" {sign} {mono}"
-        return out
+            parts.append(f" - {mono}" if c < 0 else f" + {mono}")
+        text = "".join(parts)
+        text = text[3:] if text.startswith(" + ") else f"-{text[3:]}"
+        if not shift:
+            return text
+        if len(packed) > 1:
+            text = f"({text})"
+        return f"{text}/{_monomial_text(context, d)}"
 
     __repr__ = __str__
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from .errors import SeedError
@@ -27,6 +26,24 @@ __all__ = [
     "is_connected",
     "find_symmetrizer",
 ]
+
+
+class cached_attribute:
+    """A value computed on first access and stored in the instance
+    ``__dict__``, where later lookups find it before this non-data
+    descriptor.  ``functools.cached_property`` does the same but, before
+    Python 3.12, takes a class-wide lock on every first access."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -99,12 +116,12 @@ class Seed:
 
     # labels and _position are cached per instance, outside the dataclass
     # fields, so equality, hashing and repr see only the three fields.
-    @cached_property
+    @cached_attribute
     def labels(self) -> tuple[str, ...]:
         """All variables, exchangeable first (the extended cluster)."""
         return self.exchangeable_labels + self.frozen_labels
 
-    @cached_property
+    @cached_attribute
     def _position(self) -> dict[str, int]:
         """Label -> position in labels: the one label index of the seed."""
         return {x: i for i, x in enumerate(self.labels)}

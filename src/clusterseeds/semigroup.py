@@ -119,8 +119,12 @@ def enumerate_endpar(seed: Seed, cap: int = DEFAULT_CAP) -> SemigroupTable:
         pools = [ex_labels] * len(dom_ex) + [labels] * len(dom_fr)
         dom = dom_ex + dom_fr
         places = [(seed.index(x), 2 + (x in dom_fr)) for x in dom]  # (p, 2 + f)
+        # the mapping by label position: None on I1, the values on dom
+        mapping = [None] * len(labels)
         for values in itertools.product(*pools):
-            cand = PartialSeedHom.from_dict(seed, spec, seed, dict(zip(dom, values)))
+            for (p, _), v in zip(places, values):
+                mapping[p] = v
+            cand = PartialSeedHom(seed, spec, seed, tuple(mapping))
             ok, _ = check_partial_hom(cand)
             if not ok:
                 continue

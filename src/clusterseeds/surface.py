@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import SeedError
-from .seeds import ExtendedExchangeMatrix, Seed
+from .seeds import ExtendedExchangeMatrix, Seed, cached_attribute
 from .homs import SubSeedSpec, mixing_subseed
 
 __all__ = [
@@ -74,11 +74,11 @@ class SurfaceData:
 
     # cached per instance, outside the dataclass fields, so equality,
     # hashing and repr see only the three fields
-    @cached_property
+    @cached_attribute
     def _labels(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         return tuple(lbl for lbl, _ in self.diagonals), tuple(lbl for lbl, _ in self.laminations)
 
-    @cached_property
+    @cached_attribute
     def _polygons(self) -> dict[int, tuple[int, tuple[tuple[int, int], ...], dict]]:
         """Component with diagonals -> (vertex count, sorted diagonals,
         diagonal -> label); the first two key the per-polygon tables below."""

@@ -17,6 +17,7 @@ from clusterseeds import (
 )
 from clusterseeds.poly import ClusterEnumeration, initial_state, mutate_state
 from conftest import a2_seed, linear_path_seed, trivial_seed
+from oracles import reference_str
 
 
 def reference_enumerate_clusters(
@@ -162,6 +163,17 @@ def test_cluster_search_exchange_counts_are_pinned(monkeypatch, name):
     monkeypatch.setattr(poly_module, "exchange", counting)
     result = enumerate_clusters(make_seed(), depth)
     assert (len(result.clusters), len(calls)) == (count, exchanges)
+
+
+@pytest.mark.parametrize("name", ["A4", "D4", "markov", "kronecker"])
+def test_cluster_variables_print_like_the_oracle(name):
+    """Every cluster variable's text, from packed keys and cached per
+    polynomial, is the text of the tuple-sorted formatter."""
+    make_seed, depth, count, _ = EXCHANGES[name]
+    result = enumerate_clusters(make_seed(), depth)
+    assert len(result.clusters) == count
+    for v in set().union(*result.clusters):
+        assert str(v) == reference_str(v)
 
 
 # ------------------------------------------- d-vectors = crossing numbers

@@ -18,7 +18,8 @@ from clusterseeds import (
     mutate_state,
     poly as poly_module,
 )
-from clusterseeds.poly import _grlex_key, _packing
+from clusterseeds.poly import _packing
+from oracles import grlex_key, reference_str
 from conftest import a2_seed, linear_path_seed
 
 CTX = ("x1", "x2")
@@ -65,11 +66,11 @@ def reference_exact_div(f, g):
     """Reference for the heap division: plain long division on exponent
     tuples, rebuilding the remainder and rescanning it for its leading
     term at every step."""
-    le = max(g.terms, key=_grlex_key)
+    le = max(g.terms, key=grlex_key)
     lc = g.terms[le]
     quot, rem = {}, dict(f.terms)
     while rem:
-        re = max(rem, key=_grlex_key)
+        re = max(rem, key=grlex_key)
         q, r = divmod(rem[re], lc)
         if r != 0 or any(a < b for a, b in zip(re, le)):
             return None
@@ -170,7 +171,7 @@ def test_packed_keys_order_like_grlex(n, bound, data):
     p = _packing(n, bound)
     keys = [p.pack(e) for e in vectors]
     assert [p.unpack(k) for k in keys] == vectors
-    assert sorted(vectors, key=p.pack) == sorted(vectors, key=_grlex_key)
+    assert sorted(vectors, key=p.pack) == sorted(vectors, key=grlex_key)
     for e1, k1 in zip(vectors, keys):
         for e2, k2 in zip(vectors, keys):
             assert p.unpack(k1 + k2) == tuple(a + b for a, b in zip(e1, e2))
@@ -184,6 +185,98 @@ def test_packed_fields_never_overflow_silently():
     assert (x1 ** (2**61) * x1 ** (2**61)).terms == {(2**62, 0): 1}
     with pytest.raises(ResourceCapExceeded):
         x1 ** (2**62) * x1 ** (2**62)
+
+
+# ------------------------------------------------------- kernel identities
+
+# exponents in, and past, 8- and 16-bit packed fields, of either sign
+_exponent = st.integers(-2, 2) | st.integers(-200, 200) | st.integers(-40_000, 40_000)
+
+
+@st.composite
+def _wide_pair(draw):
+    """Laurent polynomials a and b != 0 in one context of 1-3 variables."""
+    n = draw(st.integers(1, 3))
+    ctx = tuple(f"x{i + 1}" for i in range(n))
+    exps = st.tuples(*[_exponent] * n)
+
+    def laurent(min_size):
+        terms = draw(st.dictionaries(exps, _coefficients, min_size=min_size, max_size=6))
+        return MultiPoly(ctx, terms)
+
+    return laurent(0), laurent(1)
+
+
+def _copy(p):
+    """A distinct polynomial equal to p, built from its terms."""
+    return MultiPoly(p.context, dict(p.terms))
+
+
+def _as_fresh(p):
+    """p agrees with the same polynomial built afresh from its terms: in
+    value, hash, exponent ranges and text, and the text is the oracle's."""
+    fresh = _copy(p)
+    assert p == fresh and fresh == p
+    assert hash(p) == hash(fresh)
+    assert p.min_exponents() == fresh.min_exponents()
+    assert str(p) == str(fresh) == reference_str(fresh)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_pair())
+def test_square_equals_the_generic_product(pair):
+    for p in pair:
+        square = p**2
+        assert square == p * _copy(p) == p * p
+        assert dict(square.terms) == dict((p * _copy(p)).terms)
+        _as_fresh(square)
+
+
+def test_square_with_cancelling_cross_terms():
+    x1, x2, one = gen("x1"), gen("x2"), const(1)
+    p = one + x1 - x2 + x1 * x2  # 2*(1 * x1x2) and 2*(x1 * -x2) cancel
+    square = p**2
+    assert (1, 1) not in square.terms
+    assert square == p * _copy(p)
+    _as_fresh(square)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_pair(), st.integers(0, 3))
+def test_results_print_like_fresh_polynomials(pair, k):
+    a, b = pair
+    product = a * b
+    for value in (product, product / b, a**k, -a, a + b, a - a):
+        _as_fresh(value)
+    assert product / b == a
+
+
+def test_terms_are_read_only():
+    x1, x2 = gen("x1"), gen("x2")
+    p = (x1 + x2) ** 2
+    with pytest.raises(TypeError):
+        p.terms[(0, 0)] = 1
+    with pytest.raises(AttributeError):
+        p.terms = {}
+    assert p == x1 * x1 + x1 * x2 + x1 * x2 + x2 * x2
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(1, 0): 1, (0, 1): -1, (0, 0): 2},
+        {(300, -2): 3, (-1, 40_000): -1, (0, 0): 1},
+        {(-5, 7): 2, (3, -200): 1, (1, 1): -2, (0, 0): 1},
+    ],
+)
+def test_square_and_quotient_match_sympy(terms):
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(CTX)
+    p = poly(terms)
+    square = p**2
+    expected = sympy.expand(_to_sympy(sympy, p, symbols) ** 2)
+    assert sympy.expand(_to_sympy(sympy, square, symbols) - expected) == 0
+    assert sympy.expand(_to_sympy(sympy, square / p, symbols) - _to_sympy(sympy, p, symbols)) == 0
 
 
 def test_poly_str_uses_caret_powers():

@@ -21,6 +21,7 @@ from clusterseeds import (
     enumerate_triangulations,
     find_seed_iso,
     make_surface,
+    matrix_mutation,
     mixing_subseed,
     paunched_surface,
     seed_from_surface,
@@ -526,3 +527,58 @@ def test_surface_iso_on_multiple_components():
         SurfaceData((4, 3), (("e", (0, (1, 3))),), ())
     )
     assert surface_iso(a, b)
+
+
+# ------------------------------------------------------ flip = mutation
+
+
+def _flip(data, x):
+    """data with diagonal x of its one polygon replaced by the other
+    diagonal of its quadrilateral, joining the apexes of its two
+    triangles; x keeps its label."""
+    (N,) = data.components
+    diagonals = [d for _, (_, d) in data.diagonals]
+    _, apexes, _ = surface_module._polygon_table(N, tuple(sorted(diagonals)))
+    p, q = sorted(apexes[data.diagonal_map()[x][1]])
+    flipped = tuple((lbl, (0, (p, q)) if lbl == x else d) for lbl, d in data.diagonals)
+    return SurfaceData(data.components, flipped, data.laminations)
+
+
+def _noncrossing_lamination(rng, N):
+    """One to three curves, no two of which cross."""
+    curves = []
+    for _ in range(rng.randint(1, 3)):
+        curve = tuple(sorted(rng.sample(range(N), 2)))
+        if not any(diagonals_cross(curve, c, N) for c in curves):
+            curves.append(curve)
+    return curves
+
+
+def _mutated(seed, x):
+    return Seed(seed.exchangeable_labels, seed.frozen_labels, matrix_mutation(seed.matrix, seed.index(x)))
+
+
+@pytest.mark.parametrize("N", range(4, 9))
+def test_flip_is_mutation(N):
+    """Fomin-Shapiro-Thurston (Acta Math. 2008), Fomin-Thurston (Mem. AMS
+    2018): flipping a diagonal mutates the extended exchange matrix at
+    its label, shear rows included, for laminations whose curves do not
+    cross.  Every diagonal of every triangulation, 0-2 laminations."""
+    rng = random.Random(N)
+    flips = 0
+    for tri in enumerate_triangulations(N):
+        laminations = [_noncrossing_lamination(rng, N) for _ in range(rng.randint(0, 2))]
+        data = make_surface(N, tri, laminations)
+        seed = seed_from_surface(data)
+        for x in seed.exchangeable_labels:
+            assert seed_from_surface(_flip(data, x)) == _mutated(seed, x), (tri, laminations, x)
+            flips += 1
+    assert flips == len(enumerate_triangulations(N)) * (N - 3)
+
+
+def test_flip_is_not_mutation_for_crossing_curves():
+    """A lamination with two crossing curves is accepted, but the flip
+    oracle does not hold for it, so it is left out above."""
+    data = make_surface(5, [(0, 3), (1, 3)], [[(2, 4), (0, 3)]])
+    seed = seed_from_surface(data)
+    assert seed_from_surface(_flip(data, "d0_3")) != _mutated(seed, "d0_3")
