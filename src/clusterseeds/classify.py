@@ -29,7 +29,6 @@ __all__ = [
     "iso_classes_of_subseeds",
     "ClassificationReport",
     "theorem_number_report",
-    "spec_universe_size",
 ]
 
 
@@ -38,10 +37,6 @@ def is_subalgebra_type(seed: Seed, spec: SubSeedSpec) -> bool:
     spec.validate(seed)
     survivors, _ = spec.parts(seed)
     return all(seed.b(x, y) == 0 for x in survivors for y in spec.I1)
-
-
-def spec_universe_size(seed: Seed) -> int:
-    return 3**seed.n * 2**seed.m
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,10 @@ from .fileio import (
     load_seed,
     load_surface,
     seed_to_dict,
+    spec_to_dict,
     surface_to_dict,
 )
-from .homs import SubSeedSpec, check_partial_hom, compose, require_hom
+from .homs import check_partial_hom, compose, require_hom
 from .poly import enumerate_clusters, initial_state, mutate_state
 from .seeds import require_valid, validate_seed
 from .semigroup import (
@@ -232,17 +233,13 @@ def cmd_classify(args):
     seed = require_valid(load_seed(args.seed))
     report = theorem_number_report(seed, cap=args.cap)
     S, P = report.table, report.green
-
-    def spec_doc(spec):
-        return {"I0": sorted(spec.I0, key=seed.index), "I1": sorted(spec.I1, key=seed.index)}
-
     id_member = dict(report.regular)
     classes = []
     for cls in report.iso_classes:
         d_rep = report.d_class_map[cls.representative]
         classes.append(
             {
-                "representative": spec_doc(cls.representative),
+                "representative": spec_to_dict(cls.representative, seed),
                 "member_count": len(cls.members),
                 "subalgebra_type": report.subalgebra_flags[cls.representative],
                 "d_class": d_rep,
@@ -430,10 +427,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, human, code = args.fn(args)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (SeedError, SpecError, HomError, IndexError) as exc:
+    except (ParseError, SeedError, SpecError, HomError, IndexError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ResourceCapExceeded as exc:

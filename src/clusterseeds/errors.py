@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SeedError",
+    "SpecError",
+    "HomError",
+    "ParseError",
+    "ResourceCapExceeded",
+    "LaurentViolation",
+    "TheoremViolation",
+]
+
 
 class SeedError(ValueError):
     """A seed or matrix fails its structural requirements."""

@@ -7,13 +7,14 @@ import json
 from .errors import ParseError
 from .homs import PartialSeedHom, SubSeedSpec
 from .seeds import Seed
-from .surface import SurfaceData
+from .surface import SurfaceData, make_surface
 
 __all__ = [
     "seed_to_dict",
     "seed_from_dict",
     "load_seed",
     "dump_seed",
+    "spec_to_dict",
     "hom_to_dict",
     "hom_from_dict",
     "load_hom",
@@ -80,13 +81,13 @@ def dump_seed(seed: Seed, path: str) -> None:
         fh.write("\n")
 
 
+def spec_to_dict(spec: SubSeedSpec, seed: Seed) -> dict:
+    """I0 and I1 as label lists in the seed's label order."""
+    return {"I0": sorted(spec.I0, key=seed.index), "I1": sorted(spec.I1, key=seed.index)}
+
+
 def hom_to_dict(hom: PartialSeedHom) -> dict:
-    source = hom.source
-    return {
-        "I0": sorted(hom.spec.I0, key=source.index),
-        "I1": sorted(hom.spec.I1, key=source.index),
-        "map": hom.map_dict(),
-    }
+    return {**spec_to_dict(hom.spec, hom.source), "map": hom.map_dict()}
 
 
 def hom_from_dict(doc, source: Seed, target: Seed) -> PartialSeedHom:
@@ -148,22 +149,14 @@ def surface_from_dict(doc) -> SurfaceData:
         _require(_is_int(N), "N must be an integer")
         tri = doc.get("triangulation", [])
         _require(isinstance(tri, list), "triangulation must be a list")
-        diagonals = []
-        for d in tri:
-            a, b = _pair(d, "triangulation entry")
-            a, b = min(a, b), max(a, b)
-            diagonals.append((f"d{a}_{b}", (0, (a, b))))
+        diagonals = [_pair(d, "triangulation entry") for d in tri]
         lams = doc.get("laminations", [])
         _require(isinstance(lams, list), "laminations must be a list")
         laminations = []
         for i, curves in enumerate(lams):
             _require(isinstance(curves, list), f"lamination {i} must be a list of curves")
-            cv = []
-            for pair in curves:
-                s, t = _pair(pair, f"lamination {i} curve")
-                cv.append((0, (min(s, t), max(s, t))))
-            laminations.append((f"L{i}", tuple(sorted(cv))))
-        comps = [N]
+            laminations.append([_pair(pair, f"lamination {i} curve") for pair in curves])
+        build, fields = make_surface, (N, diagonals, laminations)
     else:
         for field in ("components", "diagonals", "laminations"):
             _require(field in doc, f"surface document is missing {field!r}")
@@ -194,8 +187,10 @@ def surface_from_dict(doc) -> SurfaceData:
                 s, t = _pair(entry[1], f"lamination {lbl!r} curve")
                 cv.append((entry[0], (min(s, t), max(s, t))))
             laminations.append((lbl, tuple(sorted(cv))))
+        build = SurfaceData
+        fields = (tuple(comps), tuple(sorted(diagonals)), tuple(sorted(laminations)))
     try:
-        return SurfaceData(tuple(comps), tuple(sorted(diagonals)), tuple(sorted(laminations)))
+        return build(*fields)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

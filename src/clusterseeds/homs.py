@@ -19,7 +19,6 @@ __all__ = [
     "PartialSeedHom",
     "mixing_subseed",
     "identity_inclusion",
-    "empty_hom",
     "check_partial_hom",
     "require_hom",
     "compose",
@@ -27,11 +26,7 @@ __all__ = [
     "image_seed",
     "find_seed_iso",
     "enumerate_seed_isos",
-    "is_seed_iso",
-    "inverse_iso",
     "automorphism_group",
-    "factor_through_image",
-    "is_retraction",
 ]
 
 
@@ -151,11 +146,6 @@ def identity_inclusion(seed: Seed, spec: SubSeedSpec) -> PartialSeedHom:
     spec.validate(seed)
     mapping = tuple(None if x in spec.I1 else x for x in seed.labels)
     return PartialSeedHom(seed, spec, seed, mapping)
-
-
-def empty_hom(seed: Seed, target: Seed | None = None) -> PartialSeedHom:
-    spec = SubSeedSpec(frozenset(), frozenset(seed.labels))
-    return PartialSeedHom(seed, spec, target if target is not None else seed, (None,) * len(seed.labels))
 
 
 def check_partial_hom(candidate: PartialSeedHom) -> tuple[bool, str | None]:
@@ -347,67 +337,5 @@ def find_seed_iso(a: Seed, b: Seed) -> PartialSeedHom | None:
     return next(enumerate_seed_isos(a, b), None)
 
 
-def is_seed_iso(hom: PartialSeedHom) -> bool:
-    if hom.spec != EMPTY_SPEC:
-        return False
-    a, b = hom.source, hom.target
-    values = [hom(x) for x in a.labels]
-    if len(set(values)) != len(values) or set(values) != set(b.labels):
-        return False
-    if {hom(x) for x in a.exchangeable_labels} != set(b.exchangeable_labels):
-        return False
-    ok, _ = check_partial_hom(hom)
-    return ok and all(
-        abs(b.b(hom(x), hom(y))) == abs(a.b(x, y))
-        for x in a.exchangeable_labels
-        for y in a.labels
-    )
-
-
-def inverse_iso(iso: PartialSeedHom) -> PartialSeedHom:
-    if not is_seed_iso(iso):
-        raise HomError("not a seed isomorphism")
-    inv = {iso(x): x for x in iso.source.labels}
-    return PartialSeedHom.from_dict(iso.target, EMPTY_SPEC, iso.source, inv)
-
-
 def automorphism_group(seed: Seed) -> list[PartialSeedHom]:
     return list(enumerate_seed_isos(seed, seed))
-
-
-def factor_through_image(f: PartialSeedHom) -> tuple[PartialSeedHom, PartialSeedHom]:
-    """Split f as inclusion after a surjection onto its image seed."""
-    img_spec = image_spec(f)
-    img = mixing_subseed(f.target, img_spec)
-    f1 = PartialSeedHom(f.source, f.spec, img, f.mapping)
-    inclusion = identity_inclusion(f.target, img_spec)
-    return f1, inclusion
-
-
-def is_retraction(f1: PartialSeedHom, onto: Seed | None = None) -> PartialSeedHom | None:
-    """A right inverse g with f1 composed with g the identity, or None.
-
-    f1 should be surjective onto its target (the image-seed factor);
-    the search runs over all sections of the fibers.
-    """
-    img = f1.target if onto is None else onto
-    fibers: dict[str, list[str]] = {y: [] for y in img.labels}
-    for x in f1.domain:
-        v = f1(x)
-        if v in fibers:
-            fibers[v].append(x)
-    if any(not fibers[y] for y in img.labels):
-        return None
-    ident = identity_inclusion(img, EMPTY_SPEC)
-    labels = list(img.labels)
-    for choice in itertools.product(*(fibers[y] for y in labels)):
-        g = PartialSeedHom.from_dict(
-            img, EMPTY_SPEC, f1.source, dict(zip(labels, choice))
-        )
-        ok, _ = check_partial_hom(g)
-        if not ok:
-            continue
-        composed = compose(f1, g)
-        if composed.spec == ident.spec and composed.mapping == ident.mapping:
-            return g
-    return None

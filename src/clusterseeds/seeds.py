@@ -21,9 +21,8 @@ __all__ = [
     "Seed",
     "ValidationReport",
     "validate_seed",
+    "require_valid",
     "matrix_mutation",
-    "connected_components",
-    "is_connected",
     "find_symmetrizer",
 ]
 
@@ -66,18 +65,8 @@ class ExtendedExchangeMatrix:
             if not all(map(isinstance, row, itertools.repeat(int))):
                 raise SeedError(f"row {i} contains non-integer entries")
 
-    @staticmethod
-    def from_rows(rows, m: int = 0) -> "ExtendedExchangeMatrix":
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
-        n = len(rows)
-        return ExtendedExchangeMatrix(n=n, m=m, entries=rows)
-
     def principal(self) -> tuple[tuple[int, ...], ...]:
         return tuple(row[: self.n] for row in self.entries)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
 
 @dataclass(frozen=True)
@@ -126,9 +115,6 @@ class Seed:
         """Label -> position in labels: the one label index of the seed."""
         return {x: i for i, x in enumerate(self.labels)}
 
-    def is_trivial(self) -> bool:
-        return self.n == 0
-
     def index(self, label: str) -> int:
         try:
             return self._position[label]
@@ -155,9 +141,6 @@ class ValidationReport:
     ok: bool
     violations: list[str] = field(default_factory=list)
     symmetrizer: tuple[int, ...] | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def find_symmetrizer(principal) -> tuple[int, ...] | None:
@@ -248,40 +231,3 @@ def matrix_mutation(matrix: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeM
                 row.append(a[j][l] + (abs(a[j][k]) * a[k][l] + a[j][k] * abs(a[k][l])) // 2)
         rows.append(tuple(row))
     return ExtendedExchangeMatrix(n=n, m=m, entries=tuple(rows))
-
-
-def mutate_seed_matrix(seed: Seed, k: int) -> Seed:
-    return Seed(seed.exchangeable_labels, seed.frozen_labels, matrix_mutation(seed.matrix, k))
-
-
-def connected_components(seed: Seed) -> list[tuple[str, ...]]:
-    """Classes of connected pairs, in label order, each sorted by label order.
-
-    (x, y) is a connected pair when x = y, or x != y with
-    b_{xy}^2 + b_{yx}^2 != 0 and at least one of x, y exchangeable.
-    """
-    labels = seed.labels
-    entries = seed.matrix.entries
-    n = seed.n
-    seen: set[int] = set()
-    classes = []
-    for root in range(len(labels)):
-        if root in seen:
-            continue
-        seen.add(root)
-        members = [root]
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in range(len(labels)):
-                if y not in seen and ((x < n and entries[x][y]) or (y < n and entries[y][x])):
-                    seen.add(y)
-                    members.append(y)
-                    stack.append(y)
-        classes.append(tuple(labels[i] for i in sorted(members)))
-    return classes
-
-
-def is_connected(seed: Seed) -> bool:
-    """True iff the extended cluster is joined up by connected pairs."""
-    return len(connected_components(seed)) <= 1

@@ -19,14 +19,12 @@ from .homs import (
     PartialSeedHom,
     SubSeedSpec,
     check_partial_hom,
-    compose,
     enumerate_seed_isos,
     automorphism_group,
-    identity_inclusion,
     image_seed,
     mixing_subseed,
 )
-from .seeds import Seed, connected_components
+from .seeds import Seed
 
 __all__ = [
     "SemigroupTable",
@@ -34,19 +32,13 @@ __all__ = [
     "enumerate_endpar",
     "projected_endpar_bound",
     "green_relations",
-    "d_by_composition",
     "partition_classes",
-    "idempotents",
-    "is_regular_element",
     "is_id_form",
     "regular_D_classes",
     "HClassGroup",
     "h_class_group",
     "StructuralGreenReport",
     "check_structural_green",
-    "is_linear_an",
-    "subseed_components",
-    "regularity_linear_an",
 ]
 
 DEFAULT_CAP = 50_000
@@ -63,9 +55,6 @@ class SemigroupTable:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def mult(self, i: int, j: int) -> int:
-        return int(self.product[i, j])
 
 
 def _all_specs(seed: Seed):
@@ -289,39 +278,11 @@ def green_relations(S: SemigroupTable) -> GreenPartition:
     return GreenPartition(L, R, H, D, tuple(regular), idem)
 
 
-def d_by_composition(S: SemigroupTable, P: GreenPartition, via: str = "LR") -> tuple[int, ...]:
-    """D computed as the relational composition L∘R (or R∘L)."""
-    size = len(S)
-    first, second = (P.L, P.R) if via == "LR" else (P.R, P.L)
-    by_first: dict[int, list[int]] = {}
-    for i in range(size):
-        by_first.setdefault(first[i], []).append(i)
-    by_second: dict[int, list[int]] = {}
-    for i in range(size):
-        by_second.setdefault(second[i], []).append(i)
-    rep_of_first_class: dict[int, int] = {}
-    for fc, members in by_first.items():
-        second_reps = {second[z] for z in members}
-        rep_of_first_class[fc] = min(min(by_second[r]) for r in second_reps)
-    return tuple(rep_of_first_class[first[x]] for x in range(size))
-
-
 def partition_classes(reps) -> dict[int, list[int]]:
     out: dict[int, list[int]] = {}
     for i, r in enumerate(reps):
         out.setdefault(r, []).append(i)
     return out
-
-
-def idempotents(S: SemigroupTable) -> list[int]:
-    return [i for i in range(len(S)) if S.product[i, i] == i]
-
-
-def is_regular_element(S: SemigroupTable, i: int) -> int | None:
-    """Witness index g with i∘g∘i = i, or None."""
-    row = S.product[i, :]
-    hits = np.nonzero(S.product[row, i] == i)[0]
-    return int(hits[0]) if hits.size else None
 
 
 def is_id_form(h: PartialSeedHom) -> bool:
@@ -476,73 +437,3 @@ def check_structural_green(S: SemigroupTable, P: GreenPartition) -> StructuralGr
             )
     r = len(regular)
     return StructuralGreenReport(r, r * (r - 1) // 2, True)
-
-
-def is_linear_an(seed: Seed) -> bool:
-    """True iff the underlying graph of the quiver is a simple path
-    through the whole extended cluster with all arrow weights 1."""
-    total = seed.n + seed.m
-    if total == 0:
-        return False
-    if total == 1:
-        return True
-    deg = [0] * total
-    edges = set()
-    for i in range(seed.n):
-        for j in range(total):
-            b = seed.matrix.entries[i][j]
-            if b != 0:
-                if abs(b) != 1:
-                    return False
-                edges.add((min(i, j), max(i, j)))
-    for i, j in edges:
-        deg[i] += 1
-        deg[j] += 1
-    if len(edges) != total - 1:
-        return False
-    if sorted(deg)[:2] != [1, 1] or max(deg) > 2:
-        return False
-    return len(connected_components(seed)) == 1
-
-
-def subseed_components(seed: Seed, spec: SubSeedSpec) -> list[tuple[str, ...]]:
-    """Connected components of the (I0, I1) sub-seed's quiver."""
-    return connected_components(mixing_subseed(seed, spec))
-
-
-def regularity_linear_an(f: PartialSeedHom) -> bool:
-    """Regularity test special to path-shaped quivers.
-
-    (a) whenever the images of two sub-seed components are linked by a
-    nonzero entry, both images lie inside the image of one component;
-    (b) no fiber of the map mixes the exchangeable part of the domain
-    with the frozen part.
-    """
-    seed = f.source
-    if not is_linear_an(seed):
-        raise SeedError("source quiver is not a linear path with unit weights")
-    comps = subseed_components(seed, f.spec)
-    images = [frozenset(f(x) for x in c) for c in comps]
-    img = image_seed(f)
-
-    def linked(A, B) -> bool:
-        # linkage in the image seed: a nonzero entry needs an exchangeable end
-        return any(
-            img.b_or_zero(s1, s2) != 0 or img.b_or_zero(s2, s1) != 0
-            for s1 in A
-            for s2 in B
-        )
-
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            if linked(images[i], images[j]):
-                merged = images[i] | images[j]
-                if not any(merged <= blk for blk in images):
-                    return False
-    dom_ex = set(f.dom_ex)
-    fibers: dict[str, set[bool]] = {}
-    for x in f.domain:
-        fibers.setdefault(f(x), set()).add(x in dom_ex)
-    if any(len(kinds) > 1 for kinds in fibers.values()):
-        return False
-    return True

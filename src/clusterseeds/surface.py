@@ -26,10 +26,8 @@ __all__ = [
     "SurfaceData",
     "make_surface",
     "validate_surface",
-    "triangles_of",
     "diagonals_cross",
     "curve_crosses",
-    "shear_contribution",
     "b_matrix_from_triangulation",
     "shear_coordinates",
     "seed_from_surface",
@@ -37,7 +35,6 @@ __all__ = [
     "paunched_surface",
     "check_theorem_sur",
     "surface_iso",
-    "enumerate_triangulations",
 ]
 
 # Curve = (component index, (segment, segment)); Diagonal = (a, b) with a < b.
@@ -59,12 +56,6 @@ class SurfaceData:
 
     def __post_init__(self):
         validate_surface(self)
-
-    def diagonal_map(self) -> dict[str, tuple[int, tuple[int, int]]]:
-        return dict(self.diagonals)
-
-    def lamination_map(self):
-        return dict(self.laminations)
 
     def diagonal_labels(self) -> tuple[str, ...]:
         return self._labels[0]
@@ -93,16 +84,14 @@ def _norm_curve(comp: int, s: int, t: int):
 
 
 def make_surface(N: int, diagonals, laminations=()) -> SurfaceData:
-    """Single-polygon surface with default labels d{a}_{b} and L{i}."""
-    diag = tuple(
-        (f"d{min(a, b)}_{max(a, b)}", (0, (min(a, b), max(a, b))))
-        for a, b in sorted(tuple(sorted(d)) for d in diagonals)
-    )
-    lams = tuple(
+    """Single-polygon surface with default labels d{a}_{b} and L{i},
+    diagonals and laminations each in label order."""
+    diag = sorted((f"d{a}_{b}", (0, (a, b))) for a, b in map(sorted, diagonals))
+    lams = sorted(
         (f"L{i}", tuple(sorted(_norm_curve(0, s, t) for s, t in curves)))
         for i, curves in enumerate(laminations)
     )
-    return SurfaceData((N,), diag, lams)
+    return SurfaceData((N,), tuple(diag), tuple(lams))
 
 
 def diagonals_cross(d1: tuple[int, int], d2: tuple[int, int], N: int) -> bool:
@@ -145,16 +134,6 @@ def validate_surface(data: SurfaceData) -> SurfaceData:
             if s == t:
                 raise SeedError(f"lamination {lbl!r} has a boundary-parallel curve")
     return data
-
-
-def triangles_of(N: int, diagonals) -> list[tuple[int, int, int]]:
-    """Faces of the triangulated N-gon as vertex triples u < v < w.
-
-    For a maximal noncrossing diagonal family the 3-cliques of the
-    side graph (boundary plus diagonals) are exactly the faces; the
-    count is checked.
-    """
-    return list(_polygon_table(N, tuple(sorted(tuple(d) for d in diagonals)))[0])
 
 
 # The caches below are keyed by one polygon's (N, diagonals) and return
@@ -237,8 +216,14 @@ def curve_crosses(curve, comp: int, diag: tuple[int, int]) -> bool:
 
 
 def _crossing_sign(N: int, diag: tuple[int, int], apexes, curve) -> int:
-    """Contribution of a curve that crosses diag, with the apexes of
-    diag's triangles read from apexes (of a _polygon_table)."""
+    """Contribution of a curve that crosses diag, with the apexes p, q of
+    diag's triangles read from apexes (of a _polygon_table).
+
+    With quadrilateral corners a, p, b, q in counterclockwise order, a
+    curve leaving through sides (a,p) and (b,q) contributes -1, one
+    leaving through (p,b) and (q,a) contributes +1, and one using two
+    adjacent sides 0; the companion-curve row identity after a freeze
+    cut pins this convention."""
     _, (s, t) = curve
     try:
         p, q = apexes[tuple(diag)]
@@ -253,21 +238,6 @@ def _crossing_sign(N: int, diag: tuple[int, int], apexes, curve) -> int:
     if not near_a_inner and not near_b_outer:
         return 1
     return 0
-
-
-def shear_contribution(N: int, diagonals, diag: tuple[int, int], curve) -> int:
-    """Signed crossing of one curve with one diagonal's quadrilateral.
-
-    With quadrilateral corners a, p, b, q in counterclockwise order,
-    a curve leaving through sides (a,p) and (b,q) contributes -1, one
-    leaving through (p,b) and (q,a) contributes +1, and a curve using
-    two adjacent sides contributes 0.  The convention is pinned by the
-    companion-curve row identity after a freeze cut.
-    """
-    if not curve_crosses(curve, curve[0], diag):
-        return 0
-    _, apexes, _ = _polygon_table(N, tuple(sorted(tuple(d) for d in diagonals)))
-    return _crossing_sign(N, diag, apexes, curve)
 
 
 @lru_cache(maxsize=4096)
@@ -469,26 +439,3 @@ def surface_iso(a: SurfaceData, b: SurfaceData) -> bool:
             if lam_img == b_lams:
                 return True
     return False
-
-
-def enumerate_triangulations(N: int) -> list[frozenset[tuple[int, int]]]:
-    """All triangulations of the convex N-gon as diagonal sets."""
-
-    def rec(vertices: tuple[int, ...]):
-        if len(vertices) < 3:
-            return [frozenset()]
-        v0, vlast = vertices[0], vertices[-1]
-        out = []
-        for i in range(1, len(vertices) - 1):
-            apex = vertices[i]
-            for left in rec(vertices[: i + 1]):
-                for right in rec(vertices[i:]):
-                    diags = set(left) | set(right)
-                    for u, v in ((v0, apex), (apex, vlast)):
-                        u, v = min(u, v), max(u, v)
-                        if v - u not in (1, N - 1):
-                            diags.add((u, v))
-                    out.append(frozenset(diags))
-        return out
-
-    return rec(tuple(range(N)))

@@ -11,7 +11,8 @@ import random
 import numpy as np
 import pytest
 
-from clusterseeds import Seed, SurfaceData, enumerate_triangulations, make_surface
+from clusterseeds import Seed, SurfaceData, make_surface
+from oracles import enumerate_triangulations
 
 
 def linear_path_seed(n: int) -> Seed:

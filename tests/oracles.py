@@ -1,11 +1,34 @@
-"""Independent reference computations that the tests compare the library with.
+"""Independent reference computations and paper propositions that the
+tests compare the library with.
 
-Each oracle is a second, slower way to get a result the library
-computes; it lives here, not in the library, because no command needs
-it.
+Each function here is a second, slower way to get a result the library
+computes, a proposition of the paper checked on the library's objects
+(retractions, the path-quiver regularity test, D as L∘R), or an input
+the tests share (the empty homomorphism, every triangulation of an
+N-gon).  They live here, not in the library, because no command needs
+them.
 """
 
+import itertools
+
+import numpy as np
+
 from clusterseeds import MultiPoly
+from clusterseeds.errors import HomError, SeedError
+from clusterseeds.homs import (
+    EMPTY_SPEC,
+    PartialSeedHom,
+    SubSeedSpec,
+    check_partial_hom,
+    compose,
+    identity_inclusion,
+    image_seed,
+    image_spec,
+    mixing_subseed,
+)
+from clusterseeds.seeds import Seed, matrix_mutation
+from clusterseeds.semigroup import GreenPartition, SemigroupTable
+from clusterseeds.surface import _crossing_sign, _polygon_table, curve_crosses
 
 
 def grlex_key(exponents):
@@ -47,3 +70,257 @@ def reference_str(poly: MultiPoly) -> str:
     for sign, mono in parts[1:]:
         out += f" {sign} {mono}"
     return out
+
+
+def mutate_seed_matrix(seed: Seed, k: int) -> Seed:
+    return Seed(seed.exchangeable_labels, seed.frozen_labels, matrix_mutation(seed.matrix, k))
+
+
+def connected_components(seed: Seed) -> list[tuple[str, ...]]:
+    """Classes of connected pairs, in label order, each sorted by label order.
+
+    (x, y) is a connected pair when x = y, or x != y with
+    b_{xy}^2 + b_{yx}^2 != 0 and at least one of x, y exchangeable.
+    """
+    labels = seed.labels
+    entries = seed.matrix.entries
+    n = seed.n
+    seen: set[int] = set()
+    classes = []
+    for root in range(len(labels)):
+        if root in seen:
+            continue
+        seen.add(root)
+        members = [root]
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y in range(len(labels)):
+                if y not in seen and ((x < n and entries[x][y]) or (y < n and entries[y][x])):
+                    seen.add(y)
+                    members.append(y)
+                    stack.append(y)
+        classes.append(tuple(labels[i] for i in sorted(members)))
+    return classes
+
+
+def is_connected(seed: Seed) -> bool:
+    """True iff the extended cluster is joined up by connected pairs."""
+    return len(connected_components(seed)) <= 1
+
+
+def empty_hom(seed: Seed, target: Seed | None = None) -> PartialSeedHom:
+    spec = SubSeedSpec(frozenset(), frozenset(seed.labels))
+    return PartialSeedHom(seed, spec, target if target is not None else seed, (None,) * len(seed.labels))
+
+
+def is_seed_iso(hom: PartialSeedHom) -> bool:
+    if hom.spec != EMPTY_SPEC:
+        return False
+    a, b = hom.source, hom.target
+    values = [hom(x) for x in a.labels]
+    if len(set(values)) != len(values) or set(values) != set(b.labels):
+        return False
+    if {hom(x) for x in a.exchangeable_labels} != set(b.exchangeable_labels):
+        return False
+    ok, _ = check_partial_hom(hom)
+    return ok and all(
+        abs(b.b(hom(x), hom(y))) == abs(a.b(x, y))
+        for x in a.exchangeable_labels
+        for y in a.labels
+    )
+
+
+def inverse_iso(iso: PartialSeedHom) -> PartialSeedHom:
+    if not is_seed_iso(iso):
+        raise HomError("not a seed isomorphism")
+    inv = {iso(x): x for x in iso.source.labels}
+    return PartialSeedHom.from_dict(iso.target, EMPTY_SPEC, iso.source, inv)
+
+
+def factor_through_image(f: PartialSeedHom) -> tuple[PartialSeedHom, PartialSeedHom]:
+    """Split f as inclusion after a surjection onto its image seed."""
+    img_spec = image_spec(f)
+    img = mixing_subseed(f.target, img_spec)
+    f1 = PartialSeedHom(f.source, f.spec, img, f.mapping)
+    inclusion = identity_inclusion(f.target, img_spec)
+    return f1, inclusion
+
+
+def is_retraction(f1: PartialSeedHom, onto: Seed | None = None) -> PartialSeedHom | None:
+    """A right inverse g with f1 composed with g the identity, or None.
+
+    f1 should be surjective onto its target (the image-seed factor);
+    the search runs over all sections of the fibers.
+    """
+    img = f1.target if onto is None else onto
+    fibers: dict[str, list[str]] = {y: [] for y in img.labels}
+    for x in f1.domain:
+        v = f1(x)
+        if v in fibers:
+            fibers[v].append(x)
+    if any(not fibers[y] for y in img.labels):
+        return None
+    ident = identity_inclusion(img, EMPTY_SPEC)
+    labels = list(img.labels)
+    for choice in itertools.product(*(fibers[y] for y in labels)):
+        g = PartialSeedHom.from_dict(
+            img, EMPTY_SPEC, f1.source, dict(zip(labels, choice))
+        )
+        ok, _ = check_partial_hom(g)
+        if not ok:
+            continue
+        composed = compose(f1, g)
+        if composed.spec == ident.spec and composed.mapping == ident.mapping:
+            return g
+    return None
+
+
+def d_by_composition(S: SemigroupTable, P: GreenPartition, via: str = "LR") -> tuple[int, ...]:
+    """D computed as the relational composition L∘R (or R∘L)."""
+    size = len(S)
+    first, second = (P.L, P.R) if via == "LR" else (P.R, P.L)
+    by_first: dict[int, list[int]] = {}
+    for i in range(size):
+        by_first.setdefault(first[i], []).append(i)
+    by_second: dict[int, list[int]] = {}
+    for i in range(size):
+        by_second.setdefault(second[i], []).append(i)
+    rep_of_first_class: dict[int, int] = {}
+    for fc, members in by_first.items():
+        second_reps = {second[z] for z in members}
+        rep_of_first_class[fc] = min(min(by_second[r]) for r in second_reps)
+    return tuple(rep_of_first_class[first[x]] for x in range(size))
+
+
+def idempotents(S: SemigroupTable) -> list[int]:
+    return [i for i in range(len(S)) if S.product[i, i] == i]
+
+
+def is_regular_element(S: SemigroupTable, i: int) -> int | None:
+    """Witness index g with i∘g∘i = i, or None."""
+    row = S.product[i, :]
+    hits = np.nonzero(S.product[row, i] == i)[0]
+    return int(hits[0]) if hits.size else None
+
+
+def is_linear_an(seed: Seed) -> bool:
+    """True iff the underlying graph of the quiver is a simple path
+    through the whole extended cluster with all arrow weights 1."""
+    total = seed.n + seed.m
+    if total == 0:
+        return False
+    if total == 1:
+        return True
+    deg = [0] * total
+    edges = set()
+    for i in range(seed.n):
+        for j in range(total):
+            b = seed.matrix.entries[i][j]
+            if b != 0:
+                if abs(b) != 1:
+                    return False
+                edges.add((min(i, j), max(i, j)))
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+    if len(edges) != total - 1:
+        return False
+    if sorted(deg)[:2] != [1, 1] or max(deg) > 2:
+        return False
+    return len(connected_components(seed)) == 1
+
+
+def subseed_components(seed: Seed, spec: SubSeedSpec) -> list[tuple[str, ...]]:
+    """Connected components of the (I0, I1) sub-seed's quiver."""
+    return connected_components(mixing_subseed(seed, spec))
+
+
+def regularity_linear_an(f: PartialSeedHom) -> bool:
+    """Regularity test special to path-shaped quivers.
+
+    (a) whenever the images of two sub-seed components are linked by a
+    nonzero entry, both images lie inside the image of one component;
+    (b) no fiber of the map mixes the exchangeable part of the domain
+    with the frozen part.
+    """
+    seed = f.source
+    if not is_linear_an(seed):
+        raise SeedError("source quiver is not a linear path with unit weights")
+    comps = subseed_components(seed, f.spec)
+    images = [frozenset(f(x) for x in c) for c in comps]
+    img = image_seed(f)
+
+    def linked(A, B) -> bool:
+        # linkage in the image seed: a nonzero entry needs an exchangeable end
+        return any(
+            img.b_or_zero(s1, s2) != 0 or img.b_or_zero(s2, s1) != 0
+            for s1 in A
+            for s2 in B
+        )
+
+    for i in range(len(comps)):
+        for j in range(i + 1, len(comps)):
+            if linked(images[i], images[j]):
+                merged = images[i] | images[j]
+                if not any(merged <= blk for blk in images):
+                    return False
+    dom_ex = set(f.dom_ex)
+    fibers: dict[str, set[bool]] = {}
+    for x in f.domain:
+        fibers.setdefault(f(x), set()).add(x in dom_ex)
+    if any(len(kinds) > 1 for kinds in fibers.values()):
+        return False
+    return True
+
+
+def spec_universe_size(seed: Seed) -> int:
+    return 3**seed.n * 2**seed.m
+
+
+def triangles_of(N: int, diagonals) -> list[tuple[int, int, int]]:
+    """Faces of the triangulated N-gon as vertex triples u < v < w.
+
+    For a maximal noncrossing diagonal family the 3-cliques of the
+    side graph (boundary plus diagonals) are exactly the faces; the
+    count is checked.
+    """
+    return list(_polygon_table(N, tuple(sorted(tuple(d) for d in diagonals)))[0])
+
+
+def shear_contribution(N: int, diagonals, diag: tuple[int, int], curve) -> int:
+    """Signed crossing of one curve with one diagonal's quadrilateral.
+
+    With quadrilateral corners a, p, b, q in counterclockwise order,
+    a curve leaving through sides (a,p) and (b,q) contributes -1, one
+    leaving through (p,b) and (q,a) contributes +1, and a curve using
+    two adjacent sides contributes 0.  The convention is pinned by the
+    companion-curve row identity after a freeze cut.
+    """
+    if not curve_crosses(curve, curve[0], diag):
+        return 0
+    _, apexes, _ = _polygon_table(N, tuple(sorted(tuple(d) for d in diagonals)))
+    return _crossing_sign(N, diag, apexes, curve)
+
+
+def enumerate_triangulations(N: int) -> list[frozenset[tuple[int, int]]]:
+    """All triangulations of the convex N-gon as diagonal sets."""
+
+    def rec(vertices: tuple[int, ...]):
+        if len(vertices) < 3:
+            return [frozenset()]
+        v0, vlast = vertices[0], vertices[-1]
+        out = []
+        for i in range(1, len(vertices) - 1):
+            apex = vertices[i]
+            for left in rec(vertices[: i + 1]):
+                for right in rec(vertices[i:]):
+                    diags = set(left) | set(right)
+                    for u, v in ((v0, apex), (apex, vlast)):
+                        u, v = min(u, v), max(u, v)
+                        if v - u not in (1, N - 1):
+                            diags.add((u, v))
+                    out.append(frozenset(diags))
+        return out
+
+    return rec(tuple(range(N)))

@@ -6,7 +6,6 @@ from clusterseeds import (
     SubSeedSpec,
     is_subalgebra_type,
     iso_classes_of_subseeds,
-    spec_universe_size,
     theorem_number_report,
 )
 from conftest import (
@@ -17,6 +16,7 @@ from conftest import (
     linear_path_seed,
     trivial_seed,
 )
+from oracles import spec_universe_size
 
 
 def test_spec_universe_size():

@@ -10,14 +10,13 @@ from clusterseeds import (
     Seed,
     diagonals_cross,
     enumerate_clusters,
-    enumerate_triangulations,
     make_surface,
     poly as poly_module,
     seed_from_surface,
 )
 from clusterseeds.poly import ClusterEnumeration, initial_state, mutate_state
 from conftest import a2_seed, linear_path_seed, trivial_seed
-from oracles import reference_str
+from oracles import enumerate_triangulations, reference_str
 
 
 def reference_enumerate_clusters(
@@ -187,7 +186,7 @@ def test_polygon_d_vectors_are_crossing_numbers(N):
     and the clusters are the triangulations, Catalan(N-2) of them."""
     data = make_surface(N, enumerate_triangulations(N)[0])
     seed = seed_from_surface(data)
-    diagonal = data.diagonal_map()
+    diagonal = dict(data.diagonals)
     initial = [diagonal[x][1] for x in seed.exchangeable_labels]
     arcs = [(a, b) for a in range(N) for b in range(a + 2, N) if b - a != N - 1]
     crossings = {}

@@ -1,6 +1,7 @@
 """JSON round trips and schema rejection for seeds, homs, and surfaces."""
 
 import json
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from clusterseeds.fileio import (
     surface_to_dict,
 )
 from conftest import a2_seed, amalgam_seed
+from oracles import enumerate_triangulations
 
 
 def test_seed_round_trip(tmp_path):
@@ -107,6 +109,17 @@ def test_surface_single_polygon_shorthand():
     doc = {"N": 4, "triangulation": [[0, 2]], "laminations": [[[1, 3]]]}
     surf = surface_from_dict(doc)
     assert surf == make_surface(4, [(0, 2)], laminations=[[(1, 3)]])
+
+
+@pytest.mark.parametrize("N", [11, 12])
+def test_make_surface_equals_the_shorthand_document(N):
+    # from N = 11 on, label order differs from vertex order (d1_10 sorts
+    # before d1_2), and from 11 laminations on, L10 sorts before L2
+    rng = random.Random(N)
+    for tri in enumerate_triangulations(N)[:300]:
+        laminations = [[rng.sample(range(N), 2)] for _ in range(rng.choice((0, 1, 12)))]
+        doc = {"N": N, "triangulation": [list(d) for d in tri], "laminations": laminations}
+        assert make_surface(N, tri, laminations) == surface_from_dict(doc)
 
 
 def test_surface_from_dict_rejects_invalid_geometry():

@@ -13,18 +13,13 @@ from clusterseeds import (
     automorphism_group,
     check_partial_hom,
     compose,
-    empty_hom,
     enumerate_endpar,
     enumerate_seed_isos,
-    factor_through_image,
     find_seed_iso,
     green_relations,
     identity_inclusion,
     image_seed,
     image_spec,
-    inverse_iso,
-    is_retraction,
-    is_seed_iso,
     iso_classes_of_subseeds,
     mixing_subseed,
     projected_endpar_bound,
@@ -39,6 +34,7 @@ from conftest import (
     linear_path_seed,
     trivial_seed,
 )
+from oracles import empty_hom, factor_through_image, inverse_iso, is_retraction, is_seed_iso
 
 
 def spec(i0=(), i1=()):

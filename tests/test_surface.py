@@ -18,21 +18,19 @@ from clusterseeds import (
     curve_crosses,
     cut_along,
     diagonals_cross,
-    enumerate_triangulations,
     find_seed_iso,
     make_surface,
     matrix_mutation,
     mixing_subseed,
     paunched_surface,
     seed_from_surface,
-    shear_contribution,
     shear_coordinates,
     surface_iso,
-    triangles_of,
     validate_surface,
 )
 from clusterseeds.fileio import surface_to_dict
 from conftest import seeded_polygons, two_component_surface
+from oracles import enumerate_triangulations, shear_contribution, triangles_of
 
 
 def fan(N):
@@ -161,7 +159,7 @@ def test_shear_sign_convention_on_the_square():
 
 def test_shear_row_sums_parallel_curves():
     surf = make_surface(4, [(0, 2)], laminations=[[(1, 3), (1, 3)]])
-    row = shear_coordinates(surf, surf.lamination_map()["L0"])
+    row = shear_coordinates(surf, dict(surf.laminations)["L0"])
     assert abs(row["d0_2"]) == 2
 
 
@@ -171,14 +169,14 @@ def test_seed_reads_laminations_in_label_order():
     surf = SurfaceData((4,), (("d", (0, (0, 2))),), lams)
     seed = seed_from_surface(surf)
     assert seed.frozen_labels == ("L", "M")
-    lam = surf.lamination_map()
+    lam = dict(surf.laminations)
     assert [seed.b("d", y) for y in "LM"] == [shear_coordinates(surf, lam[y])["d"] for y in "LM"]
     assert seed.b("d", "L") == -seed.b("d", "M") != 0
 
 
 def test_noncrossing_curve_contributes_zero():
     surf = make_surface(5, fan(5), laminations=[[(3, 4)]])
-    row = shear_coordinates(surf, surf.lamination_map()["L0"])
+    row = shear_coordinates(surf, dict(surf.laminations)["L0"])
     assert row == {"d0_2": 0, "d0_3": 0}
 
 
@@ -204,7 +202,7 @@ def test_cut_requires_a_diagonal():
 def test_cut_clips_crossing_curves():
     surf = make_surface(4, [(0, 2)], laminations=[[(1, 3)]])
     out = cut_along(surf, "d0_2", mode="delete")
-    lam = out.lamination_map()["L0"]
+    lam = dict(out.laminations)["L0"]
     assert len(lam) == 2  # one fragment per side
     # each fragment ends on the freshly cut boundary segment
     for c, (s, t) in lam:
@@ -214,7 +212,7 @@ def test_cut_clips_crossing_curves():
 def test_freeze_cut_adds_companion_curves():
     surf = make_surface(5, fan(5))
     out = cut_along(surf, "d0_2", mode="freeze")
-    lam = out.lamination_map()
+    lam = dict(out.laminations)
     assert "d0_2" in lam
     assert len(lam["d0_2"]) == 2  # one hugging curve per side
 
@@ -465,7 +463,7 @@ def test_polygon_tables_keep_each_component_labels_apart():
 
 def test_matrix_and_shear_row_are_fresh_per_call():
     surf = make_surface(6, fan(6), laminations=[[(1, 4), (2, 5)]])
-    curves = surf.lamination_map()["L0"]
+    curves = dict(surf.laminations)["L0"]
     labels, B = b_matrix_from_triangulation(surf)
     row = shear_coordinates(surf, curves)
     expected = (labels, [r[:] for r in B]), dict(row)
@@ -539,7 +537,7 @@ def _flip(data, x):
     (N,) = data.components
     diagonals = [d for _, (_, d) in data.diagonals]
     _, apexes, _ = surface_module._polygon_table(N, tuple(sorted(diagonals)))
-    p, q = sorted(apexes[data.diagonal_map()[x][1]])
+    p, q = sorted(apexes[dict(data.diagonals)[x][1]])
     flipped = tuple((lbl, (0, (p, q)) if lbl == x else d) for lbl, d in data.diagonals)
     return SurfaceData(data.components, flipped, data.laminations)
 
