@@ -52,7 +52,6 @@ from .semigroup import (
     enumerate_endpar,
     green_relations,
     h_class_group,
-    is_id_form,
     partition_classes,
     projected_endpar_bound,
     regular_D_classes,

@@ -10,14 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import TheoremViolation
-from .homs import SubSeedSpec, find_seed_iso, identity_inclusion, mixing_subseed
+from .homs import SubSeedSpec, find_seed_iso, mixing_subseed
 from .seeds import Seed
 from .semigroup import (
     DEFAULT_CAP,
     GreenPartition,
     SemigroupTable,
     _all_specs,
+    _digit_row,
+    _id_form,
+    _row_index,
     enumerate_endpar,
     green_relations,
     regular_D_classes,
@@ -90,11 +95,16 @@ def theorem_number_report(seed: Seed, cap: int = DEFAULT_CAP) -> ClassificationR
     P = green_relations(S)
     regular = regular_D_classes(S, P)
     regular_reps = {rep for rep, _ in regular}
+    id_form_of_row = _row_index(S, np.flatnonzero(_id_form(S.digits)).tolist())
     d_class_map: dict[SubSeedSpec, int] = {}
     for cls in classes:
         d_reps = set()
         for spec in cls.members:
-            e = S.index[identity_inclusion(seed, spec)]
+            e = id_form_of_row.get(_digit_row(seed, spec, lambda x: x))
+            if e is None:
+                raise TheoremViolation(
+                    f"the identity inclusion of {spec} is not in the semigroup"
+                )
             d_reps.add(P.D[e])
         if len(d_reps) != 1:
             raise TheoremViolation(

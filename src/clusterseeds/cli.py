@@ -157,7 +157,7 @@ def cmd_endpar(args):
         "size": len(S),
         "projected_bound": bound,
         "zero_index": S.zero_index,
-        "elements": [hom_to_dict(h) for h in S.elements],
+        "elements": [hom_to_dict(S.element(i)) for i in range(len(S))],
     }
 
     def human(d):

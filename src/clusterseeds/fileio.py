@@ -13,7 +13,6 @@ __all__ = [
     "seed_to_dict",
     "seed_from_dict",
     "load_seed",
-    "dump_seed",
     "spec_to_dict",
     "hom_to_dict",
     "hom_from_dict",
@@ -73,12 +72,6 @@ def seed_from_dict(doc) -> Seed:
 
 def load_seed(path: str) -> Seed:
     return seed_from_dict(_read_json(path))
-
-
-def dump_seed(seed: Seed, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(seed_to_dict(seed), fh, indent=2)
-        fh.write("\n")
 
 
 def spec_to_dict(spec: SubSeedSpec, seed: Seed) -> dict:

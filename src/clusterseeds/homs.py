@@ -37,10 +37,6 @@ class SubSeedSpec:
     I0: frozenset[str]
     I1: frozenset[str]
 
-    @staticmethod
-    def of(I0, I1) -> "SubSeedSpec":
-        return SubSeedSpec(frozenset(I0), frozenset(I1))
-
     def validate(self, seed: Seed) -> None:
         bad = self.I0 - set(seed.exchangeable_labels)
         if bad:
@@ -105,9 +101,9 @@ class PartialSeedHom:
 
     @staticmethod
     def from_dict(source: Seed, spec: SubSeedSpec, target: Seed, map_dict) -> "PartialSeedHom":
-        mapping = tuple(
-            None if x in spec.I1 else map_dict.get(x) for x in source.labels
-        )
+        """The map as given, an I1 label's entry included, so that
+        check_partial_hom can reject it; labels without an entry map to None."""
+        mapping = tuple(map(map_dict.get, source.labels))
         return PartialSeedHom(source, spec, target, mapping)
 
     def __call__(self, label: str) -> str:
@@ -134,11 +130,6 @@ class PartialSeedHom:
     @property
     def domain(self) -> tuple[str, ...]:
         return tuple(x for x in self.source.labels if x not in self.spec.I1)
-
-    def is_empty(self) -> bool:
-        return all(v is None for v in self.mapping) and len(self.spec.I1) == len(
-            self.source.labels
-        )
 
 
 def identity_inclusion(seed: Seed, spec: SubSeedSpec) -> PartialSeedHom:

@@ -8,8 +8,9 @@ exponents and divides exactly; a quotient outside Z[x^+-1] raises
 ``LaurentViolation`` and aborts the run instead of returning a wrong
 value.
 
-A polynomial keeps the packed form it was computed in (each exponent
-vector packed into one int) together with its exact exponent ranges,
+A polynomial is stored in one form, packed (each exponent vector
+packed into one int), together with its exact exponent ranges: it is
+packed when built from terms and keeps the packing it was computed in,
 so an operand is packed once however often it is squared or divided,
 and the tuple-keyed ``terms`` and the printed text are made on first
 use only.
@@ -136,9 +137,9 @@ class MultiPoly:
     """Integer Laurent polynomial in the ordered variables of an extended cluster.
 
     Besides the context, a polynomial holds its exact exponent ranges
-    ``lo``..``hi`` per variable (None for zero) and, once made, its
-    packed form: a dict from packed keys to nonzero coefficients in the
-    packing sized by those ranges.  The ranges of a product are the sums
+    ``lo``..``hi`` per variable (None for zero) and its packed form: a
+    dict from packed keys to nonzero coefficients in the packing sized
+    by those ranges.  The ranges of a product are the sums
     of the operands' ranges and those of an exact quotient the
     differences (Newton polytopes add), so they stay exact without a
     scan; equal polynomials have equal ranges, hence one packing and
@@ -148,25 +149,24 @@ class MultiPoly:
     __slots__ = ("context", "_lo", "_hi", "_packing", "_packed", "_terms", "_hash", "_str")
 
     def __init__(self, context: tuple[str, ...], terms: dict[tuple[int, ...], int]):
-        self.context = context
         terms = {e: c for e, c in terms.items() if c != 0}
-        self._terms = MappingProxyType(terms)
-        if terms:
-            self._lo = tuple(map(min, zip(*terms)))
-            self._hi = tuple(map(max, zip(*terms)))
-        else:
-            self._lo = self._hi = None
-        self._packing = self._packed = self._hash = self._str = None
+        lo = tuple(map(min, zip(*terms))) if terms else None
+        hi = tuple(map(max, zip(*terms))) if terms else None
+        p = _packing(len(context), _bound(lo, hi) if terms else 0)
+        self._init(context, p, {p.pack(e): c for e, c in terms.items()}, lo, hi)
+
+    def _init(self, context, packing: _Packing, packed: dict[int, int], lo, hi) -> None:
+        self.context = context
+        self._lo, self._hi = lo, hi
+        self._packing, self._packed = packing, packed
+        self._terms = self._hash = self._str = None
 
     @classmethod
     def _from_packed(cls, context, packing: _Packing, packed: dict[int, int], lo, hi) -> "MultiPoly":
         if not packed:
             return cls(context, {})
         self = object.__new__(cls)
-        self.context = context
-        self._lo, self._hi = lo, hi
-        self._packing, self._packed = packing, packed
-        self._terms = self._hash = self._str = None
+        self._init(context, packing, packed, lo, hi)
         return self
 
     @staticmethod
@@ -189,56 +189,41 @@ class MultiPoly:
             self._terms = MappingProxyType({unpack(k): c for k, c in self._packed.items()})
         return self._terms
 
-    def _items(self):
-        """(exponents, coefficient) pairs, without keeping an unpacked copy."""
-        if self._terms is not None:
-            return self._terms.items()
-        unpack = self._packing.unpack
-        return ((unpack(k), c) for k, c in self._packed.items())
-
-    def _pack(self) -> tuple[_Packing, dict[int, int]]:
-        """The packing and the packed form, packed on first use."""
-        if self._packing is None:
-            p = _packing(len(self.context), _bound(self._lo, self._hi) if self._lo else 0)
-            self._packed = {p.pack(e): c for e, c in self._terms.items()}
-            self._packing = p
-        return self._packing, self._packed
-
     def _keys(self, p: _Packing, shift=None) -> dict[int, int]:
         """The packed form of self * x^-shift in packing p, which must
         hold its exponents.  Packing is linear, so within self's own
         packing a shift is one subtraction per key."""
-        if self._pack()[0] is p:
+        if self._packing is p:
             if shift is None:
                 return self._packed
             ks = p.pack(shift)
             return {k - ks: c for k, c in self._packed.items()}
+        unpack = self._packing.unpack
         if shift is None:
-            return {p.pack(e): c for e, c in self._items()}
-        return {p.pack(tuple(map(operator.sub, e, shift))): c for e, c in self._items()}
+            return {p.pack(unpack(k)): c for k, c in self._packed.items()}
+        return {
+            p.pack(tuple(map(operator.sub, unpack(k), shift))): c
+            for k, c in self._packed.items()
+        }
 
     def is_zero(self) -> bool:
         return self._lo is None
 
-    def is_monomial(self) -> bool:
-        return len(self._terms if self._terms is not None else self._packed) == 1
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return False
-        if self.context != other.context or self._lo != other._lo or self._hi != other._hi:
-            return False
-        if self._terms is not None and other._terms is not None:
-            return self._terms == other._terms
         # equal ranges, so one packing
-        return self._pack()[1] == other._pack()[1]
+        return (
+            self.context == other.context
+            and self._lo == other._lo
+            and self._hi == other._hi
+            and self._packed == other._packed
+        )
 
     def __hash__(self):
-        # from the ranges and the coefficient sum, which do not depend
-        # on whether the packed or the unpacked form is at hand
         if self._hash is None:
-            coefs = self._terms if self._terms is not None else self._packed
-            self._hash = hash((self.context, self._lo, self._hi, len(coefs), sum(coefs.values())))
+            packed = self._packed
+            self._hash = hash((self.context, self._lo, self._hi, len(packed), sum(packed.values())))
         return self._hash
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
@@ -247,7 +232,7 @@ class MultiPoly:
         if other.is_zero():
             return self
         # the wider of the two packings holds both operands and the sum
-        p = max(self._pack()[0], other._pack()[0], key=operator.attrgetter("bits"))
+        p = max(self._packing, other._packing, key=operator.attrgetter("bits"))
         out = dict(self._keys(p))
         cancelled = False
         for k, c in other._keys(p).items():
@@ -266,10 +251,8 @@ class MultiPoly:
     def __neg__(self) -> "MultiPoly":
         if self.is_zero():
             return self
-        p, packed = self._pack()
-        return MultiPoly._from_packed(
-            self.context, p, {k: -c for k, c in packed.items()}, self._lo, self._hi
-        )
+        negated = {k: -c for k, c in self._packed.items()}
+        return MultiPoly._from_packed(self.context, self._packing, negated, self._lo, self._hi)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -312,24 +295,15 @@ class MultiPoly:
         square = half * half
         return square * self if k & 1 else square
 
-    def min_exponents(self) -> tuple[int, ...]:
-        return self._lo
-
     def shift(self, exponents) -> "MultiPoly":
         """self times the monomial x^exponents; the exponents may be negative."""
-        return MultiPoly(
-            self.context,
-            {tuple(map(operator.add, e, exponents)): c for e, c in self._items()},
-        )
-
-    def exact_div(self, other: "MultiPoly") -> "MultiPoly | None":
-        """Quotient self/other of polynomials over Z if the division is exact, else None."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return self
-        quot = self._divide(other)
-        return quot if quot is not None and min(quot._lo, default=0) >= 0 else None
+        lo = tuple(map(operator.add, self._lo, exponents))
+        hi = tuple(map(operator.add, self._hi, exponents))
+        p = _packing(len(self.context), _bound(lo, hi))
+        keys = self._keys(p, tuple(map(operator.neg, exponents)))
+        return MultiPoly._from_packed(self.context, p, keys, lo, hi)
 
     def _divide(self, other: "MultiPoly") -> "MultiPoly | None":
         """The quotient self/other in Z[x^+-1], or None if there is none.
@@ -423,7 +397,7 @@ class MultiPoly:
         if self.is_zero():
             return "0"
         context = self.context
-        p, packed = self._pack()
+        p, packed = self._packing, self._packed
         d = self._den_exponents()
         shift = d if any(d) else None
         parts = []

@@ -10,6 +10,7 @@ the semigroup has no identity.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .homs import (
     image_seed,
     mixing_subseed,
 )
-from .seeds import Seed
+from .seeds import Seed, cached_attribute
 
 __all__ = [
     "SemigroupTable",
@@ -33,7 +34,6 @@ __all__ = [
     "projected_endpar_bound",
     "green_relations",
     "partition_classes",
-    "is_id_form",
     "regular_D_classes",
     "HClassGroup",
     "h_class_group",
@@ -46,15 +46,55 @@ DEFAULT_CAP = 50_000
 
 @dataclass
 class SemigroupTable:
+    """The elements as digit rows, the only form stored: digits[i, p] is
+    2*(v+1)+f when element i sends labels[p] to labels[v], where f marks
+    labels[p] as frozen in the domain, and 0 when labels[p] lies outside
+    the domain.  Objects are decoded on demand by element(i)."""
+
     seed: Seed
-    elements: list[PartialSeedHom]
-    index: dict[PartialSeedHom, int]
-    # product[i, j] = index of elements[i] after elements[j]; int16 below 32,768 elements
+    digits: np.ndarray
+    # product[i, j] = index of element i after element j; int16 below 32,768 elements
     product: np.ndarray
     zero_index: int
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.digits)
+
+    @cached_attribute
+    def _label_of_digit(self) -> tuple[str | None, ...]:
+        """Digit -> image label: None for 0, labels[v] for 2*(v+1)+f."""
+        return (None, None) + tuple(x for x in self.seed.labels for _ in (0, 1))
+
+    def element(self, i: int) -> PartialSeedHom:
+        """Element i as a PartialSeedHom: I0 is the exchangeable labels
+        with an odd digit, I1 the labels with digit 0."""
+        seed = self.seed
+        row = self.digits[i].tolist()
+        I0 = frozenset(itertools.compress(seed.exchangeable_labels, map((1).__and__, row)))
+        I1 = frozenset(itertools.compress(seed.labels, map(operator.not_, row)))
+        mapping = tuple(map(self._label_of_digit.__getitem__, row))
+        return PartialSeedHom(seed, SubSeedSpec(I0, I1), seed, mapping)
+
+
+def _id_form(digits: np.ndarray) -> np.ndarray:
+    """Per digit row (or for the one row given): whether the element is
+    the identity inclusion of its own sub-seed, that is, every digit is
+    0 or sends its position p to p."""
+    return ((digits == 0) | (digits // 2 - 1 == np.arange(digits.shape[-1]))).all(axis=-1)
+
+
+def _digit_row(seed: Seed, spec: SubSeedSpec, image) -> tuple[int, ...]:
+    """The digit row of the element with the given spec that sends each
+    label x of its domain to image(x)."""
+    return tuple(
+        0 if x in spec.I1 else 2 * seed.index(image(x)) + 2 + (p >= seed.n or x in spec.I0)
+        for p, x in enumerate(seed.labels)
+    )
+
+
+def _row_index(S: SemigroupTable, members) -> dict[tuple[int, ...], int]:
+    """Digit row -> element index, over the given elements."""
+    return dict(zip(map(tuple, S.digits[members].tolist()), members))
 
 
 def _all_specs(seed: Seed):
@@ -87,21 +127,17 @@ def enumerate_endpar(seed: Seed, cap: int = DEFAULT_CAP) -> SemigroupTable:
     the whole extended cluster for the frozen part; each candidate is
     validated.  Exceeding the element cap fails loudly.
 
-    Each accepted element is also written as a row of digits, one per
-    label position p: 2*(v+1)+f, where v is the position of the image of
-    labels[p] and f marks labels[p] as frozen in the domain, and 0
-    outside the domain.  Read in base 2*width+2, a row is the element's
+    Each accepted element is kept only as its row of digits (see
+    SemigroupTable).  Read in base 2*width+2, a row is the element's
     int64 code in the product table.
     """
     labels = seed.labels
     ex_labels = seed.exchangeable_labels
-    width = max(len(labels), 1)
+    width = len(labels)
     if (2 * width + 2) ** width > 2**63:
         raise ResourceCapExceeded(
             f"{width} labels do not fit the 64-bit element code", partial_count=0
         )
-    elements: list[PartialSeedHom] = []
-    index: dict[PartialSeedHom, int] = {}
     digits: list[list[int]] = []
     for spec in _all_specs(seed):
         dom_ex, dom_fr = spec.parts(seed)
@@ -117,19 +153,18 @@ def enumerate_endpar(seed: Seed, cap: int = DEFAULT_CAP) -> SemigroupTable:
             ok, _ = check_partial_hom(cand)
             if not ok:
                 continue
-            if len(elements) >= cap:
+            if len(digits) >= cap:
                 raise ResourceCapExceeded(
                     f"semigroup exceeds the cap of {cap} elements",
-                    partial_count=len(elements),
+                    partial_count=len(digits),
                 )
-            index[cand] = len(elements)
-            elements.append(cand)
             row = [0] * width
             for (p, d), v in zip(places, values):
                 row[p] = 2 * seed.index(v) + d
             digits.append(row)
-    product, zero_index = _product_table(np.array(digits, dtype=np.int64))
-    return SemigroupTable(seed, elements, index, product, zero_index)
+    rows = np.array(digits, dtype=np.int64)
+    product, zero_index = _product_table(rows)
+    return SemigroupTable(seed, rows, product, zero_index)
 
 
 # Cells per block of rows or columns of a size² table; bounds the
@@ -285,13 +320,6 @@ def partition_classes(reps) -> dict[int, list[int]]:
     return out
 
 
-def is_id_form(h: PartialSeedHom) -> bool:
-    """True iff h is the identity inclusion of its own sub-seed."""
-    return all(
-        v is None or v == x for x, v in zip(h.source.labels, h.mapping)
-    )
-
-
 def regular_D_classes(S: SemigroupTable, P: GreenPartition) -> list[tuple[int, int]]:
     """(D-class representative, designated id-form member) per regular class.
 
@@ -300,6 +328,7 @@ def regular_D_classes(S: SemigroupTable, P: GreenPartition) -> list[tuple[int, i
     each D-class.
     """
     classes = partition_classes(P.D)
+    id_form = _id_form(S.digits)
     out = []
     for rep, members in sorted(classes.items()):
         flags = {P.regular_flags[i] for i in members}
@@ -307,7 +336,7 @@ def regular_D_classes(S: SemigroupTable, P: GreenPartition) -> list[tuple[int, i
             raise TheoremViolation(
                 f"regularity is not constant on the D-class of element {rep}"
             )
-        id_members = [i for i in members if is_id_form(S.elements[i])]
+        id_members = [i for i in members if id_form[i]]
         if bool(id_members) != flags.pop():
             raise TheoremViolation(
                 f"D-class of element {rep}: id-form membership and regularity disagree"
@@ -328,8 +357,7 @@ class HClassGroup:
 def h_class_group(S: SemigroupTable, P: GreenPartition, e: int) -> HClassGroup:
     """The H-class of an id-form idempotent as a group, checked against
     the automorphism group of the corresponding sub-seed."""
-    h = S.elements[e]
-    if S.product[e, e] != e or not is_id_form(h):
+    if S.product[e, e] != e or not _id_form(S.digits[e]):
         raise SeedError("h_class_group expects an id-form idempotent")
     members = tuple(i for i in range(len(S)) if P.H[i] == P.H[e])
     member_set = set(members)
@@ -345,15 +373,16 @@ def h_class_group(S: SemigroupTable, P: GreenPartition, e: int) -> HClassGroup:
             raise TheoremViolation(f"{e} is not an identity of its H-class")
         if not any(table[(a, b)] == e and table[(b, a)] == e for b in members):
             raise TheoremViolation(f"element {a} has no inverse in the H-class of {e}")
-    sub = mixing_subseed(S.seed, h.spec)
+    spec = S.element(e).spec
+    sub = mixing_subseed(S.seed, spec)
     auts = automorphism_group(sub)
+    # a lifted automorphism is found by its full digit row, which fixes
+    # its spec as well as its map
+    member_of_row = _row_index(S, list(members))
     images = {}
     for phi in auts:
-        lifted = PartialSeedHom.from_dict(
-            S.seed, h.spec, S.seed, {x: phi(x) for x in sub.labels}
-        )
-        i = S.index.get(lifted)
-        if i is None or i not in member_set:
+        i = member_of_row.get(_digit_row(S.seed, spec, phi))
+        if i is None:
             raise TheoremViolation(
                 "an automorphism of the sub-seed does not land in the H-class"
             )
@@ -398,7 +427,7 @@ def check_structural_green(S: SemigroupTable, P: GreenPartition) -> StructuralGr
     to_rep: dict[Seed, tuple[int, list[dict[str, str]]]] = {}
     R_keys, D_keys, L_keys = [], [], []
     for i in regular:
-        f = S.elements[i]
+        f = S.element(i)
         img = image_seed(f)
         if img not in to_rep:
             for k, rep in enumerate(distinct):

@@ -5,16 +5,18 @@ Each function here is a second, slower way to get a result the library
 computes, a proposition of the paper checked on the library's objects
 (retractions, the path-quiver regularity test, D as L∘R), or an input
 the tests share (the empty homomorphism, every triangulation of an
-N-gon).  They live here, not in the library, because no command needs
+N-gon, a seed file).  They live here, not in the library, because no command needs
 them.
 """
 
 import itertools
+import json
 
 import numpy as np
 
 from clusterseeds import MultiPoly
-from clusterseeds.errors import HomError, SeedError
+from clusterseeds.errors import HomError, LaurentViolation, SeedError
+from clusterseeds.fileio import seed_to_dict
 from clusterseeds.homs import (
     EMPTY_SPEC,
     PartialSeedHom,
@@ -72,6 +74,31 @@ def reference_str(poly: MultiPoly) -> str:
     return out
 
 
+def min_exponents(poly: MultiPoly) -> tuple[int, ...]:
+    """The smallest exponent of each variable, read off the terms."""
+    return tuple(map(min, zip(*poly.terms)))
+
+
+def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly | None:
+    """The quotient f/g if it is a polynomial over Z (no negative
+    exponent), else None."""
+    try:
+        quot = f / g
+    except LaurentViolation:
+        return None
+    return quot if quot.is_zero() or min(min_exponents(quot), default=0) >= 0 else None
+
+
+def dump_seed(seed: Seed, path: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(seed_to_dict(seed), fh, indent=2)
+        fh.write("\n")
+
+
+def spec_of(I0, I1) -> SubSeedSpec:
+    return SubSeedSpec(frozenset(I0), frozenset(I1))
+
+
 def mutate_seed_matrix(seed: Seed, k: int) -> Seed:
     return Seed(seed.exchangeable_labels, seed.frozen_labels, matrix_mutation(seed.matrix, k))
 
@@ -112,6 +139,21 @@ def is_connected(seed: Seed) -> bool:
 def empty_hom(seed: Seed, target: Seed | None = None) -> PartialSeedHom:
     spec = SubSeedSpec(frozenset(), frozenset(seed.labels))
     return PartialSeedHom(seed, spec, target if target is not None else seed, (None,) * len(seed.labels))
+
+
+def is_id_form(h: PartialSeedHom) -> bool:
+    """True iff h is the identity inclusion of its own sub-seed."""
+    return all(v is None or v == x for x, v in zip(h.source.labels, h.mapping))
+
+
+def elements(S: SemigroupTable) -> list[PartialSeedHom]:
+    """Every element of the semigroup, decoded from its digit row."""
+    return [S.element(i) for i in range(len(S))]
+
+
+def element_index(S: SemigroupTable) -> dict[PartialSeedHom, int]:
+    """Element -> its index in the semigroup."""
+    return {h: i for i, h in enumerate(elements(S))}
 
 
 def is_seed_iso(hom: PartialSeedHom) -> bool:

@@ -11,7 +11,7 @@ import pytest
 
 import clusterseeds
 from clusterseeds import MultiPoly, Seed, cli, initial_state
-from clusterseeds.fileio import dump_seed, surface_to_dict
+from clusterseeds.fileio import surface_to_dict
 from conftest import (
     a2_seed,
     a2_y2_seed,
@@ -22,6 +22,7 @@ from conftest import (
     two_component_surface,
 )
 from clusterseeds import make_surface
+from oracles import dump_seed
 
 
 @pytest.fixture
@@ -375,6 +376,17 @@ def test_hom_check_and_compose(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["I1"] == ["x1", "x3"]  # x1 maps outside Dom(f) and drops out
     assert doc["map"] == {"x2": "x2"}
+
+
+def test_hom_file_mapping_a_label_of_i1_is_invalid(capsys, a2_file, tmp_path):
+    """The map entry of a deleted label is kept as given, so hom-check
+    reports it and compose refuses the file."""
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps({"I0": [], "I1": ["x2"], "map": {"x1": "x1", "x2": "x1"}}))
+    code, out, _ = run(capsys, "hom-check", a2_file, str(h))
+    assert (code, out) == (0, "invalid: 'x2' lies in I1 but is mapped\n")
+    code, out, err = run(capsys, "compose", a2_file, str(h), str(h))
+    assert (code, out, err) == (2, "", "input error: 'x2' lies in I1 but is mapped\n")
 
 
 def test_endpar_report(capsys, a2_file):

@@ -5,9 +5,8 @@ import random
 
 import pytest
 
-from clusterseeds import ParseError, SubSeedSpec, cli, identity_inclusion, make_surface
+from clusterseeds import ParseError, cli, identity_inclusion, make_surface
 from clusterseeds.fileio import (
-    dump_seed,
     hom_from_dict,
     hom_to_dict,
     load_seed,
@@ -18,7 +17,7 @@ from clusterseeds.fileio import (
     surface_to_dict,
 )
 from conftest import a2_seed, amalgam_seed
-from oracles import enumerate_triangulations
+from oracles import dump_seed, enumerate_triangulations, spec_of
 
 
 def test_seed_round_trip(tmp_path):
@@ -59,7 +58,7 @@ def test_missing_and_invalid_files(tmp_path):
 
 def test_hom_round_trip():
     seed = amalgam_seed()
-    h = identity_inclusion(seed, SubSeedSpec.of(["x2"], ["x3"]))
+    h = identity_inclusion(seed, spec_of(["x2"], ["x3"]))
     doc = hom_to_dict(h)
     assert doc == {"I0": ["x2"], "I1": ["x3"], "map": {"x1": "x1", "x2": "x2"}}
     assert hom_from_dict(doc, seed, seed) == h

@@ -18,7 +18,6 @@ from clusterseeds import (
     PartialSeedHom,
     ResourceCapExceeded,
     SeedError,
-    SubSeedSpec,
     TheoremViolation,
     check_structural_green,
     compose,
@@ -26,12 +25,11 @@ from clusterseeds import (
     green_relations,
     h_class_group,
     identity_inclusion,
-    is_id_form,
     partition_classes,
     projected_endpar_bound,
     regular_D_classes,
 )
-from clusterseeds.semigroup import _BLOCK_CELLS, _product_table
+from clusterseeds.semigroup import _BLOCK_CELLS, _id_form, _product_table
 from conftest import (
     BENCHMARK_SEEDS,
     LINEAR_SIZES,
@@ -46,11 +44,15 @@ from conftest import (
 )
 from oracles import (
     d_by_composition,
+    element_index,
+    elements,
     empty_hom,
     idempotents,
+    is_id_form,
     is_linear_an,
     is_regular_element,
     regularity_linear_an,
+    spec_of,
     subseed_components,
 )
 
@@ -118,7 +120,7 @@ def to_key(h):
 def test_enumerator_agrees_with_independent_brute_force(name):
     seed = BENCHMARK_SEEDS[name]()
     S = enumerate_endpar(seed)
-    assert {to_key(h) for h in S.elements} == brute_force_endpar(seed)
+    assert {to_key(h) for h in elements(S)} == brute_force_endpar(seed)
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_SEEDS))
@@ -127,7 +129,7 @@ def test_pinned_semigroup_sizes(name):
     S = enumerate_endpar(seed)
     assert len(S) == PINNED_STATS[name]["size"]
     assert len(S) <= projected_endpar_bound(seed)
-    assert S.elements[S.zero_index].is_empty()
+    assert S.element(S.zero_index) == empty_hom(seed)
 
 
 @pytest.mark.parametrize("n", sorted(LINEAR_SIZES))
@@ -145,10 +147,10 @@ def test_product_table_matches_object_composition():
     for seed in (a2_seed(), double_arrow_seed()):
         S = enumerate_endpar(seed)
         assert S.product.dtype == np.int16
-        assert S.elements[S.zero_index] == empty_hom(seed)
-        for i, g in enumerate(S.elements):
-            for j, f in enumerate(S.elements):
-                assert S.elements[int(S.product[i, j])] == compose(g, f)
+        assert S.element(S.zero_index) == empty_hom(seed)
+        for i, g in enumerate(elements(S)):
+            for j, f in enumerate(elements(S)):
+                assert S.element(int(S.product[i, j])) == compose(g, f)
 
 
 def test_element_code_width_is_checked():
@@ -172,17 +174,25 @@ def endpar_of(name):
 
 
 def digit_rows(S):
-    """The elements' digit rows as enumerate_endpar documents them:
+    """The elements' digit rows as SemigroupTable documents them:
     2*(v+1)+f at each domain position, 0 outside the domain."""
     seed = S.seed
     rows = []
-    for h in S.elements:
+    for h in elements(S):
         frozen = set(h.dom_fr)
         rows.append(
             [0 if v is None else 2 * (seed.index(v) + 1) + (x in frozen)
              for x, v in zip(seed.labels, h.mapping)]
         )
     return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SEEDS))
+def test_stored_rows_are_the_documented_digits(name):
+    S = endpar_of(name)
+    assert S.digits.dtype == np.int64
+    assert np.array_equal(S.digits, digit_rows(S))
+    assert _id_form(S.digits).tolist() == [is_id_form(h) for h in elements(S)]
 
 
 def both_paths(digits):
@@ -320,7 +330,7 @@ def test_regular_flags_match_witness_search():
 def test_idempotent_flags_include_all_id_forms():
     S = enumerate_endpar(a2_seed())
     P = green_relations(S)
-    for i, h in enumerate(S.elements):
+    for i, h in enumerate(elements(S)):
         if is_id_form(h):
             assert P.idempotent_flags[i]
 
@@ -342,12 +352,36 @@ def test_nonregular_d_class_has_no_id_form():
     S = enumerate_endpar(seed)
     P = green_relations(S)
     f = PartialSeedHom.from_dict(
-        seed, SubSeedSpec.of((), ["x3"]), seed, {"x1": "x3", "x2": "x2"}
+        seed, spec_of((), ["x3"]), seed, {"x1": "x3", "x2": "x2"}
     )
-    i = S.index[f]
+    i = element_index(S)[f]
     assert not P.regular_flags[i]
     members = [j for j in range(len(S)) if P.D[j] == P.D[i]]
-    assert not any(is_id_form(S.elements[j]) for j in members)
+    assert not any(is_id_form(S.element(j)) for j in members)
+
+
+@pytest.mark.parametrize("name", ["a2", "amalgam", "double_arrow"])
+def test_regular_d_classes_reject_perturbed_flags(name):
+    S, P = semigroup_and_green(name)
+    classes = sorted(partition_classes(P.D).items())
+    # one member of a class of several leaves its class's regularity
+    rep, members = next((rep, members) for rep, members in classes if len(members) > 1)
+    flags = list(P.regular_flags)
+    flags[members[-1]] = not flags[members[-1]]
+    with pytest.raises(
+        TheoremViolation, match=rf"^regularity is not constant on the D-class of element {rep}$"
+    ):
+        regular_D_classes(S, dataclasses.replace(P, regular_flags=tuple(flags)))
+    # a whole class changes its regularity, with its id-form members kept
+    for rep, members in classes:
+        flags = list(P.regular_flags)
+        for i in members:
+            flags[i] = not flags[i]
+        with pytest.raises(
+            TheoremViolation,
+            match=rf"^D-class of element {rep}: id-form membership and regularity disagree$",
+        ):
+            regular_D_classes(S, dataclasses.replace(P, regular_flags=tuple(flags)))
 
 
 def test_idempotent_witnesses_its_own_d_class():
@@ -364,7 +398,7 @@ def test_idempotent_witnesses_its_own_d_class():
 def test_h_class_group_of_trivial_m2_has_order_two():
     S = enumerate_endpar(trivial_seed(2))
     P = green_relations(S)
-    e = S.index[identity_inclusion(trivial_seed(2), SubSeedSpec.of((), ()))]
+    e = element_index(S)[identity_inclusion(trivial_seed(2), spec_of((), ()))]
     grp = h_class_group(S, P, e)
     assert grp.aut_order == 2
     assert len(grp.members) == 2
@@ -374,10 +408,44 @@ def test_h_class_group_requires_id_form_idempotent():
     S = enumerate_endpar(a2_seed())
     P = green_relations(S)
     non_id = next(
-        i for i in range(len(S)) if not is_id_form(S.elements[i])
+        i for i in range(len(S)) if not is_id_form(S.element(i))
     )
     with pytest.raises(SeedError):
         h_class_group(S, P, non_id)
+
+
+def test_h_class_group_rejects_an_automorphism_outside_the_h_class():
+    """The other member of an H-class of order 2 leaves the class: the
+    automorphism it stands for lands outside."""
+    S, P = semigroup_and_green("trivial_m2")
+    e = next(e for _, e in regular_D_classes(S, P) if h_class_group(S, P, e).aut_order == 2)
+    (a,) = set(h_class_group(S, P, e).members) - {e}
+    H = list(P.H)
+    H[a] = len(S)  # the representative of no other element
+    with pytest.raises(
+        TheoremViolation, match="^an automorphism of the sub-seed does not land in the H-class$"
+    ):
+        h_class_group(S, dataclasses.replace(P, H=tuple(H)), e)
+
+
+@pytest.mark.parametrize("name", ["a2", "amalgam"])
+def test_h_class_group_rejects_an_h_class_larger_than_the_automorphisms(name):
+    """The zero z joins the H-class {e} of an id-form idempotent with one
+    automorphism, and z*z = e in the table, so that {e, z} passes the
+    group axioms; the one automorphism covers e only."""
+    S, P = semigroup_and_green(name)
+    z = S.zero_index
+    e = next(
+        e for _, e in regular_D_classes(S, P) if e != z and h_class_group(S, P, e).aut_order == 1
+    )
+    H = list(P.H)
+    H[z] = P.H[e]
+    product = S.product.copy()
+    product[z, z] = e
+    with pytest.raises(
+        TheoremViolation, match=rf"^Aut <-> H-class correspondence is not bijective at element {e}$"
+    ):
+        h_class_group(dataclasses.replace(S, product=product), dataclasses.replace(P, H=tuple(H)), e)
 
 
 @pytest.mark.parametrize("name", ["a2", "trivial_m2"])
@@ -385,7 +453,7 @@ def test_all_h_class_groups_verify(name):
     S = enumerate_endpar(BENCHMARK_SEEDS[name]())
     P = green_relations(S)
     for e in idempotents(S):
-        if is_id_form(S.elements[e]):
+        if is_id_form(S.element(e)):
             h_class_group(S, P, e)  # raises on any group-axiom failure
 
 
@@ -468,14 +536,14 @@ def test_is_linear_an_classification():
 
 def test_subseed_components():
     seed = linear_path_seed(3)
-    comps = subseed_components(seed, SubSeedSpec.of((), ["x2"]))
+    comps = subseed_components(seed, spec_of((), ["x2"]))
     assert sorted(comps) == [("x1",), ("x3",)]
-    comps = subseed_components(seed, SubSeedSpec.of(["x2"], ()))
+    comps = subseed_components(seed, spec_of(["x2"], ()))
     assert comps == [("x1", "x3", "x2")] or len(comps) == 1
 
 
 def test_path_regularity_requires_a_path():
-    f = identity_inclusion(double_arrow_seed(), SubSeedSpec.of((), ()))
+    f = identity_inclusion(double_arrow_seed(), spec_of((), ()))
     with pytest.raises(SeedError):
         regularity_linear_an(f)
 
@@ -484,7 +552,7 @@ def test_path_regularity_requires_a_path():
 def test_path_regularity_agrees_with_brute_force(n):
     seed = linear_path_seed(n)
     S = enumerate_endpar(seed)
-    for i, f in enumerate(S.elements):
+    for i, f in enumerate(elements(S)):
         assert regularity_linear_an(f) == (is_regular_element(S, i) is not None)
 
 
@@ -493,4 +561,4 @@ def test_empty_hom_is_regular_and_idempotent():
     P = green_relations(S)
     z = S.zero_index
     assert P.regular_flags[z] and P.idempotent_flags[z]
-    assert is_id_form(S.elements[z])
+    assert is_id_form(S.element(z))

@@ -11,7 +11,6 @@ import clusterseeds.surface as surface_module
 from clusterseeds import (
     Seed,
     SeedError,
-    SubSeedSpec,
     SurfaceData,
     b_matrix_from_triangulation,
     check_theorem_sur,
@@ -30,7 +29,7 @@ from clusterseeds import (
 )
 from clusterseeds.fileio import surface_to_dict
 from conftest import seeded_polygons, two_component_surface
-from oracles import enumerate_triangulations, shear_contribution, triangles_of
+from oracles import enumerate_triangulations, shear_contribution, spec_of, triangles_of
 
 
 def fan(N):
@@ -257,7 +256,7 @@ def reference_check_theorem_sur(data, I0, I1) -> bool:
     the paunched surface's seed, looked up by label, for every row x and
     column y of the sub-seed."""
     base = surface_module.seed_from_surface(data)
-    spec = SubSeedSpec.of(I0, I1)
+    spec = spec_of(I0, I1)
     spec.validate(base)
     ex, fr = spec.parts(base)
     right = surface_module.seed_from_surface(paunched_surface(data, I0, I1))
