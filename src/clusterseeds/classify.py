@@ -73,7 +73,7 @@ def iso_classes_of_subseeds(seed: Seed) -> list[IsoClass]:
 class ClassificationReport:
     iso_classes: list[IsoClass]
     d_class_map: dict[SubSeedSpec, int]
-    subalgebra_flags: dict[SubSeedSpec, bool]
+    subalgebra_flags: dict[SubSeedSpec, bool]  # per iso-class representative
     regular_d_count: int
     table: SemigroupTable
     green: GreenPartition
@@ -119,9 +119,5 @@ def theorem_number_report(seed: Seed, cap: int = DEFAULT_CAP) -> ClassificationR
             f"iso-classes cover {len(set(hit))} D-classes "
             f"but there are {len(regular_reps)} regular D-classes"
         )
-    flags = {
-        spec: is_subalgebra_type(seed, spec)
-        for cls in classes
-        for spec in cls.members
-    }
+    flags = {cls.representative: is_subalgebra_type(seed, cls.representative) for cls in classes}
     return ClassificationReport(classes, d_class_map, flags, len(regular_reps), S, P, regular)

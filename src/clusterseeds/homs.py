@@ -18,7 +18,6 @@ __all__ = [
     "SubSeedSpec",
     "PartialSeedHom",
     "mixing_subseed",
-    "identity_inclusion",
     "check_partial_hom",
     "require_hom",
     "compose",
@@ -130,13 +129,6 @@ class PartialSeedHom:
     @property
     def domain(self) -> tuple[str, ...]:
         return tuple(x for x in self.source.labels if x not in self.spec.I1)
-
-
-def identity_inclusion(seed: Seed, spec: SubSeedSpec) -> PartialSeedHom:
-    """The natural inclusion of the (I0, I1) sub-seed into the seed."""
-    spec.validate(seed)
-    mapping = tuple(None if x in spec.I1 else x for x in seed.labels)
-    return PartialSeedHom(seed, spec, seed, mapping)
 
 
 def check_partial_hom(candidate: PartialSeedHom) -> tuple[bool, str | None]:

@@ -22,7 +22,7 @@ from .homs import (
     check_partial_hom,
     enumerate_seed_isos,
     automorphism_group,
-    image_seed,
+    image_spec,
     mixing_subseed,
 )
 from .seeds import Seed, cached_attribute
@@ -275,42 +275,45 @@ def _ideal_keys(P: np.ndarray, left: bool) -> list[bytes]:
     return keys
 
 
+def _least_in_class(classes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per element x: the least values[z] over z in the class of x, where
+    classes[z] is the representative (least member) of z's class."""
+    least = np.full(len(classes), len(classes))
+    np.minimum.at(least, classes, values)
+    return least[classes]
+
+
 def green_relations(S: SemigroupTable) -> GreenPartition:
     """L and R compare the incidence rows of the principal ideals S¹x
-    and xS¹; H is the meet of L and R, D the join (and J = D)."""
+    and xS¹, the only size² step; H is their meet.  The rest is read off
+    L, R and the diagonal (Howie, Fundamentals of Semigroup Theory, 1995):
+    D = L∘R = R∘L (§2.1), and x is regular iff its R-class, or equally
+    its L-class, holds an idempotent (§2.3).  Each is read both ways and
+    the two readings must agree."""
     P = S.product
     size = len(S)
     L = _reps_from_keys(_ideal_keys(P, left=True))
     R = _reps_from_keys(_ideal_keys(P, left=False))
     H = _reps_from_keys(list(zip(L, R)))
-    # D: transitive closure of L union R via union-find
-    parent = list(range(size))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for i in range(size):
-        union(i, L[i])
-        union(i, R[i])
-    D = tuple(find(i) for i in range(size))
-    # x is regular iff x∘g∘x = x for some g, read over blocks of rows
-    regular: list[bool] = []
-    for x0, x1 in _blocks(size):
-        xs = np.arange(x0, x1)[:, None]
-        at = P[x0:x1].astype(np.intp)  # flat index of (x∘g, x)
-        at *= size
-        at += xs
-        regular.extend((P.take(at) == xs).any(axis=1).tolist())
-    idem = tuple((np.diagonal(P) == np.arange(size)).tolist())
-    return GreenPartition(L, R, H, D, tuple(regular), idem)
+    Ls, Rs = np.array(L), np.array(R)
+    D = _least_in_class(Ls, Rs)  # the least member of the union of R_z, z in L_x
+    D_RL = _least_in_class(Rs, Ls)
+    if not np.array_equal(D, D_RL):
+        x = np.flatnonzero(D != D_RL)[0]
+        raise TheoremViolation(f"L∘R and R∘L differ at element {x}")
+    idem = np.diagonal(P) == np.arange(size)
+    # a class holds an idempotent iff the least of ~idem over it is 0;
+    # e R x gives x = e·x and e = x·t, so x = x·t·x (dually for L)
+    regular = _least_in_class(Rs, ~idem) == 0
+    regular_L = _least_in_class(Ls, ~idem) == 0
+    if not np.array_equal(regular, regular_L):
+        x = np.flatnonzero(regular != regular_L)[0]
+        raise TheoremViolation(
+            f"regularity differs between the R-class and the L-class of element {x}"
+        )
+    return GreenPartition(
+        L, R, H, tuple(D.tolist()), tuple(regular.tolist()), tuple(idem.tolist())
+    )
 
 
 def partition_classes(reps) -> dict[int, list[int]]:
@@ -349,8 +352,6 @@ def regular_D_classes(S: SemigroupTable, P: GreenPartition) -> list[tuple[int, i
 @dataclass
 class HClassGroup:
     members: tuple[int, ...]
-    identity: int
-    table: dict[tuple[int, int], int]
     aut_order: int
 
 
@@ -361,17 +362,16 @@ def h_class_group(S: SemigroupTable, P: GreenPartition, e: int) -> HClassGroup:
         raise SeedError("h_class_group expects an id-form idempotent")
     members = tuple(i for i in range(len(S)) if P.H[i] == P.H[e])
     member_set = set(members)
-    table = {}
-    for a in members:
-        for b in members:
-            c = int(S.product[a, b])
+    table = S.product[np.ix_(members, members)].tolist()
+    for a, row in zip(members, table):
+        for b, c in zip(members, row):
             if c not in member_set:
                 raise TheoremViolation(f"H-class of {e} is not closed: {a}*{b}={c}")
-            table[(a, b)] = c
-    for a in members:
-        if table[(a, e)] != a or table[(e, a)] != a:
+    k = members.index(e)
+    for a, row, col in zip(members, table, zip(*table)):
+        if row[k] != a or col[k] != a:
             raise TheoremViolation(f"{e} is not an identity of its H-class")
-        if not any(table[(a, b)] == e and table[(b, a)] == e for b in members):
+        if not any(ab == e and ba == e for ab, ba in zip(row, col)):
             raise TheoremViolation(f"element {a} has no inverse in the H-class of {e}")
     spec = S.element(e).spec
     sub = mixing_subseed(S.seed, spec)
@@ -400,7 +400,7 @@ def h_class_group(S: SemigroupTable, P: GreenPartition, e: int) -> HClassGroup:
                 raise TheoremViolation(
                     f"Aut -> H-class map is not multiplicative at element {e}"
                 )
-    return HClassGroup(members, e, table, len(auts))
+    return HClassGroup(members, len(auts))
 
 
 @dataclass
@@ -415,21 +415,24 @@ def check_structural_green(S: SemigroupTable, P: GreenPartition) -> StructuralGr
     """Compare the structural predicates for R/D/L/H on regular elements
     against the brute-force partitions; any disagreement is fatal.
 
-    Predicates: R iff equal image seeds; D iff image seeds isomorphic;
-    L iff equal source sub-seeds and the maps differ by an isomorphism
-    of image seeds; H iff both R and L.  Each predicate is equality of
-    a key, so it holds on every regular pair exactly when the partition
-    of the regular elements by that key is Green's partition.
+    Predicates: R iff equal image seeds, keyed by their specs; D iff
+    image seeds isomorphic; L iff equal source sub-seeds and the maps
+    differ by an isomorphism of image seeds; H iff both R and L.  Each
+    predicate is equality of a key, so it holds on every regular pair
+    exactly when the partition of the regular elements by that key is
+    Green's partition.
     """
     regular = [i for i in range(len(S)) if P.regular_flags[i]]
     distinct: list[Seed] = []  # one image seed per iso class
-    # image seed -> (iso class, every iso onto the class representative)
-    to_rep: dict[Seed, tuple[int, list[dict[str, str]]]] = {}
+    # image spec -> (iso class, every iso of its image seed onto the class
+    # representative); a spec and its image seed determine each other
+    to_rep: dict[SubSeedSpec, tuple[int, list[dict[str, str]]]] = {}
     R_keys, D_keys, L_keys = [], [], []
     for i in regular:
         f = S.element(i)
-        img = image_seed(f)
-        if img not in to_rep:
+        img_spec = image_spec(f)
+        if img_spec not in to_rep:
+            img = mixing_subseed(S.seed, img_spec)
             for k, rep in enumerate(distinct):
                 isos = list(enumerate_seed_isos(img, rep))
                 if isos:
@@ -437,14 +440,14 @@ def check_structural_green(S: SemigroupTable, P: GreenPartition) -> StructuralGr
             else:
                 k, isos = len(distinct), list(enumerate_seed_isos(img, img))
                 distinct.append(img)
-            to_rep[img] = (k, [g.map_dict() for g in isos])
-        k, isos = to_rep[img]
+            to_rep[img_spec] = (k, [g.map_dict() for g in isos])
+        k, isos = to_rep[img_spec]
         # Two maps with one spec differ by an iso of image seeds iff they
         # carry the same set of composites onto the representative; the
         # composites also fix the representative, through the exchangeable
         # and frozen labels they take on the spec's domain.
         orbit = frozenset(tuple(g.get(a) for a in f.mapping) for g in isos)
-        R_keys.append(img)
+        R_keys.append(img_spec)
         D_keys.append(k)
         L_keys.append((f.spec, orbit))
     H_keys = list(zip(R_keys, L_keys))

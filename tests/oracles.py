@@ -3,10 +3,11 @@ tests compare the library with.
 
 Each function here is a second, slower way to get a result the library
 computes, a proposition of the paper checked on the library's objects
-(retractions, the path-quiver regularity test, D as L∘R), or an input
-the tests share (the empty homomorphism, every triangulation of an
-N-gon, a seed file).  They live here, not in the library, because no command needs
-them.
+(retractions, the path-quiver regularity test, D as L∘R and as the
+closure of L ∪ R), or an input the tests share (the empty homomorphism,
+the identity inclusion of a sub-seed, every triangulation of an N-gon,
+a seed file).  They live here, not in the library, because no command
+needs them.
 """
 
 import itertools
@@ -23,7 +24,6 @@ from clusterseeds.homs import (
     SubSeedSpec,
     check_partial_hom,
     compose,
-    identity_inclusion,
     image_seed,
     image_spec,
     mixing_subseed,
@@ -141,6 +141,13 @@ def empty_hom(seed: Seed, target: Seed | None = None) -> PartialSeedHom:
     return PartialSeedHom(seed, spec, target if target is not None else seed, (None,) * len(seed.labels))
 
 
+def identity_inclusion(seed: Seed, spec: SubSeedSpec) -> PartialSeedHom:
+    """The natural inclusion of the (I0, I1) sub-seed into the seed."""
+    spec.validate(seed)
+    mapping = tuple(None if x in spec.I1 else x for x in seed.labels)
+    return PartialSeedHom(seed, spec, seed, mapping)
+
+
 def is_id_form(h: PartialSeedHom) -> bool:
     """True iff h is the identity inclusion of its own sub-seed."""
     return all(v is None or v == x for x, v in zip(h.source.labels, h.mapping))
@@ -216,6 +223,31 @@ def is_retraction(f1: PartialSeedHom, onto: Seed | None = None) -> PartialSeedHo
         if composed.spec == ident.spec and composed.mapping == ident.mapping:
             return g
     return None
+
+
+def d_by_closure(P: GreenPartition) -> tuple[int, ...]:
+    """D as the transitive closure of L union R, by union-find; each
+    class is represented by its least member."""
+    L, R = P.L, P.R
+    size = len(L)
+    # D: transitive closure of L union R via union-find
+    parent = list(range(size))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    for i in range(size):
+        union(i, L[i])
+        union(i, R[i])
+    return tuple(find(i) for i in range(size))
 
 
 def d_by_composition(S: SemigroupTable, P: GreenPartition, via: str = "LR") -> tuple[int, ...]:

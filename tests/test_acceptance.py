@@ -26,7 +26,6 @@ from clusterseeds import (
     find_seed_iso,
     green_relations,
     h_class_group,
-    identity_inclusion,
     initial_state,
     make_surface,
     matrix_mutation,
@@ -49,6 +48,7 @@ from conftest import (
     trivial_seed,
 )
 from oracles import (
+    d_by_closure,
     d_by_composition,
     element_index,
     elements,
@@ -56,6 +56,7 @@ from oracles import (
     enumerate_triangulations,
     factor_through_image,
     idempotents,
+    identity_inclusion,
     is_id_form,
     is_regular_element,
     is_retraction,
@@ -162,6 +163,7 @@ def test_criterion_4_green_internal_consistency():
                 (L[:, None] == L[None, :]) & (R[:, None] == R[None, :]),
             )
             # D by closure, by L∘R, and by R∘L coincide as partitions
+            assert d_by_closure(P) == P.D
             assert d_by_composition(S, P, via="LR") == P.D
             assert d_by_composition(S, P, via="RL") == P.D
             # J = D in a finite semigroup, with J from the set oracle

@@ -260,6 +260,9 @@ SEMIGROUP_REPORTS = {
     ("A3", "endpar"): "495e010eb4584a26f7a9d7fed7ce09f8038741ec6876095be23506fabed8248e",
     ("A3", "green"): "d3d60cb6eabb3f98dcf4fe3ea825fa5121e6f1727209e2df5fd0c8583407d174",
     ("A3", "classify"): "f32b024c8746d1bc58eeab1ba5a0b5e2b95faf3b1583acd49966ef9b9855f235",
+    # A4 recorded before green_relations read D and regularity off L and R
+    ("A4", "green"): "6d9972844929f2c581f75f04bedce584cc3ac52f4ba20fa875d6b4e755d8f21a",
+    ("A4", "classify"): "210560430261bafeb3bb307394debc788b5e1f8b772d32681284001e332fdc75",
     ("a2_y2", "endpar"): "ba1977af998bb0923a233a07b0fc958d1b5ad6b138e9ec5a09da1d889c443610",
     ("a2_y2", "green"): "d046801422be8d00acd8d96c7d005ee8cf1317b078bbe8981b98af60e22a83cd",
     ("a2_y2", "classify"): "803ab404d9cee1adecd4e07e29257354ee0f7357f95122ce4ef6c230095259cf",
@@ -268,7 +271,7 @@ SEMIGROUP_REPORTS = {
 
 @pytest.mark.parametrize("name,command", sorted(SEMIGROUP_REPORTS))
 def test_semigroup_reports_are_pinned(capsys, tmp_path, name, command):
-    seed = {"A3": linear_path_seed(3), "a2_y2": a2_y2_seed()}[name]
+    seed = {"A3": linear_path_seed(3), "A4": linear_path_seed(4), "a2_y2": a2_y2_seed()}[name]
     path = tmp_path / f"{name}.json"
     dump_seed(seed, str(path))
     code, out, _ = run(capsys, "--format", "machine", command, str(path))

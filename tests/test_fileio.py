@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from clusterseeds import ParseError, cli, identity_inclusion, make_surface
+from clusterseeds import ParseError, cli, make_surface
 from clusterseeds.fileio import (
     hom_from_dict,
     hom_to_dict,
@@ -17,7 +17,7 @@ from clusterseeds.fileio import (
     surface_to_dict,
 )
 from conftest import a2_seed, amalgam_seed
-from oracles import dump_seed, enumerate_triangulations, spec_of
+from oracles import dump_seed, enumerate_triangulations, identity_inclusion, spec_of
 
 
 def test_seed_round_trip(tmp_path):

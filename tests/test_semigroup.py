@@ -10,6 +10,7 @@ import dataclasses
 import functools
 import itertools
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,11 +25,12 @@ from clusterseeds import (
     enumerate_endpar,
     green_relations,
     h_class_group,
-    identity_inclusion,
+    mixing_subseed,
     partition_classes,
     projected_endpar_bound,
     regular_D_classes,
 )
+from clusterseeds import semigroup as semigroup_module
 from clusterseeds.semigroup import _BLOCK_CELLS, _id_form, _product_table
 from conftest import (
     BENCHMARK_SEEDS,
@@ -43,11 +45,13 @@ from conftest import (
     trivial_seed,
 )
 from oracles import (
+    d_by_closure,
     d_by_composition,
     element_index,
     elements,
     empty_hom,
     idempotents,
+    identity_inclusion,
     is_id_form,
     is_linear_an,
     is_regular_element,
@@ -304,6 +308,7 @@ def test_green_internal_consistency(name):
         for j in range(len(S))
     )
     # D as a closure equals D as a relational composition, both ways
+    assert d_by_closure(P) == P.D
     assert d_by_composition(S, P, via="LR") == P.D
     assert d_by_composition(S, P, via="RL") == P.D
     # J = D in a finite semigroup, with J from the set oracle
@@ -325,6 +330,40 @@ def test_regular_flags_match_witness_search():
     P = green_relations(S)
     for i in range(len(S)):
         assert P.regular_flags[i] == (is_regular_element(S, i) is not None)
+
+
+def _perturbed_a2(i, j, k):
+    """The a2 semigroup with product[i, j] set to k."""
+    S = enumerate_endpar(a2_seed())
+    product = S.product.copy()
+    product[i, j] = k
+    return dataclasses.replace(S, product=product)
+
+
+def test_green_relations_rejects_l_and_r_that_do_not_commute():
+    # product[0, 2] = 0 was found by a search over one-cell changes of the
+    # a2 table; the set oracle's L∘R and R∘L differ at element 5 there
+    S = _perturbed_a2(0, 2, 0)
+    oracle = green_oracle(S)
+    assert oracle["D"][5] != d_by_composition(S, SimpleNamespace(**oracle), via="RL")[5]
+    with pytest.raises(TheoremViolation, match=r"^L∘R and R∘L differ at element 5$"):
+        green_relations(S)
+
+
+def test_green_relations_rejects_regularity_that_depends_on_the_side():
+    # product[0, 1] = 0, found by the same search: by the set oracle, the
+    # R-class and the L-class of element 1 do not both hold an idempotent
+    S = _perturbed_a2(0, 1, 0)
+    oracle = green_oracle(S)
+    idem = [e for e, flag in enumerate(oracle["idempotent_flags"]) if flag]
+    by_r = any(oracle["R"][e] == oracle["R"][1] for e in idem)
+    by_l = any(oracle["L"][e] == oracle["L"][1] for e in idem)
+    assert by_r != by_l
+    with pytest.raises(
+        TheoremViolation,
+        match=r"^regularity differs between the R-class and the L-class of element 1$",
+    ):
+        green_relations(S)
 
 
 def test_idempotent_flags_include_all_id_forms():
@@ -488,6 +527,20 @@ def test_structural_green_on_small_seeds(name):
     assert report.ok
     assert report.regular_count == r
     assert report.checked_pairs == r * (r - 1) // 2
+
+
+@pytest.mark.parametrize("name,built", [("a2", 9), ("A3", 27), ("amalgam", 27), ("double_arrow", 27)])
+def test_structural_green_builds_one_image_seed_per_image_spec(monkeypatch, name, built):
+    S, P = semigroup_and_green(name)
+    specs = []
+
+    def counted(seed, spec):
+        specs.append(spec)
+        return mixing_subseed(seed, spec)
+
+    monkeypatch.setattr(semigroup_module, "mixing_subseed", counted)
+    check_structural_green(S, P)
+    assert len(specs) == len(set(specs)) == built
 
 
 @pytest.mark.parametrize("move", ["merge", "split"])
