@@ -37,7 +37,6 @@ from .homs import (
     compose,
     enumerate_seed_isos,
     find_seed_iso,
-    image_seed,
     image_spec,
     mixing_subseed,
     require_hom,

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import TheoremViolation
 from .homs import SubSeedSpec, find_seed_iso, mixing_subseed
 from .seeds import Seed
@@ -90,6 +88,8 @@ def theorem_number_report(seed: Seed, cap: int = DEFAULT_CAP) -> ClassificationR
 
     The report keeps the semigroup table, its Green's partition and the
     regular D-classes, so callers need not build them again."""
+    import numpy as np
+
     classes = iso_classes_of_subseeds(seed)
     S = enumerate_endpar(seed, cap=cap)
     P = green_relations(S)

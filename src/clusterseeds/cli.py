@@ -11,6 +11,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 
 from .errors import (
@@ -447,7 +448,15 @@ def main(argv=None) -> int:
             print(f"input error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # the reader went away; point stdout at devnull so the flush
+            # at interpreter exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"input error: cannot write stdout: {exc}", file=sys.stderr)
+            return 2
     return code
 
 

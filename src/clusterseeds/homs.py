@@ -22,7 +22,6 @@ __all__ = [
     "require_hom",
     "compose",
     "image_spec",
-    "image_seed",
     "find_seed_iso",
     "enumerate_seed_isos",
     "automorphism_group",
@@ -245,11 +244,6 @@ def image_spec(f: PartialSeedHom) -> SubSeedSpec:
         y for y in values - ex_values if f.target.is_exchangeable(y)
     )
     return SubSeedSpec(I0, I1)
-
-
-def image_seed(f: PartialSeedHom) -> Seed:
-    """Restriction of the target to the image, exchangeable part f(dom_ex)."""
-    return mixing_subseed(f.target, image_spec(f))
 
 
 def _vertex_signature(seed: Seed, x: str):

@@ -5,6 +5,10 @@ of a seed back into the seed, composed with the domain-filtered rule.
 The empty homomorphism is the zero.  Green's equivalences are computed
 from the ideal definitions with the adjoined-element convention, since
 the semigroup has no identity.
+
+numpy is imported inside the functions that build or read a table, so
+the commands that never build one (clusters, check-sur and the rest) do
+not pay the 0.11 s and about 12 MB its import costs.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ResourceCapExceeded, SeedError, TheoremViolation
 from .homs import (
@@ -80,6 +82,8 @@ def _id_form(digits: np.ndarray) -> np.ndarray:
     """Per digit row (or for the one row given): whether the element is
     the identity inclusion of its own sub-seed, that is, every digit is
     0 or sends its position p to p."""
+    import numpy as np
+
     return ((digits == 0) | (digits // 2 - 1 == np.arange(digits.shape[-1]))).all(axis=-1)
 
 
@@ -131,6 +135,8 @@ def enumerate_endpar(seed: Seed, cap: int = DEFAULT_CAP) -> SemigroupTable:
     SemigroupTable).  Read in base 2*width+2, a row is the element's
     int64 code in the product table.
     """
+    import numpy as np
+
     labels = seed.labels
     ex_labels = seed.exchangeable_labels
     width = len(labels)
@@ -187,6 +193,8 @@ def _product_table(digits: np.ndarray) -> tuple[np.ndarray, int]:
     element has the code), or among the sorted codes when that table
     would have more entries than the product table.
     """
+    import numpy as np
+
     size, width = digits.shape
     base = 2 * width + 2
     V = digits // 2 - 1  # image position, -1 outside the domain
@@ -262,6 +270,8 @@ def _reps_from_keys(keys) -> tuple[int, ...]:
 def _ideal_keys(P: np.ndarray, left: bool) -> list[bytes]:
     """One key per element x: the packed incidence row of S¹x (left) or
     xS¹, built over blocks of rows so no temporary exceeds _BLOCK_CELLS."""
+    import numpy as np
+
     size = len(P)
     keys: list[bytes] = []
     for x0, x1 in _blocks(size):
@@ -278,6 +288,8 @@ def _ideal_keys(P: np.ndarray, left: bool) -> list[bytes]:
 def _least_in_class(classes: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per element x: the least values[z] over z in the class of x, where
     classes[z] is the representative (least member) of z's class."""
+    import numpy as np
+
     least = np.full(len(classes), len(classes))
     np.minimum.at(least, classes, values)
     return least[classes]
@@ -290,6 +302,8 @@ def green_relations(S: SemigroupTable) -> GreenPartition:
     D = L∘R = R∘L (§2.1), and x is regular iff its R-class, or equally
     its L-class, holds an idempotent (§2.3).  Each is read both ways and
     the two readings must agree."""
+    import numpy as np
+
     P = S.product
     size = len(S)
     L = _reps_from_keys(_ideal_keys(P, left=True))
@@ -358,6 +372,8 @@ class HClassGroup:
 def h_class_group(S: SemigroupTable, P: GreenPartition, e: int) -> HClassGroup:
     """The H-class of an id-form idempotent as a group, checked against
     the automorphism group of the corresponding sub-seed."""
+    import numpy as np
+
     if S.product[e, e] != e or not _id_form(S.digits[e]):
         raise SeedError("h_class_group expects an id-form idempotent")
     members = tuple(i for i in range(len(S)) if P.H[i] == P.H[e])

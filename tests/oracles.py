@@ -24,7 +24,6 @@ from clusterseeds.homs import (
     SubSeedSpec,
     check_partial_hom,
     compose,
-    image_seed,
     image_spec,
     mixing_subseed,
 )
@@ -185,6 +184,11 @@ def inverse_iso(iso: PartialSeedHom) -> PartialSeedHom:
         raise HomError("not a seed isomorphism")
     inv = {iso(x): x for x in iso.source.labels}
     return PartialSeedHom.from_dict(iso.target, EMPTY_SPEC, iso.source, inv)
+
+
+def image_seed(f: PartialSeedHom) -> Seed:
+    """Restriction of the target to the image, exchangeable part f(dom_ex)."""
+    return mixing_subseed(f.target, image_spec(f))
 
 
 def factor_through_image(f: PartialSeedHom) -> tuple[PartialSeedHom, PartialSeedHom]:

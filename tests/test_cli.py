@@ -122,6 +122,24 @@ def test_exit_2_on_non_utf8_input(capsys, a2_file, tmp_path, kind):
     assert err.startswith(f"input error: {bad} is not UTF-8: ")
 
 
+def test_exit_2_when_the_reader_closes_stdout(tmp_path):
+    # a reader that stops early, as `| head -1` does; the report (about
+    # 130 kB) is larger than a pipe buffer, so the write is still pending
+    path = tmp_path / "a2y2.json"
+    dump_seed(a2_y2_seed(), str(path))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clusterseeds.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "clusterseeds.cli", "--format", "machine", "endpar", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in err.decode()
+    assert err.decode().startswith("input error: cannot write stdout: ")
+
+
 def test_exit_2_on_bad_mutation_index(capsys, a2_file):
     code, _, err = run(capsys, "mutate", a2_file, "7")
     assert code == 2

@@ -16,7 +16,6 @@ from clusterseeds import (
     enumerate_seed_isos,
     find_seed_iso,
     green_relations,
-    image_seed,
     image_spec,
     iso_classes_of_subseeds,
     mixing_subseed,
@@ -36,6 +35,7 @@ from oracles import (
     empty_hom,
     factor_through_image,
     identity_inclusion,
+    image_seed,
     inverse_iso,
     is_retraction,
     is_seed_iso,
