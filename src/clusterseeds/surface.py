@@ -4,11 +4,14 @@ Surfaces are disjoint unions of convex polygons (unpunctured disks)
 with vertices numbered counterclockwise.  A triangulation is a maximal
 set of noncrossing diagonals; a lamination curve is recorded purely
 combinatorially by its pair of boundary-segment endpoints.  Cutting a
-polygon along a diagonal splits it in two, clips the curves, and in
-freeze mode inserts the pair of companion curves hugging the cut side.
-A paunched surface makes all its cuts on the plain fields and is
-validated once.  What depends on one triangulated polygon alone (its
-faces, apexes, side pairs and curve rows) is cached per (N, diagonals).
+polygon along a diagonal splits it in two, clips the curves, and adds
+the curves hugging the cut side as a lamination with the diagonal's
+label.  A cut's mode only decides whether that lamination stays, and
+each lamination is clipped on its own, so delete cuts, paunched surfaces
+and check_theorem_sur all use one freeze cut per set of cut diagonals;
+check_theorem_sur keeps the seed of the last one in a one-entry cache.
+What depends on one triangulated polygon alone (its faces, apexes, side
+pairs and curve rows) is cached per (N, diagonals).
 """
 
 from __future__ import annotations
@@ -281,21 +284,37 @@ def cut_along(data: SurfaceData, x: str, mode: str = "delete") -> SurfaceData:
     the complementary arc; each gains the copy of x as its last boundary
     segment.  Curves crossing x are clipped into one fragment per side,
     ending on the cut segment.  In freeze mode the label of x becomes a
-    new lamination holding one curve per side that hugs the cut segment.
+    new lamination holding one curve per side that hugs the cut segment;
+    a delete cut is the freeze cut without that lamination.
     """
     if mode not in ("delete", "freeze"):
         raise SeedError(f"unknown cut mode {mode!r}")
     if x not in data.diagonal_labels():
         raise SeedError(f"{x!r} is not a diagonal of the surface")
-    return SurfaceData(*_cut(data.components, data.diagonals, data.laminations, x, mode))
+    components, diagonals, laminations = _freeze_cut(data, (x,))
+    if mode == "delete":
+        laminations = tuple(lam for lam in laminations if lam[0] != x)
+    return SurfaceData(components, diagonals, laminations)
 
 
-def _cut(components, diagonals, laminations, x: str, mode: str):
-    """The fields of a surface cut along diagonal x; nothing is validated.
+def _freeze_cut(data: SurfaceData, cuts):
+    """The fields of data cut freeze-style along the diagonals labelled
+    by cuts, one label at a time in sorted order, which fixes the
+    component order; nothing is validated."""
+    fields = data.components, data.diagonals, data.laminations
+    for x in sorted(cuts):
+        fields = _cut(*fields, x)
+    return fields
+
+
+def _cut(components, diagonals, laminations, x: str):
+    """The fields of a surface cut freeze-style along diagonal x.
 
     Components after the cut one move up by one.  That map is strictly
     increasing, so a lamination with no curve on the cut component keeps
-    its sorted order and is not sorted again.
+    its sorted order and is not sorted again.  Each lamination is
+    clipped on its own, and the label of x is added as the lamination of
+    the two curves hugging the cut segment.
     """
     c, (a, b) = next(d for lbl, d in diagonals if lbl == x)
     N = components[c]
@@ -338,15 +357,16 @@ def _cut(components, diagonals, laminations, x: str, mode: str):
                 clipped.append(_norm_curve(c, inner - a, k1 - 1))
                 clipped.append(_norm_curve(side2, (outer - b) % N, k2 - 1))
         new_laminations.append((lbl, tuple(sorted(clipped) if on_cut else clipped)))
-    if mode == "freeze":
-        hug = sorted([_norm_curve(c, 0, k1 - 2), _norm_curve(side2, 0, k2 - 2)])
-        new_laminations.append((x, tuple(hug)))
+    hug = sorted([_norm_curve(c, 0, k1 - 2), _norm_curve(side2, 0, k2 - 2)])
+    new_laminations.append((x, tuple(hug)))
     return comps, tuple(new_diagonals), tuple(sorted(new_laminations))
 
 
 def paunched_surface(data: SurfaceData, I0, I1) -> SurfaceData:
     """Cut freeze-style along I0 diagonals, delete I1 diagonals, and
-    drop I1 laminations."""
+    drop I1 laminations: the freeze cut along every diagonal of I0 | I1
+    without the laminations labelled by I1, the deleted diagonals' hugs
+    among them."""
     I0, I1 = frozenset(I0), frozenset(I1)
     if I0 & I1:
         raise SeedError("I0 and I1 overlap")
@@ -358,12 +378,8 @@ def paunched_surface(data: SurfaceData, I0, I1) -> SurfaceData:
         raise SeedError(f"unknown labels in I1: {sorted(I1 - dlabels - llabels)}")
     if not I0 | I1:
         return data
-    laminations = tuple((lbl, cv) for lbl, cv in data.laminations if lbl not in I1)
-    fields = data.components, data.diagonals, laminations
-    # one label at a time in sorted order, which fixes the component order
-    for x in sorted((I0 | I1) & dlabels):
-        fields = _cut(*fields, x, "freeze" if x in I0 else "delete")
-    return SurfaceData(*fields)
+    components, diagonals, laminations = _freeze_cut(data, (I0 | I1) & dlabels)
+    return SurfaceData(components, diagonals, tuple(lam for lam in laminations if lam[0] not in I1))
 
 
 @lru_cache(maxsize=1)
@@ -372,14 +388,29 @@ def _base_seed(data: SurfaceData) -> Seed:
     return seed_from_surface(data)
 
 
+@lru_cache(maxsize=1)
+def _cut_seed(data: SurfaceData, cuts: tuple[str, ...]) -> Seed:
+    """Seed of the surface cut freeze-style along the sorted diagonal
+    labels cuts, built once for the run of sweep specs that share them."""
+    return seed_from_surface(SurfaceData(*_freeze_cut(data, cuts)))
+
+
 def check_theorem_sur(data: SurfaceData, I0, I1) -> bool:
     """Sub-seed of the surface seed vs seed of the paunched surface,
-    compared through the canonical label correspondence."""
-    left = mixing_subseed(_base_seed(data), SubSeedSpec(frozenset(I0), frozenset(I1)))
-    right = seed_from_surface(paunched_surface(data, I0, I1))
+    compared through the canonical label correspondence.
+
+    The paunched seed is the seed of the surface cut freeze-style along
+    the diagonals of I0 | I1, without the frozen columns labelled by I1:
+    a cut's mode only decides whether the hug lamination of its label
+    stays, and each frozen column is computed from its own lamination.
+    """
+    I0, I1 = frozenset(I0), frozenset(I1)
+    base = _base_seed(data)
+    left = mixing_subseed(base, SubSeedSpec(I0, I1))
+    right = _cut_seed(data, tuple(x for x in base.exchangeable_labels if x in I0 or x in I1))
     if set(left.exchangeable_labels) != set(right.exchangeable_labels):
         return False
-    if set(left.frozen_labels) != set(right.frozen_labels):
+    if set(left.frozen_labels) != {y for y in right.frozen_labels if y not in I1}:
         return False
     # each row of left against right's row of the same label, read in left's column order
     cols = [right.index(y) for y in left.labels]

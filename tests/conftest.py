@@ -11,6 +11,7 @@ import random
 import numpy as np
 import pytest
 
+import clusterseeds.surface as surface_module
 from clusterseeds import Seed, SurfaceData, make_surface
 from oracles import enumerate_triangulations
 
@@ -151,3 +152,21 @@ def two_component_surface() -> SurfaceData:
             ("L1", ((0, (0, 3)), (1, (0, 3)), (1, (2, 4)))),
         ),
     )
+
+
+@pytest.fixture
+def fresh_surface_caches():
+    """Empty every cache of the surface module before and after the test.
+
+    A test that patches a surface builder calls the fixture's value after
+    patching, so no value built before the patch is reused and none built
+    under it outlives the test."""
+
+    def clear():
+        for obj in vars(surface_module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+    clear()
+    yield clear
+    clear()

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import clusterseeds
+import clusterseeds.surface as surface_module
 from clusterseeds import MultiPoly, Seed, cli, initial_state
 from clusterseeds.fileio import surface_to_dict
 from conftest import (
@@ -36,6 +37,15 @@ def a2_file(tmp_path):
 def square_file(tmp_path):
     surf = make_surface(4, [(0, 2)], laminations=[[(1, 3)]])
     path = tmp_path / "square.json"
+    path.write_text(json.dumps(surface_to_dict(surf)))
+    return str(path)
+
+
+@pytest.fixture
+def hexagon_file(tmp_path):
+    # the fan of the hexagon from vertex 0, with one lamination
+    surf = make_surface(6, [(0, 2), (0, 3), (0, 4)], laminations=[[(1, 4)]])
+    path = tmp_path / "hexagon.json"
     path.write_text(json.dumps(surface_to_dict(surf)))
     return str(path)
 
@@ -173,6 +183,20 @@ def test_exit_2_on_single_spec_with_all(capsys, square_file, flag):
     assert "cannot be combined with --all" in err
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        (["--i0", "L0"], "I0 labels not exchangeable in the seed: ['L0']"),
+        (["--i0", "d0_2", "--i1", "d0_2"], "I0 and I1 overlap: ['d0_2']"),
+    ],
+    ids=["frozen-in-i0", "overlap"],
+)
+def test_exit_2_on_a_bad_single_spec(capsys, hexagon_file, spec, message):
+    # the sub-seed side reads the spec first, so its message is the one printed
+    code, out, err = run(capsys, "check-sur", hexagon_file, *spec)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 def test_exit_3_on_cap(capsys, tmp_path):
     path = tmp_path / "amalgam.json"
     dump_seed(amalgam_seed(), str(path))
@@ -306,6 +330,27 @@ def test_surface_sweep_is_pinned(capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "1efcc02815312d76207910ef69a8472ed8f477c4649b57a4a31f2bce19b5021b"
     )
+
+
+def test_surface_sweep_builds_one_seed_per_cut_set(
+    capsys, monkeypatch, fresh_surface_caches, hexagon_file
+):
+    # the 26 specs of --max-cut 2 come in 11 runs of one cut set (the
+    # diagonals of I0 | I1): one seed for the surface and one per run, one
+    # validation for the loaded surface and one per cut surface
+    calls = {"seed_from_surface": 0, "validate_surface": 0}
+    for name in calls:
+
+        def counting(data, real=getattr(surface_module, name), name=name):
+            calls[name] += 1
+            return real(data)
+
+        monkeypatch.setattr(surface_module, name, counting)
+    fresh_surface_caches()
+    code, out, _ = run(capsys, "--format", "machine", "check-sur", hexagon_file, "--all", "--max-cut", "2")
+    doc = json.loads(out)
+    assert (code, doc["checked"], doc["all_ok"]) == (0, 26, True)
+    assert calls == {"seed_from_surface": 12, "validate_surface": 12}
 
 
 def test_two_component_sweep_is_pinned(capsys, tmp_path):

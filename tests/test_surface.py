@@ -279,16 +279,21 @@ def sweep_specs(data, max_cut):
 
 def test_row_comparison_matches_the_entrywise_reference():
     rng = random.Random(8)
-    checked = 0
+    surfaces = []
     for N in range(4, 8):
         for tri in enumerate_triangulations(N):
             curves = [tuple(rng.sample(range(N), 2)) for _ in range(rng.randint(1, 2))]
-            surf = make_surface(N, tri, laminations=[curves])
-            for I0, I1 in sweep_specs(surf, 2):
-                expected = reference_check_theorem_sur(surf, I0, I1)
-                assert check_theorem_sur(surf, I0, I1) == expected, (N, tri, curves, I0, I1)
-                checked += 1
-    assert checked == 2 * 6 + 5 * 14 + 14 * 26 + 42 * 42  # 2 + 2d + 2d² specs, d = N - 3
+            surfaces.append(make_surface(N, tri, laminations=[curves]))
+    checked = 0
+    for surf in [*surfaces, *seeded_polygons(), two_component_surface()]:
+        for I0, I1 in sweep_specs(surf, 2):
+            expected = reference_check_theorem_sur(surf, I0, I1)
+            assert check_theorem_sur(surf, I0, I1) == expected, (surf, I0, I1)
+            checked += 1
+    # 2 + 2d + 2d² specs per polygon, d = N - 3, and 74 on the two components
+    assert checked == (2 * 6 + 5 * 14 + 14 * 26 + 42 * 42) + (
+        2 * 1 + 6 * 2 + 14 * 5 + 26 * 14 + 42 * 42
+    ) + 74
 
 
 def _perturbed(seed: Seed, kind: str) -> Seed:
@@ -311,7 +316,7 @@ def _perturbed(seed: Seed, kind: str) -> Seed:
     "kind",
     ["exchangeable entry", "frozen entry", "frozen columns swapped", "frozen label renamed"],
 )
-def test_row_comparison_rejects_a_perturbed_paunched_seed(monkeypatch, kind):
+def test_row_comparison_rejects_a_perturbed_paunched_seed(monkeypatch, fresh_surface_caches, kind):
     surf = make_surface(6, fan(6), laminations=[[(1, 4)]])
     I0, I1 = ("d0_2",), ()
     assert check_theorem_sur(surf, I0, I1) and reference_check_theorem_sur(surf, I0, I1)
@@ -325,8 +330,53 @@ def test_row_comparison_rejects_a_perturbed_paunched_seed(monkeypatch, kind):
         return _perturbed(real(data), kind) if data == paunched else real(data)
 
     monkeypatch.setattr(surface_module, "seed_from_surface", perturbed_seed_from_surface)
+    fresh_surface_caches()  # the first check cached the seed cut along I0 | I1
     assert reference_check_theorem_sur(surf, I0, I1) is False
     assert check_theorem_sur(surf, I0, I1) is False
+
+
+def _flip_on_the_last_segment(real):
+    # a wrong sign for curves ending on the last boundary segment, where
+    # a cut puts the cut segment
+    def crossing_sign(N, diag, apexes, curve):
+        sign = real(N, diag, apexes, curve)
+        return -sign if N - 1 in curve[1] else sign
+
+    return crossing_sign
+
+
+def _one_sided_hug(real, faulty):
+    # the freeze cut along faulty[0] keeps only the side-1 hugging curve
+    def cut(components, diagonals, laminations, x):
+        comps, diags, lams = real(components, diagonals, laminations, x)
+        if x == faulty[0]:
+            lams = tuple((lbl, cv[:1] if lbl == x else cv) for lbl, cv in lams)
+        return comps, diags, lams
+
+    return cut
+
+
+@pytest.mark.parametrize("fault", ["shear sign", "hug curve"])
+def test_sweep_verdicts_match_the_reference_under_a_fault(monkeypatch, fresh_surface_caches, fault):
+    faulty = [None]  # the label whose hug curve is wrong: each surface's first diagonal
+    if fault == "shear sign":
+        flipped = _flip_on_the_last_segment(surface_module._crossing_sign)
+        monkeypatch.setattr(surface_module, "_crossing_sign", flipped)
+    else:
+        monkeypatch.setattr(surface_module, "_cut", _one_sided_hug(surface_module._cut, faulty))
+    fresh_surface_caches()
+    fast, reference, deleted = [], [], []
+    for surf in [*seeded_polygons(), two_component_surface()]:
+        faulty[0] = min(surf.diagonal_labels(), default=None)
+        for I0, I1 in sweep_specs(surf, 2):
+            fast.append(check_theorem_sur(surf, I0, I1))
+            reference.append(reference_check_theorem_sur(surf, I0, I1))
+            if faulty[0] in I1:
+                deleted.append(fast[-1])
+    assert fast == reference
+    assert True in fast and False in fast, fault
+    if fault == "hug curve":
+        assert deleted and all(deleted)
 
 
 def test_paunched_surface_validates_one_surface(monkeypatch):
@@ -483,7 +533,13 @@ def test_surface_caches_are_bounded():
         for name, obj in vars(surface_module).items()
         if hasattr(obj, "cache_parameters")
     }
-    assert set(maxsizes) == {"_polygon_table", "_triangulation_fault", "_shear_row", "_base_seed"}
+    assert set(maxsizes) == {
+        "_polygon_table",
+        "_triangulation_fault",
+        "_shear_row",
+        "_base_seed",
+        "_cut_seed",
+    }
     assert all(isinstance(m, int) and m > 0 for m in maxsizes.values()), maxsizes
 
 
