@@ -8,8 +8,9 @@ polygon along a diagonal splits it in two, clips the curves, and adds
 the curves hugging the cut side as a lamination with the diagonal's
 label.  A cut's mode only decides whether that lamination stays, and
 each lamination is clipped on its own, so delete cuts, paunched surfaces
-and check_theorem_sur all use one freeze cut per set of cut diagonals;
-check_theorem_sur keeps the seed of the last one in a one-entry cache.
+and check_theorem_sur all use one freeze cut per set of cut diagonals.
+check_theorem_sur compares the sub-seed and the cut seed of each cut set
+once, in a bounded cache, and reads every spec off that comparison.
 What depends on one triangulated polygon alone (its faces, apexes, side
 pairs and curve rows) is cached per (N, diagonals).
 """
@@ -388,37 +389,54 @@ def _base_seed(data: SurfaceData) -> Seed:
     return seed_from_surface(data)
 
 
-@lru_cache(maxsize=1)
-def _cut_seed(data: SurfaceData, cuts: tuple[str, ...]) -> Seed:
-    """Seed of the surface cut freeze-style along the sorted diagonal
-    labels cuts, built once for the run of sweep specs that share them."""
-    return seed_from_surface(SurfaceData(*_freeze_cut(data, cuts)))
+@lru_cache(maxsize=64)
+def _cut_set_comparison(data: SurfaceData, cuts: tuple[str, ...]):
+    """Both sides of check_theorem_sur for the cut set cuts, compared once.
+
+    The left side is the sub-seed of the surface seed that freezes every
+    diagonal in cuts; the right side is the seed of the surface cut
+    freeze-style along cuts, built from the cut polygons' own tables
+    (the surface seed itself when cuts is empty).  Returns whether the
+    exchangeable label sets are equal, both frozen label sets, and the
+    column labels on which some row shared by both sides disagrees.
+    """
+    base = _base_seed(data)
+    left = mixing_subseed(base, SubSeedSpec(frozenset(cuts), frozenset()))
+    right = seed_from_surface(SurfaceData(*_freeze_cut(data, cuts))) if cuts else base
+    right_rows = dict(zip(right.exchangeable_labels, right.matrix.entries))
+    rows = [
+        (row, right_rows[x])
+        for x, row in zip(left.exchangeable_labels, left.matrix.entries)
+        if x in right_rows
+    ]
+    right_labels = set(right.labels)
+    shared = [(j, right.index(y), y) for j, y in enumerate(left.labels) if y in right_labels]
+    return (
+        set(left.exchangeable_labels) == right_rows.keys(),
+        frozenset(left.frozen_labels),
+        frozenset(right.frozen_labels),
+        frozenset(y for j, k, y in shared if any(l[j] != r[k] for l, r in rows)),
+    )
 
 
 def check_theorem_sur(data: SurfaceData, I0, I1) -> bool:
     """Sub-seed of the surface seed vs seed of the paunched surface,
     compared through the canonical label correspondence.
 
-    The paunched seed is the seed of the surface cut freeze-style along
-    the diagonals of I0 | I1, without the frozen columns labelled by I1:
-    a cut's mode only decides whether the hug lamination of its label
+    With C the diagonals of I0 | I1, both sides are those of the cut set
+    C (see _cut_set_comparison) without the columns labelled by I1.  On
+    the left, the (I0, I1) sub-seed freezes I0 and deletes C - I0, which
+    lies in I1.  On the right, the paunched seed is the seed of the
+    freeze cut along C without the frozen columns labelled by I1: a
+    cut's mode only decides whether the hug lamination of its label
     stays, and each frozen column is computed from its own lamination.
     """
     I0, I1 = frozenset(I0), frozenset(I1)
     base = _base_seed(data)
-    left = mixing_subseed(base, SubSeedSpec(I0, I1))
-    right = _cut_seed(data, tuple(x for x in base.exchangeable_labels if x in I0 or x in I1))
-    if set(left.exchangeable_labels) != set(right.exchangeable_labels):
-        return False
-    if set(left.frozen_labels) != {y for y in right.frozen_labels if y not in I1}:
-        return False
-    # each row of left against right's row of the same label, read in left's column order
-    cols = [right.index(y) for y in left.labels]
-    entries = right.matrix.entries
-    return all(
-        row == tuple(map(entries[right.index(x)].__getitem__, cols))
-        for x, row in zip(left.exchangeable_labels, left.matrix.entries)
-    )
+    SubSeedSpec(I0, I1).validate(base)
+    cuts = tuple(x for x in base.exchangeable_labels if x in I0 or x in I1)
+    ex_equal, left_frozen, right_frozen, disagree = _cut_set_comparison(data, cuts)
+    return ex_equal and left_frozen - I1 == right_frozen - I1 and disagree <= I1
 
 
 def _dihedral_maps(N: int):

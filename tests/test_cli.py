@@ -335,9 +335,11 @@ def test_surface_sweep_is_pinned(capsys, tmp_path):
 def test_surface_sweep_builds_one_seed_per_cut_set(
     capsys, monkeypatch, fresh_surface_caches, hexagon_file
 ):
-    # the 26 specs of --max-cut 2 come in 11 runs of one cut set (the
-    # diagonals of I0 | I1): one seed for the surface and one per run, one
-    # validation for the loaded surface and one per cut surface
+    # the 26 specs of --max-cut 2 have 7 cut sets (the diagonals of
+    # I0 | I1): the empty one, 3 single diagonals and 3 pairs.  One seed
+    # for the surface, which is also the empty cut set's, and one per
+    # nonempty cut set; one validation for the loaded surface and one
+    # per cut surface
     calls = {"seed_from_surface": 0, "validate_surface": 0}
     for name in calls:
 
@@ -350,7 +352,7 @@ def test_surface_sweep_builds_one_seed_per_cut_set(
     code, out, _ = run(capsys, "--format", "machine", "check-sur", hexagon_file, "--all", "--max-cut", "2")
     doc = json.loads(out)
     assert (code, doc["checked"], doc["all_ok"]) == (0, 26, True)
-    assert calls == {"seed_from_surface": 12, "validate_surface": 12}
+    assert calls == {"seed_from_surface": 7, "validate_surface": 7}
 
 
 def test_two_component_sweep_is_pinned(capsys, tmp_path):

@@ -251,11 +251,13 @@ def test_paunch_square_with_curve():
     assert check_theorem_sur(surf, (), ("L0",))
 
 
-def reference_check_theorem_sur(data, I0, I1) -> bool:
+def reference_check_theorem_sur(data, I0, I1, base=None) -> bool:
     """The entrywise comparison: b_xy of the surface seed against b_xy of
     the paunched surface's seed, looked up by label, for every row x and
-    column y of the sub-seed."""
-    base = surface_module.seed_from_surface(data)
+    column y of the sub-seed.  base, if given, stands for the surface
+    seed on the sub-seed side."""
+    if base is None:
+        base = surface_module.seed_from_surface(data)
     spec = spec_of(I0, I1)
     spec.validate(base)
     ex, fr = spec.parts(base)
@@ -299,7 +301,7 @@ def test_row_comparison_matches_the_entrywise_reference():
 def _perturbed(seed: Seed, kind: str) -> Seed:
     n = seed.n
     rows = [list(r) for r in seed.matrix.entries]
-    frozen = list(seed.frozen_labels)
+    exchangeable, frozen = list(seed.exchangeable_labels), list(seed.frozen_labels)
     if kind == "exchangeable entry":
         rows[0][1] += 1
     elif kind == "frozen entry":
@@ -307,14 +309,22 @@ def _perturbed(seed: Seed, kind: str) -> Seed:
     elif kind == "frozen columns swapped":
         for r in rows:
             r[n], r[n + 1] = r[n + 1], r[n]
-    else:  # a frozen label renamed
+    elif kind == "frozen label renamed":
         frozen[0] += "_renamed"
-    return Seed.from_data(seed.exchangeable_labels, frozen, rows)
+    else:  # an exchangeable label renamed
+        exchangeable[0] += "_renamed"
+    return Seed.from_data(exchangeable, frozen, rows)
 
 
 @pytest.mark.parametrize(
     "kind",
-    ["exchangeable entry", "frozen entry", "frozen columns swapped", "frozen label renamed"],
+    [
+        "exchangeable entry",
+        "frozen entry",
+        "frozen columns swapped",
+        "frozen label renamed",
+        "exchangeable label renamed",
+    ],
 )
 def test_row_comparison_rejects_a_perturbed_paunched_seed(monkeypatch, fresh_surface_caches, kind):
     surf = make_surface(6, fan(6), laminations=[[(1, 4)]])
@@ -356,27 +366,76 @@ def _one_sided_hug(real, faulty):
     return cut
 
 
-@pytest.mark.parametrize("fault", ["shear sign", "hug curve"])
+def _bumped(seed, x, y):
+    """seed with b_xy raised by one, or seed itself if it has no row x or
+    no column y."""
+    if not seed.is_exchangeable(x) or y not in seed.labels:
+        return seed
+    rows = [list(r) for r in seed.matrix.entries]
+    rows[seed.index(x)][seed.index(y)] += 1
+    return Seed.from_data(seed.exchangeable_labels, seed.frozen_labels, rows)
+
+
+@pytest.mark.parametrize("fault", ["shear sign", "hug curve", "sub-seed entry"])
 def test_sweep_verdicts_match_the_reference_under_a_fault(monkeypatch, fresh_surface_caches, fault):
-    faulty = [None]  # the label whose hug curve is wrong: each surface's first diagonal
+    # each surface's first diagonal and first lamination: the diagonal's
+    # hug curve is wrong, or the sub-seed's entry in its row and the
+    # lamination's column
+    faulty = [None, None]
     if fault == "shear sign":
         flipped = _flip_on_the_last_segment(surface_module._crossing_sign)
         monkeypatch.setattr(surface_module, "_crossing_sign", flipped)
-    else:
+    elif fault == "hug curve":
         monkeypatch.setattr(surface_module, "_cut", _one_sided_hug(surface_module._cut, faulty))
+    else:
+        real = surface_module.mixing_subseed
+        bumped = lambda seed, spec: _bumped(real(seed, spec), *faulty)
+        monkeypatch.setattr(surface_module, "mixing_subseed", bumped)
     fresh_surface_caches()
-    fast, reference, deleted = [], [], []
+    fast, reference, hidden = [], [], []
     for surf in [*seeded_polygons(), two_component_surface()]:
-        faulty[0] = min(surf.diagonal_labels(), default=None)
+        faulty[:] = min(surf.diagonal_labels(), default=None), min(surf.lamination_labels())
+        base = None
+        if fault == "sub-seed entry":
+            base = _bumped(seed_from_surface(surf), *faulty)
         for I0, I1 in sweep_specs(surf, 2):
             fast.append(check_theorem_sur(surf, I0, I1))
-            reference.append(reference_check_theorem_sur(surf, I0, I1))
-            if faulty[0] in I1:
-                deleted.append(fast[-1])
+            reference.append(reference_check_theorem_sur(surf, I0, I1, base))
+            # a deleted hug, or a faulty entry outside the sub-seed
+            if faulty[0] in I1 or fault == "sub-seed entry" and (faulty[0] in I0 or faulty[1] in I1):
+                hidden.append(fast[-1])
     assert fast == reference
     assert True in fast and False in fast, fault
-    if fault == "hug curve":
-        assert deleted and all(deleted)
+    if fault != "shear sign":
+        assert hidden and all(hidden)
+
+
+def test_deeper_sweep_compares_each_cut_set_once(monkeypatch, fresh_surface_caches):
+    # at --max-cut 3 a cut set recurs farther apart than at depth 2; the
+    # empty cut set's seed is the surface's own
+    builds = [0]
+    real = surface_module.seed_from_surface
+
+    def counting_seed_from_surface(data):
+        builds[0] += 1
+        return real(data)
+
+    monkeypatch.setattr(surface_module, "seed_from_surface", counting_seed_from_surface)
+    fresh_surface_caches()
+    checked = 0
+    for surf in [*seeded_polygons(), two_component_surface()]:
+        specs = list(sweep_specs(surf, 3))
+        builds[0] = 0
+        fast = [check_theorem_sur(surf, I0, I1) for I0, I1 in specs]
+        dlabels = set(surf.diagonal_labels())
+        cut_sets = {frozenset(I0 + I1) & dlabels for I0, I1 in specs}
+        assert builds[0] == len(cut_sets), surf
+        assert fast == [reference_check_theorem_sur(surf, I0, I1) for I0, I1 in specs], surf
+        checked += len(specs)
+    # 2, 6, 18, 46 and 98 specs per polygon with d = 0..4 diagonals (the
+    # sum of C(d, k) 2^k over k <= 3, plus over k <= 2 for the lamination),
+    # and 244 on the two components
+    assert checked == 1 * 2 + 2 * 6 + 5 * 18 + 14 * 46 + 42 * 98 + 244
 
 
 def test_paunched_surface_validates_one_surface(monkeypatch):
@@ -538,7 +597,7 @@ def test_surface_caches_are_bounded():
         "_triangulation_fault",
         "_shear_row",
         "_base_seed",
-        "_cut_seed",
+        "_cut_set_comparison",
     }
     assert all(isinstance(m, int) and m > 0 for m in maxsizes.values()), maxsizes
 
