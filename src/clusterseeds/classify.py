@@ -18,9 +18,6 @@ from .semigroup import (
     GreenPartition,
     SemigroupTable,
     _all_specs,
-    _digit_row,
-    _id_form,
-    _row_index,
     enumerate_endpar,
     green_relations,
     regular_D_classes,
@@ -72,7 +69,6 @@ class ClassificationReport:
     iso_classes: list[IsoClass]
     d_class_map: dict[SubSeedSpec, int]
     subalgebra_flags: dict[SubSeedSpec, bool]  # per iso-class representative
-    regular_d_count: int
     table: SemigroupTable
     green: GreenPartition
     regular: list[tuple[int, int]]  # (D-class, id-form member) per regular class
@@ -81,6 +77,10 @@ class ClassificationReport:
     def iso_class_count(self) -> int:
         return len(self.iso_classes)
 
+    @property
+    def regular_d_count(self) -> int:
+        return len(self.regular)
+
 
 def theorem_number_report(seed: Seed, cap: int = DEFAULT_CAP) -> ClassificationReport:
     """Match sub-seed iso-classes with regular D-classes of the
@@ -88,19 +88,16 @@ def theorem_number_report(seed: Seed, cap: int = DEFAULT_CAP) -> ClassificationR
 
     The report keeps the semigroup table, its Green's partition and the
     regular D-classes, so callers need not build them again."""
-    import numpy as np
-
     classes = iso_classes_of_subseeds(seed)
     S = enumerate_endpar(seed, cap=cap)
     P = green_relations(S)
     regular = regular_D_classes(S, P)
     regular_reps = {rep for rep, _ in regular}
-    id_form_of_row = _row_index(S, np.flatnonzero(_id_form(S.digits)).tolist())
     d_class_map: dict[SubSeedSpec, int] = {}
     for cls in classes:
         d_reps = set()
         for spec in cls.members:
-            e = id_form_of_row.get(_digit_row(seed, spec, lambda x: x))
+            e = S.index_of(spec)
             if e is None:
                 raise TheoremViolation(
                     f"the identity inclusion of {spec} is not in the semigroup"
@@ -120,4 +117,4 @@ def theorem_number_report(seed: Seed, cap: int = DEFAULT_CAP) -> ClassificationR
             f"but there are {len(regular_reps)} regular D-classes"
         )
     flags = {cls.representative: is_subalgebra_type(seed, cls.representative) for cls in classes}
-    return ClassificationReport(classes, d_class_map, flags, len(regular_reps), S, P, regular)
+    return ClassificationReport(classes, d_class_map, flags, S, P, regular)

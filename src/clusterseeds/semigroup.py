@@ -4,7 +4,9 @@ Elements are all partial seed homomorphisms from mixing-type sub-seeds
 of a seed back into the seed, composed with the domain-filtered rule.
 The empty homomorphism is the zero.  Green's equivalences are computed
 from the ideal definitions with the adjoined-element convention, since
-the semigroup has no identity.
+the semigroup has no identity.  A SemigroupTable keeps its elements as
+digit rows and answers id_form and index_of itself, so no caller
+encodes a row.
 
 numpy is imported inside the functions that build or read a table, so
 the commands that never build one (clusters, check-sur and the rest) do
@@ -77,28 +79,31 @@ class SemigroupTable:
         mapping = tuple(map(self._label_of_digit.__getitem__, row))
         return PartialSeedHom(seed, SubSeedSpec(I0, I1), seed, mapping)
 
+    @cached_attribute
+    def id_form(self) -> np.ndarray:
+        """Per element: whether it is the identity inclusion of its own
+        sub-seed, that is, every digit is 0 or sends its position p to p."""
+        import numpy as np
 
-def _id_form(digits: np.ndarray) -> np.ndarray:
-    """Per digit row (or for the one row given): whether the element is
-    the identity inclusion of its own sub-seed, that is, every digit is
-    0 or sends its position p to p."""
-    import numpy as np
+        digits = self.digits
+        return ((digits == 0) | (digits // 2 - 1 == np.arange(digits.shape[1]))).all(axis=1)
 
-    return ((digits == 0) | (digits // 2 - 1 == np.arange(digits.shape[-1]))).all(axis=-1)
+    @cached_attribute
+    def _index_of_row(self) -> dict[tuple[int, ...], int]:
+        """Digit row -> element index; rows are unique (see _product_table)."""
+        return {row: i for i, row in enumerate(map(tuple, self.digits.tolist()))}
 
-
-def _digit_row(seed: Seed, spec: SubSeedSpec, image) -> tuple[int, ...]:
-    """The digit row of the element with the given spec that sends each
-    label x of its domain to image(x)."""
-    return tuple(
-        0 if x in spec.I1 else 2 * seed.index(image(x)) + 2 + (p >= seed.n or x in spec.I0)
-        for p, x in enumerate(seed.labels)
-    )
-
-
-def _row_index(S: SemigroupTable, members) -> dict[tuple[int, ...], int]:
-    """Digit row -> element index, over the given elements."""
-    return dict(zip(map(tuple, S.digits[members].tolist()), members))
+    def index_of(self, spec: SubSeedSpec, image=None) -> int | None:
+        """The index of the element with the given spec that sends each
+        label x of its domain to image(x), or to x itself when image is
+        None; None when no element does."""
+        seed, I0, I1 = self.seed, spec.I0, spec.I1
+        to = (lambda x: x) if image is None else image
+        row = tuple(
+            0 if x in I1 else 2 * seed.index(to(x)) + 2 + (p >= seed.n or x in I0)
+            for p, x in enumerate(seed.labels)
+        )
+        return self._index_of_row.get(row)
 
 
 def _all_specs(seed: Seed):
@@ -345,7 +350,6 @@ def regular_D_classes(S: SemigroupTable, P: GreenPartition) -> list[tuple[int, i
     each D-class.
     """
     classes = partition_classes(P.D)
-    id_form = _id_form(S.digits)
     out = []
     for rep, members in sorted(classes.items()):
         flags = {P.regular_flags[i] for i in members}
@@ -353,7 +357,7 @@ def regular_D_classes(S: SemigroupTable, P: GreenPartition) -> list[tuple[int, i
             raise TheoremViolation(
                 f"regularity is not constant on the D-class of element {rep}"
             )
-        id_members = [i for i in members if id_form[i]]
+        id_members = [i for i in members if S.id_form[i]]
         if bool(id_members) != flags.pop():
             raise TheoremViolation(
                 f"D-class of element {rep}: id-form membership and regularity disagree"
@@ -374,7 +378,7 @@ def h_class_group(S: SemigroupTable, P: GreenPartition, e: int) -> HClassGroup:
     the automorphism group of the corresponding sub-seed."""
     import numpy as np
 
-    if S.product[e, e] != e or not _id_form(S.digits[e]):
+    if S.product[e, e] != e or not S.id_form[e]:
         raise SeedError("h_class_group expects an id-form idempotent")
     members = tuple(i for i in range(len(S)) if P.H[i] == P.H[e])
     member_set = set(members)
@@ -392,13 +396,10 @@ def h_class_group(S: SemigroupTable, P: GreenPartition, e: int) -> HClassGroup:
     spec = S.element(e).spec
     sub = mixing_subseed(S.seed, spec)
     auts = automorphism_group(sub)
-    # a lifted automorphism is found by its full digit row, which fixes
-    # its spec as well as its map
-    member_of_row = _row_index(S, list(members))
     images = {}
     for phi in auts:
-        i = member_of_row.get(_digit_row(S.seed, spec, phi))
-        if i is None:
+        i = S.index_of(spec, phi)
+        if i not in member_set:
             raise TheoremViolation(
                 "an automorphism of the sub-seed does not land in the H-class"
             )

@@ -10,7 +10,8 @@ label.  A cut's mode only decides whether that lamination stays, and
 each lamination is clipped on its own, so delete cuts, paunched surfaces
 and check_theorem_sur all use one freeze cut per set of cut diagonals.
 check_theorem_sur compares the sub-seed and the cut seed of each cut set
-once, in a bounded cache, and reads every spec off that comparison.
+once, kept with the surface's own seed for the surface last swept, and
+reads every spec off that comparison.
 What depends on one triangulated polygon alone (its faces, apexes, side
 pairs and curve rows) is cached per (N, diagonals).
 """
@@ -384,23 +385,21 @@ def paunched_surface(data: SurfaceData, I0, I1) -> SurfaceData:
 
 
 @lru_cache(maxsize=1)
-def _base_seed(data: SurfaceData) -> Seed:
-    """The surface's own seed, built once for a sweep of specs on one surface."""
-    return seed_from_surface(data)
+def _sweep_memo(data: SurfaceData) -> tuple[Seed, dict]:
+    """The surface's own seed and its comparisons by cut set, for a sweep."""
+    return seed_from_surface(data), {}
 
 
-@lru_cache(maxsize=64)
-def _cut_set_comparison(data: SurfaceData, cuts: tuple[str, ...]):
-    """Both sides of check_theorem_sur for the cut set cuts, compared once.
+def _cut_set_comparison(data: SurfaceData, base: Seed, cuts: tuple[str, ...]):
+    """Both sides of check_theorem_sur for the cut set cuts, compared.
 
-    The left side is the sub-seed of the surface seed that freezes every
-    diagonal in cuts; the right side is the seed of the surface cut
+    The left side is the sub-seed of the surface seed base that freezes
+    every diagonal in cuts; the right side is the seed of the surface cut
     freeze-style along cuts, built from the cut polygons' own tables
-    (the surface seed itself when cuts is empty).  Returns whether the
-    exchangeable label sets are equal, both frozen label sets, and the
-    column labels on which some row shared by both sides disagrees.
+    (base itself when cuts is empty).  Returns whether the exchangeable
+    label sets are equal, both frozen label sets, and the column labels
+    on which some row shared by both sides disagrees.
     """
-    base = _base_seed(data)
     left = mixing_subseed(base, SubSeedSpec(frozenset(cuts), frozenset()))
     right = seed_from_surface(SurfaceData(*_freeze_cut(data, cuts))) if cuts else base
     right_rows = dict(zip(right.exchangeable_labels, right.matrix.entries))
@@ -432,10 +431,12 @@ def check_theorem_sur(data: SurfaceData, I0, I1) -> bool:
     stays, and each frozen column is computed from its own lamination.
     """
     I0, I1 = frozenset(I0), frozenset(I1)
-    base = _base_seed(data)
+    base, comparisons = _sweep_memo(data)
     SubSeedSpec(I0, I1).validate(base)
     cuts = tuple(x for x in base.exchangeable_labels if x in I0 or x in I1)
-    ex_equal, left_frozen, right_frozen, disagree = _cut_set_comparison(data, cuts)
+    if cuts not in comparisons:
+        comparisons[cuts] = _cut_set_comparison(data, base, cuts)
+    ex_equal, left_frozen, right_frozen, disagree = comparisons[cuts]
     return ex_equal and left_frozen - I1 == right_frozen - I1 and disagree <= I1
 
 

@@ -20,6 +20,7 @@ from clusterseeds import (
     ResourceCapExceeded,
     SeedError,
     TheoremViolation,
+    check_partial_hom,
     check_structural_green,
     compose,
     enumerate_endpar,
@@ -31,7 +32,7 @@ from clusterseeds import (
     regular_D_classes,
 )
 from clusterseeds import semigroup as semigroup_module
-from clusterseeds.semigroup import _BLOCK_CELLS, _id_form, _product_table
+from clusterseeds.semigroup import _BLOCK_CELLS, _all_specs, _product_table
 from conftest import (
     BENCHMARK_SEEDS,
     LINEAR_SIZES,
@@ -196,7 +197,36 @@ def test_stored_rows_are_the_documented_digits(name):
     S = endpar_of(name)
     assert S.digits.dtype == np.int64
     assert np.array_equal(S.digits, digit_rows(S))
-    assert _id_form(S.digits).tolist() == [is_id_form(h) for h in elements(S)]
+    assert S.id_form.tolist() == [is_id_form(h) for h in elements(S)]
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SEEDS))
+def test_index_of_finds_each_element_and_no_rejected_map(name):
+    S = endpar_of(name)
+    seed = S.seed
+    for i, h in enumerate(elements(S)):
+        assert S.index_of(h.spec, h) == i
+    for spec in _all_specs(seed):
+        assert S.id_form[S.index_of(spec)], spec
+    # per spec, the maps of its domain into all labels up to the first one
+    # that check_partial_hom rejects; condition (a) rejects some of them
+    rejected = 0
+    for spec in _all_specs(seed):
+        dom = [p for p, x in enumerate(seed.labels) if x not in spec.I1]
+        for values in itertools.product(seed.labels, repeat=len(dom)):
+            mapping = [None] * len(seed.labels)
+            for p, v in zip(dom, values):
+                mapping[p] = v
+            cand = PartialSeedHom(seed, spec, seed, tuple(mapping))
+            i = S.index_of(spec, cand)
+            if not check_partial_hom(cand)[0]:
+                assert i is None, cand
+                rejected += 1
+                break
+            assert S.element(i) == cand
+    # every map is a partial endomorphism on A1 and on the seeds with no
+    # exchangeable label
+    assert (rejected == 0) == (name in ("A1", "trivial_m1", "trivial_m2"))
 
 
 def both_paths(digits):

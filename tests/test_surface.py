@@ -412,7 +412,9 @@ def test_sweep_verdicts_match_the_reference_under_a_fault(monkeypatch, fresh_sur
 
 def test_deeper_sweep_compares_each_cut_set_once(monkeypatch, fresh_surface_caches):
     # at --max-cut 3 a cut set recurs farther apart than at depth 2; the
-    # empty cut set's seed is the surface's own
+    # empty cut set's seed is the surface's own.  The 11-gon fan has
+    # 1 + 8 + 28 + 56 = 93 cut sets, more than a cache of 64 recent ones
+    # holds.
     builds = [0]
     real = surface_module.seed_from_surface
 
@@ -423,19 +425,24 @@ def test_deeper_sweep_compares_each_cut_set_once(monkeypatch, fresh_surface_cach
     monkeypatch.setattr(surface_module, "seed_from_surface", counting_seed_from_surface)
     fresh_surface_caches()
     checked = 0
-    for surf in [*seeded_polygons(), two_component_surface()]:
+    eleven_gon = make_surface(11, fan(11), laminations=[[(1, 6)]])
+    for surf in [*seeded_polygons(), two_component_surface(), eleven_gon]:
         specs = list(sweep_specs(surf, 3))
         builds[0] = 0
         fast = [check_theorem_sur(surf, I0, I1) for I0, I1 in specs]
         dlabels = set(surf.diagonal_labels())
         cut_sets = {frozenset(I0 + I1) & dlabels for I0, I1 in specs}
         assert builds[0] == len(cut_sets), surf
+        _, comparisons = surface_module._sweep_memo(surf)
+        assert len(comparisons) == len(cut_sets), surf
+        assert {frozenset(c) for c in comparisons} == cut_sets, surf
         assert fast == [reference_check_theorem_sur(surf, I0, I1) for I0, I1 in specs], surf
         checked += len(specs)
     # 2, 6, 18, 46 and 98 specs per polygon with d = 0..4 diagonals (the
     # sum of C(d, k) 2^k over k <= 3, plus over k <= 2 for the lamination),
-    # and 244 on the two components
-    assert checked == 1 * 2 + 2 * 6 + 5 * 18 + 14 * 46 + 42 * 98 + 244
+    # 244 on the two components and 706 on the 11-gon fan (d = 8)
+    assert checked == 1 * 2 + 2 * 6 + 5 * 18 + 14 * 46 + 42 * 98 + 244 + 706
+    assert len(cut_sets) == 93
 
 
 def test_paunched_surface_validates_one_surface(monkeypatch):
@@ -596,8 +603,7 @@ def test_surface_caches_are_bounded():
         "_polygon_table",
         "_triangulation_fault",
         "_shear_row",
-        "_base_seed",
-        "_cut_set_comparison",
+        "_sweep_memo",
     }
     assert all(isinstance(m, int) and m > 0 for m in maxsizes.values()), maxsizes
 
