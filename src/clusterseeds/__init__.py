@@ -12,7 +12,6 @@ from .errors import (
     TheoremViolation,
 )
 from .seeds import (
-    ExtendedExchangeMatrix,
     Seed,
     ValidationReport,
     find_symmetrizer,

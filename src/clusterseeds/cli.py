@@ -87,7 +87,7 @@ def cmd_mutate(args):
     steps = [
         {
             "k": None,
-            "matrix": [list(r) for r in state.matrix.entries],
+            "matrix": [list(r) for r in state.matrix],
             "cluster": [str(v) for v in state.assignment],
         }
     ]
@@ -98,7 +98,7 @@ def cmd_mutate(args):
         steps.append(
             {
                 "k": k,
-                "matrix": [list(r) for r in state.matrix.entries],
+                "matrix": [list(r) for r in state.matrix],
                 "cluster": [str(v) for v in state.assignment],
             }
         )

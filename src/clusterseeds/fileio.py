@@ -43,7 +43,7 @@ def seed_to_dict(seed: Seed) -> dict:
     return {
         "exchangeable": list(seed.exchangeable_labels),
         "frozen": list(seed.frozen_labels),
-        "matrix": [list(row) for row in seed.matrix.entries],
+        "matrix": [list(row) for row in seed.matrix],
     }
 
 

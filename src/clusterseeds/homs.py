@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import HomError, SpecError
-from .seeds import ExtendedExchangeMatrix, Seed
+from .seeds import Seed
 
 __all__ = [
     "SubSeedSpec",
@@ -78,10 +78,8 @@ def mixing_subseed(seed: Seed, spec: SubSeedSpec) -> Seed:
     spec.validate(seed)
     ex, fr = spec.parts(seed)
     cols = [seed.index(y) for y in ex + fr]
-    entries = seed.matrix.entries
-    rows = tuple(tuple(map(entries[i].__getitem__, cols)) for i in cols[: len(ex)])
-    matrix = ExtendedExchangeMatrix(n=len(ex), m=len(fr), entries=rows)
-    return Seed(ex, fr, matrix)
+    rows = seed.matrix
+    return Seed(ex, fr, tuple(tuple(map(rows[i].__getitem__, cols)) for i in cols[: len(ex)]))
 
 
 @dataclass(frozen=True)
@@ -173,7 +171,7 @@ def check_partial_hom(candidate: PartialSeedHom) -> tuple[bool, str | None]:
     # per-row sign of b'_{f(x)f(y)} * b_{xy}, and the magnitude condition;
     # columns in sub-seed order, so the first violation is the sub-seed's.
     # A zero b_{xy} can break neither.
-    src_b, tgt_b = src.matrix.entries, tgt.matrix.entries
+    src_b, tgt_b = src.matrix, tgt.matrix
     row_sign = []
     for i in rows:
         x, b_row, t_row = labels[i], src_b[i], tgt_b[image[i]]
@@ -249,7 +247,7 @@ def image_spec(f: PartialSeedHom) -> SubSeedSpec:
 def _vertex_signature(seed: Seed, x: str):
     i = seed.index(x)
     n = seed.n
-    e = seed.matrix.entries
+    e = seed.matrix
     if i < n:
         out_ex = sorted(abs(e[i][j]) for j in range(n))
         out_fr = sorted(abs(e[i][j]) for j in range(n, n + seed.m))

@@ -26,7 +26,7 @@ from functools import lru_cache, reduce
 from types import MappingProxyType
 
 from .errors import LaurentViolation, ResourceCapExceeded
-from .seeds import ExtendedExchangeMatrix, Seed, matrix_mutation
+from .seeds import Seed, matrix_mutation
 
 __all__ = [
     "MultiPoly",
@@ -434,7 +434,7 @@ class LabeledSeedState:
     """
 
     seed: Seed
-    matrix: ExtendedExchangeMatrix
+    matrix: tuple[tuple[int, ...], ...]
     assignment: tuple[MultiPoly, ...]
 
     def cluster(self) -> frozenset[MultiPoly]:
@@ -460,10 +460,10 @@ def exchange(state: LabeledSeedState, k: int) -> MultiPoly:
 
     The division by the outgoing variable is exact or raises
     LaurentViolation."""
-    n = state.matrix.n
+    n = state.seed.n
     if not 0 <= k < n:
         raise IndexError(f"exchange direction {k} out of range 0..{n - 1}")
-    row = state.matrix.entries[k]
+    row = state.matrix[k]
     plus = [state.variable(t) ** b for t, b in enumerate(row) if b > 0]
     minus = [state.variable(t) ** -b for t, b in enumerate(row) if b < 0]
     one = [MultiPoly.constant(state.seed.labels, 1)]  # the product of no factors

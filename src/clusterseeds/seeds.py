@@ -1,10 +1,10 @@
 """Exact integer seeds and matrix mutation.
 
 A seed is an ordered family of exchangeable and frozen variable labels
-together with an n x (n+m) integer matrix whose rows are indexed by the
-exchangeable variables and whose columns are indexed by all variables
-(exchangeable first).  Labels are the identity of variables; matrix
-indices are an internal ordering.
+together with an n x (n+m) integer matrix, stored as its n rows, whose
+rows are indexed by the exchangeable variables and whose columns are
+indexed by all variables (exchangeable first).  Labels are the identity
+of variables; matrix indices are an internal ordering.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from math import gcd, lcm
 from .errors import SeedError
 
 __all__ = [
-    "ExtendedExchangeMatrix",
     "Seed",
     "ValidationReport",
     "validate_seed",
@@ -46,62 +45,41 @@ class cached_attribute:
 
 
 @dataclass(frozen=True)
-class ExtendedExchangeMatrix:
-    """Integer matrix of shape n x (n+m); entries[i][j] = b_{ij}."""
+class Seed:
+    """A pair (cluster, extended exchange matrix) with named variables.
 
-    n: int
-    m: int
-    entries: tuple[tuple[int, ...], ...]
+    matrix is the n rows of the extended exchange matrix, row i for
+    exchangeable_labels[i], each with one integer b_ij per label."""
+
+    exchangeable_labels: tuple[str, ...]
+    frozen_labels: tuple[str, ...]
+    matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 0 or self.m < 0:
-            raise SeedError("n and m must be nonnegative")
-        if len(self.entries) != self.n:
-            raise SeedError(f"expected {self.n} rows, got {len(self.entries)}")
-        width = self.n + self.m
-        for i, row in enumerate(self.entries):
+        n, width = self.n, len(self.labels)
+        if len(self.matrix) != n:
+            raise SeedError(f"expected {n} rows, got {len(self.matrix)}")
+        for i, row in enumerate(self.matrix):
             if len(row) != width:
                 raise SeedError(f"row {i} has length {len(row)}, expected {width}")
             if not all(map(isinstance, row, itertools.repeat(int))):
                 raise SeedError(f"row {i} contains non-integer entries")
-
-    def principal(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(row[: self.n] for row in self.entries)
-
-
-@dataclass(frozen=True)
-class Seed:
-    """A pair (cluster, extended exchange matrix) with named variables."""
-
-    exchangeable_labels: tuple[str, ...]
-    frozen_labels: tuple[str, ...]
-    matrix: ExtendedExchangeMatrix
-
-    def __post_init__(self):
-        labels = self.exchangeable_labels + self.frozen_labels
-        if len(set(labels)) != len(labels):
+        if len(set(self.labels)) != width:
             raise SeedError("variable labels must be pairwise distinct")
-        if self.matrix.n != len(self.exchangeable_labels):
-            raise SeedError("matrix row count does not match exchangeable labels")
-        if self.matrix.m != len(self.frozen_labels):
-            raise SeedError("matrix frozen-column count does not match frozen labels")
 
     @staticmethod
     def from_data(exchangeable, frozen, rows) -> "Seed":
         ex = tuple(str(x) for x in exchangeable)
         fr = tuple(str(x) for x in frozen)
-        mat = ExtendedExchangeMatrix(
-            n=len(ex), m=len(fr), entries=tuple(tuple(int(v) for v in row) for row in rows)
-        )
-        return Seed(ex, fr, mat)
+        return Seed(ex, fr, tuple(tuple(int(v) for v in row) for row in rows))
 
     @property
     def n(self) -> int:
-        return self.matrix.n
+        return len(self.exchangeable_labels)
 
     @property
     def m(self) -> int:
-        return self.matrix.m
+        return len(self.frozen_labels)
 
     # labels and _position are cached per instance, outside the dataclass
     # fields, so equality, hashing and repr see only the three fields.
@@ -129,7 +107,7 @@ class Seed:
         i = self.index(x)
         if i >= self.n:
             raise SeedError(f"b_({x},{y}) undefined: {x!r} is frozen")
-        return self.matrix.entries[i][self.index(y)]
+        return self.matrix[i][self.index(y)]
 
     def b_or_zero(self, x: str, y: str) -> int:
         """b_{xy} when defined, else 0 (frozen row)."""
@@ -190,8 +168,8 @@ def find_symmetrizer(principal) -> tuple[int, ...] | None:
 def validate_seed(seed: Seed) -> ValidationReport:
     """Report-style check of sign-skew-symmetry and skew-symmetrizability."""
     violations = []
-    principal = seed.matrix.principal()
     n = seed.n
+    principal = tuple(row[:n] for row in seed.matrix)
     for i in range(n):
         for j in range(i, n):
             bij, bji = principal[i][j], principal[j][i]
@@ -215,19 +193,19 @@ def require_valid(seed: Seed) -> Seed:
     return seed
 
 
-def matrix_mutation(matrix: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeMatrix:
-    """Matrix mutation in exchangeable direction k (an involution)."""
-    n, m = matrix.n, matrix.m
+def matrix_mutation(rows: tuple[tuple[int, ...], ...], k: int) -> tuple[tuple[int, ...], ...]:
+    """Matrix mutation of a seed's rows in exchangeable direction k (an involution)."""
+    n = len(rows)
     if not 0 <= k < n:
         raise IndexError(f"mutation direction {k} out of range 0..{n - 1}")
-    a = matrix.entries
-    rows = []
+    a = rows
+    out = []
     for j in range(n):
         row = []
-        for l in range(n + m):
+        for l in range(len(a[j])):
             if j == k or l == k:
                 row.append(-a[j][l])
             else:
                 row.append(a[j][l] + (abs(a[j][k]) * a[k][l] + a[j][k] * abs(a[k][l])) // 2)
-        rows.append(tuple(row))
-    return ExtendedExchangeMatrix(n=n, m=m, entries=tuple(rows))
+        out.append(tuple(row))
+    return tuple(out)

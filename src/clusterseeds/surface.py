@@ -10,8 +10,8 @@ label.  A cut's mode only decides whether that lamination stays, and
 each lamination is clipped on its own, so delete cuts, paunched surfaces
 and check_theorem_sur all use one freeze cut per set of cut diagonals.
 check_theorem_sur compares the sub-seed and the cut seed of each cut set
-once, kept with the surface's own seed for the surface last swept, and
-reads every spec off that comparison.
+once, kept with the surface's own seed on the surface itself, and reads
+every spec off that comparison.
 What depends on one triangulated polygon alone (its faces, apexes, side
 pairs and curve rows) is cached per (N, diagonals).
 """
@@ -24,7 +24,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import SeedError
-from .seeds import ExtendedExchangeMatrix, Seed, cached_attribute
+from .seeds import Seed, cached_attribute
 from .homs import SubSeedSpec, mixing_subseed
 
 __all__ = [
@@ -83,6 +83,12 @@ class SurfaceData:
             label_of.setdefault(c, {})[d] = lbl
         return {c: (self.components[c], tuple(sorted(ds)), ds) for c, ds in label_of.items()}
 
+    @cached_attribute
+    def _sweep(self) -> tuple[Seed, dict]:
+        """The surface's own seed and check_theorem_sur's comparisons by
+        cut set, freed with the surface."""
+        return seed_from_surface(self), {}
+
 
 def _norm_curve(comp: int, s: int, t: int):
     return (comp, (min(s, t), max(s, t)))
@@ -99,7 +105,7 @@ def make_surface(N: int, diagonals, laminations=()) -> SurfaceData:
     return SurfaceData((N,), tuple(diag), tuple(lams))
 
 
-def diagonals_cross(d1: tuple[int, int], d2: tuple[int, int], N: int) -> bool:
+def diagonals_cross(d1: tuple[int, int], d2: tuple[int, int]) -> bool:
     a, b = d1
     c, d = d2
     if {a, b} & {c, d}:
@@ -190,7 +196,7 @@ def _triangulation_fault(N: int, diagonals) -> str | None:
     if len(set(diagonals)) != len(diagonals):
         return "component {c} repeats a diagonal"
     for d1, d2 in itertools.combinations(diagonals, 2):
-        if diagonals_cross(d1, d2, N):
+        if diagonals_cross(d1, d2):
             return f"diagonals {d1} and {d2} cross in component {{c}}"
     if len(diagonals) != N - 3:
         return f"component {{c}}: {len(diagonals)} diagonals, a triangulation needs {N - 3}"
@@ -275,8 +281,7 @@ def seed_from_surface(data: SurfaceData) -> Seed:
     fr_labels = tuple(lbl for lbl, _ in laminations)
     columns = [shear_coordinates(data, curves) for _, curves in laminations]
     rows = tuple(tuple(B[i]) + tuple(col[x] for col in columns) for i, x in enumerate(ex_labels))
-    matrix = ExtendedExchangeMatrix(n=len(ex_labels), m=len(fr_labels), entries=rows)
-    return Seed(ex_labels, fr_labels, matrix)
+    return Seed(ex_labels, fr_labels, rows)
 
 
 def cut_along(data: SurfaceData, x: str, mode: str = "delete") -> SurfaceData:
@@ -384,12 +389,6 @@ def paunched_surface(data: SurfaceData, I0, I1) -> SurfaceData:
     return SurfaceData(components, diagonals, tuple(lam for lam in laminations if lam[0] not in I1))
 
 
-@lru_cache(maxsize=1)
-def _sweep_memo(data: SurfaceData) -> tuple[Seed, dict]:
-    """The surface's own seed and its comparisons by cut set, for a sweep."""
-    return seed_from_surface(data), {}
-
-
 def _cut_set_comparison(data: SurfaceData, base: Seed, cuts: tuple[str, ...]):
     """Both sides of check_theorem_sur for the cut set cuts, compared.
 
@@ -402,10 +401,10 @@ def _cut_set_comparison(data: SurfaceData, base: Seed, cuts: tuple[str, ...]):
     """
     left = mixing_subseed(base, SubSeedSpec(frozenset(cuts), frozenset()))
     right = seed_from_surface(SurfaceData(*_freeze_cut(data, cuts))) if cuts else base
-    right_rows = dict(zip(right.exchangeable_labels, right.matrix.entries))
+    right_rows = dict(zip(right.exchangeable_labels, right.matrix))
     rows = [
         (row, right_rows[x])
-        for x, row in zip(left.exchangeable_labels, left.matrix.entries)
+        for x, row in zip(left.exchangeable_labels, left.matrix)
         if x in right_rows
     ]
     right_labels = set(right.labels)
@@ -431,7 +430,7 @@ def check_theorem_sur(data: SurfaceData, I0, I1) -> bool:
     stays, and each frozen column is computed from its own lamination.
     """
     I0, I1 = frozenset(I0), frozenset(I1)
-    base, comparisons = _sweep_memo(data)
+    base, comparisons = data._sweep
     SubSeedSpec(I0, I1).validate(base)
     cuts = tuple(x for x in base.exchangeable_labels if x in I0 or x in I1)
     if cuts not in comparisons:

@@ -160,7 +160,8 @@ def fresh_surface_caches():
 
     A test that patches a surface builder calls the fixture's value after
     patching, so no value built before the patch is reused and none built
-    under it outlives the test."""
+    under it outlives the test.  A surface keeps its own sweep memo, so
+    such a test sweeps only surfaces made after the patch."""
 
     def clear():
         for obj in vars(surface_module).values():

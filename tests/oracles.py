@@ -109,7 +109,7 @@ def connected_components(seed: Seed) -> list[tuple[str, ...]]:
     b_{xy}^2 + b_{yx}^2 != 0 and at least one of x, y exchangeable.
     """
     labels = seed.labels
-    entries = seed.matrix.entries
+    entries = seed.matrix
     n = seed.n
     seen: set[int] = set()
     classes = []
@@ -294,7 +294,7 @@ def is_linear_an(seed: Seed) -> bool:
     edges = set()
     for i in range(seed.n):
         for j in range(total):
-            b = seed.matrix.entries[i][j]
+            b = seed.matrix[i][j]
             if b != 0:
                 if abs(b) != 1:
                     return False

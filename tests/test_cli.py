@@ -321,6 +321,40 @@ def test_semigroup_reports_are_pinned(capsys, tmp_path, name, command):
     assert hashlib.sha256(out.encode()).hexdigest() == SEMIGROUP_REPORTS[name, command]
 
 
+# sha256 of the machine JSON of the two commands that print a seed's
+# matrix rows, recorded before the matrix was stored as the seed's rows
+MATRIX_REPORTS = {
+    "mutate-markov": "c386d5d22b08b6dcd96ce6f0b81685172c3d1a8d5867c82ab1f05ba35186949f",
+    "mutate-A3_prin": "88ab9fca391a8f4e57e38dafb42afcbe352663454eb4ff942d8a3521984a7d34",
+    "surface-seed-two_component": "d50ef0f660e575c08f0e08c7858777f0d1f5be3da0b4e7d4c243aad741898743",
+    "surface-seed-heptagon": "2d2f930ae362cee150f65bdce8f17a7632130a1533a49afc3750e8e47873ec4b",
+}
+
+
+def _matrix_report_argv(name, tmp_path):
+    path = tmp_path / f"{name}.json"
+    if name == "mutate-markov":
+        dump_seed(Seed.from_data(["x1", "x2", "x3"], [], [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]), str(path))
+        return "mutate", str(path), "0", "1", "2", "0", "1"
+    if name == "mutate-A3_prin":
+        rows = [[0, 1, 0, 1, 0, 0], [-1, 0, 1, 0, 1, 0], [0, -1, 0, 0, 0, 1]]
+        dump_seed(Seed.from_data(["x1", "x2", "x3"], ["y1", "y2", "y3"], rows), str(path))
+        return "mutate", str(path), "0", "1", "2", "1", "0"
+    if name == "surface-seed-two_component":
+        surf = two_component_surface()
+    else:
+        surf = make_surface(7, [(0, 2), (0, 3), (3, 5), (3, 6)], laminations=[[(1, 4), (2, 6)], [(0, 5)]])
+    path.write_text(json.dumps(surface_to_dict(surf)))
+    return "surface-seed", str(path)
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_REPORTS))
+def test_matrix_reports_are_pinned(capsys, tmp_path, name):
+    code, out, _ = run(capsys, "--format", "machine", *_matrix_report_argv(name, tmp_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_REPORTS[name]
+
+
 def test_surface_sweep_is_pinned(capsys, tmp_path):
     surf = make_surface(6, [(0, 2), (0, 3), (3, 5)], laminations=[[(1, 4)]])
     path = tmp_path / "hexagon.json"

@@ -29,7 +29,7 @@ def reference_enumerate_clusters(
     the depth and state caps.
     """
     start = initial_state(seed)
-    seen_states = {(start.assignment, start.matrix.entries)}
+    seen_states = {(start.assignment, start.matrix)}
     clusters = {start.cluster()}
     order = [start.cluster()]
     frontier = [start]
@@ -44,7 +44,7 @@ def reference_enumerate_clusters(
         for state in frontier:
             for k in range(seed.n):
                 nxt = mutate_state(state, k)
-                key = (nxt.assignment, nxt.matrix.entries)
+                key = (nxt.assignment, nxt.matrix)
                 if key in seen_states:
                     continue
                 if len(seen_states) >= max_states:
@@ -115,7 +115,7 @@ def test_cluster_search_matches_the_labeled_search(monkeypatch, name):
     mutate = poly_module.mutate_state
 
     def remembered(state, k):
-        key = (state.assignment, state.matrix.entries, k)
+        key = (state.assignment, state.matrix, k)
         if key not in memo:
             memo[key] = mutate(state, k)
         return memo[key]
@@ -192,7 +192,7 @@ def test_polygon_d_vectors_are_crossing_numbers(N):
     crossings = {}
     for arc in arcs:
         if arc not in initial:
-            crossings.setdefault(tuple(int(diagonals_cross(arc, d, N)) for d in initial), []).append(arc)
+            crossings.setdefault(tuple(int(diagonals_cross(arc, d)) for d in initial), []).append(arc)
 
     result = enumerate_clusters(seed, 2 * N)
     assert (len(result.clusters), result.status) == (comb(2 * (N - 2), N - 2) // (N - 1), "closed")

@@ -55,7 +55,7 @@ def test_mixing_subseed_splits_and_restricts():
     sub = mixing_subseed(seed, spec(["x2"], ["x3"]))
     assert sub.exchangeable_labels == ("x1",)
     assert sub.frozen_labels == ("x2",)
-    assert sub.matrix.entries == ((0, 1),)
+    assert sub.matrix == ((0, 1),)
 
 
 def test_mixing_subseed_orders_newly_frozen_first():

@@ -471,7 +471,7 @@ def test_exchange_matches_sympy_oracle(make_seed, steps, rng_seed):
     n, labels = seed.n, seed.labels
     symbols = sympy.symbols(labels)
     values = list(symbols[:n])
-    rows = [list(r) for r in seed.matrix.entries]
+    rows = [list(r) for r in seed.matrix]
     state = initial_state(seed)
     rng = random.Random(rng_seed)
     k = None
@@ -492,4 +492,4 @@ def test_exchange_matches_sympy_oracle(make_seed, steps, rng_seed):
         _, den = sympy.fraction(values[k])
         assert len(sympy.Poly(den, *symbols).terms()) == 1
         assert sympy.cancel(_to_sympy(sympy, state.assignment[k], symbols) - values[k]) == 0
-        assert [list(r) for r in state.matrix.entries] == rows
+        assert [list(r) for r in state.matrix] == rows

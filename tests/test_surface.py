@@ -1,9 +1,11 @@
 """Triangulated polygons, shear coordinates, cutting, and isomorphism."""
 
+import gc
 import hashlib
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 
@@ -94,9 +96,9 @@ def test_triangle_faces_are_a_fresh_list_per_call():
 
 
 def test_diagonal_crossing_predicate():
-    assert diagonals_cross((0, 2), (1, 3), 4)
-    assert not diagonals_cross((0, 2), (0, 3), 5)
-    assert not diagonals_cross((0, 2), (2, 4), 5)
+    assert diagonals_cross((0, 2), (1, 3))
+    assert not diagonals_cross((0, 2), (0, 3))
+    assert not diagonals_cross((0, 2), (2, 4))
 
 
 def test_curve_crossing_predicate():
@@ -300,7 +302,7 @@ def test_row_comparison_matches_the_entrywise_reference():
 
 def _perturbed(seed: Seed, kind: str) -> Seed:
     n = seed.n
-    rows = [list(r) for r in seed.matrix.entries]
+    rows = [list(r) for r in seed.matrix]
     exchangeable, frozen = list(seed.exchangeable_labels), list(seed.frozen_labels)
     if kind == "exchangeable entry":
         rows[0][1] += 1
@@ -340,7 +342,9 @@ def test_row_comparison_rejects_a_perturbed_paunched_seed(monkeypatch, fresh_sur
         return _perturbed(real(data), kind) if data == paunched else real(data)
 
     monkeypatch.setattr(surface_module, "seed_from_surface", perturbed_seed_from_surface)
-    fresh_surface_caches()  # the first check cached the seed cut along I0 | I1
+    fresh_surface_caches()
+    # the first check kept its comparison of the cut set I0 | I1 on surf
+    surf = make_surface(6, fan(6), laminations=[[(1, 4)]])
     assert reference_check_theorem_sur(surf, I0, I1) is False
     assert check_theorem_sur(surf, I0, I1) is False
 
@@ -371,7 +375,7 @@ def _bumped(seed, x, y):
     no column y."""
     if not seed.is_exchangeable(x) or y not in seed.labels:
         return seed
-    rows = [list(r) for r in seed.matrix.entries]
+    rows = [list(r) for r in seed.matrix]
     rows[seed.index(x)][seed.index(y)] += 1
     return Seed.from_data(seed.exchangeable_labels, seed.frozen_labels, rows)
 
@@ -433,7 +437,7 @@ def test_deeper_sweep_compares_each_cut_set_once(monkeypatch, fresh_surface_cach
         dlabels = set(surf.diagonal_labels())
         cut_sets = {frozenset(I0 + I1) & dlabels for I0, I1 in specs}
         assert builds[0] == len(cut_sets), surf
-        _, comparisons = surface_module._sweep_memo(surf)
+        _, comparisons = surf._sweep
         assert len(comparisons) == len(cut_sets), surf
         assert {frozenset(c) for c in comparisons} == cut_sets, surf
         assert fast == [reference_check_theorem_sur(surf, I0, I1) for I0, I1 in specs], surf
@@ -593,6 +597,17 @@ def test_matrix_and_shear_row_are_fresh_per_call():
     assert expected[1] == reference_shear_coordinates(surf, curves)
 
 
+def test_a_swept_surface_is_freed_once_dropped():
+    # the sweep's memo lives on the surface, so no cache keeps a surface,
+    # its seed or its comparisons alive after the sweep
+    surf = make_surface(6, fan(6), laminations=[[(1, 4)]])
+    assert all(check_theorem_sur(surf, I0, I1) for I0, I1 in sweep_specs(surf, 2))
+    ref = weakref.ref(surf)
+    del surf
+    gc.collect()
+    assert ref() is None
+
+
 def test_surface_caches_are_bounded():
     maxsizes = {
         name: obj.cache_parameters()["maxsize"]
@@ -603,7 +618,6 @@ def test_surface_caches_are_bounded():
         "_polygon_table",
         "_triangulation_fault",
         "_shear_row",
-        "_sweep_memo",
     }
     assert all(isinstance(m, int) and m > 0 for m in maxsizes.values()), maxsizes
 
@@ -667,7 +681,7 @@ def _noncrossing_lamination(rng, N):
     curves = []
     for _ in range(rng.randint(1, 3)):
         curve = tuple(sorted(rng.sample(range(N), 2)))
-        if not any(diagonals_cross(curve, c, N) for c in curves):
+        if not any(diagonals_cross(curve, c) for c in curves):
             curves.append(curve)
     return curves
 
