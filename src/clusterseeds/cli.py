@@ -1,8 +1,11 @@
 """Command-line driver.
 
 Machine output is a versioned JSON document; the human rendering is
-derived from that document, never computed separately.  Exit codes:
-0 success, 2 input error, 3 resource cap exceeded, 4 theorem violation.
+derived from that document, never computed separately.  Every JSON
+report, machine or human, is written by dumps_indented, which returns
+json.dumps(doc, indent=2) byte for byte without json's pure-Python
+indenting encoder.  Exit codes: 0 success, 2 input error, 3 resource cap
+exceeded, 4 theorem violation.
 """
 
 from __future__ import annotations
@@ -10,9 +13,9 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
     HomError,
@@ -48,6 +51,66 @@ from .classify import theorem_number_report
 from .surface import check_theorem_sur, cut_along, paunched_surface, seed_from_surface, surface_iso
 
 SCHEMA_VERSION = 1
+
+_INFINITY = float("inf")
+
+
+def _scalar_text(x) -> str | None:
+    """The JSON text json writes for a str, None, bool, int or float;
+    None for any other type."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == _INFINITY:
+            return "Infinity"
+        if x == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(x)
+    return None
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return _quote(key)
+    text = _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return _quote(text)
+
+
+def dumps_indented(doc, newline: str = "\n") -> str:
+    """json.dumps(doc, indent=2), the same text and the same TypeErrors,
+    with the items of each container joined at once and strings quoted
+    by json's C encoder.  newline is the line break and indent before
+    doc's own closing bracket."""
+    inner = newline + "  "
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = [
+            _key_text(k) + ": " + (_scalar_text(v) or dumps_indented(v, inner))
+            for k, v in doc.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        items = [_scalar_text(v) or dumps_indented(v, inner) for v in doc]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    text = _scalar_text(doc)
+    if text is None:
+        raise TypeError(f"Object of type {doc.__class__.__name__} is not JSON serializable")
+    return text
 
 
 def _spec_from_args(args, valid_labels) -> tuple[frozenset, frozenset]:
@@ -147,7 +210,7 @@ def cmd_compose(args):
     g = require_hom(load_hom(args.outer, seed, seed))
     f = require_hom(load_hom(args.inner, seed, seed))
     doc = hom_to_dict(compose(g, f))
-    return doc, (lambda d: json.dumps(d, indent=2)), 0
+    return doc, dumps_indented, 0
 
 
 def cmd_endpar(args):
@@ -275,20 +338,20 @@ def cmd_classify(args):
 def cmd_surface_seed(args):
     data = load_surface(args.surface)
     doc = seed_to_dict(seed_from_surface(data))
-    return doc, (lambda d: json.dumps(d, indent=2)), 0
+    return doc, dumps_indented, 0
 
 
 def cmd_cut(args):
     data = load_surface(args.surface)
     doc = surface_to_dict(cut_along(data, args.diagonal, mode=args.mode))
-    return doc, (lambda d: json.dumps(d, indent=2)), 0
+    return doc, dumps_indented, 0
 
 
 def cmd_paunch(args):
     data = load_surface(args.surface)
     I0, I1 = _spec_from_args(args, data.diagonal_labels() + data.lamination_labels())
     doc = surface_to_dict(paunched_surface(data, I0, I1))
-    return doc, (lambda d: json.dumps(d, indent=2)), 0
+    return doc, dumps_indented, 0
 
 
 def cmd_check_sur(args):
@@ -439,7 +502,7 @@ def main(argv=None) -> int:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 4
     doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **doc}
-    text = json.dumps(doc, indent=2) if args.format == "machine" else human(doc)
+    text = dumps_indented(doc) if args.format == "machine" else human(doc)
     if args.out:
         try:
             with open(args.out, "w") as fh:

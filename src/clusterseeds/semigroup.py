@@ -183,9 +183,14 @@ def enumerate_endpar(seed: Seed, cap: int = DEFAULT_CAP) -> SemigroupTable:
 _BLOCK_CELLS = 1 << 18
 
 
+def _block_rows(size: int) -> int:
+    """Rows or columns per block of a size² table."""
+    return max(1, _BLOCK_CELLS // max(size, 1))
+
+
 def _blocks(size: int):
     """(start, stop) of each block of rows or columns of a size² table."""
-    step = max(1, _BLOCK_CELLS // max(size, 1))
+    step = _block_rows(size)
     for start in range(0, size, step):
         yield start, min(size, start + step)
 
@@ -194,9 +199,11 @@ def _product_table(digits: np.ndarray) -> tuple[np.ndarray, int]:
     """Product table of the elements, given their digit rows as written
     by enumerate_endpar, and the index of the empty hom.  The code of
     each composite is assembled one position at a time, over a block of
-    columns, and looked up in a dense table indexed by code (-1 where no
-    element has the code), or among the sorted codes when that table
-    would have more entries than the product table.
+    columns, in the narrowest signed integer type that holds every code
+    (int16 up to 4 labels, int32 up to 7, int64 beyond), and looked up
+    in a dense table indexed by code (-1 where no element has the code),
+    or among the sorted codes when that table would have more entries
+    than the product table.
     """
     import numpy as np
 
@@ -212,42 +219,56 @@ def _product_table(digits: np.ndarray) -> tuple[np.ndarray, int]:
         sorted_codes = codes[order]
         shared = np.any(sorted_codes[1:] == sorted_codes[:-1])
 
-        def lookup(acc):
+        def lookup(acc, out):
             at = np.searchsorted(sorted_codes, acc)
             np.minimum(at, size - 1, out=at)
-            return np.where(sorted_codes[at] == acc, order[at], -1)
+            out[...] = np.where(sorted_codes[at] == acc, order[at], -1)
+            return out
 
     else:
         lut = np.full(base**width, -1, dtype=product.dtype)
         elems = np.arange(size, dtype=product.dtype)
         lut[codes] = elems
         shared = not np.array_equal(lut[codes], elems)  # a later write won
-        lookup = lut.__getitem__
+
+        def lookup(acc, out):
+            return np.take(lut, acc, out=out, mode="clip")  # every code < base**width
+
     if shared:
         raise TheoremViolation("two elements of the semigroup share a code")
     zero = np.flatnonzero(codes == 0)
     if not zero.size:
         raise TheoremViolation("the empty homomorphism is missing from the semigroup")
+    code_type = next(t for t in (np.int16, np.int32, np.int64) if base**width <= np.iinfo(t).max)
     # Composing x after y: where y sends position p to q with frozen flag f,
     # the composite takes x's digit at q if x's flag there is also f, else
-    # leaves p outside the domain.  hit[x, 2q+f] is that digit; the last
-    # column serves positions outside y's domain.
-    hit = np.zeros((size, 2 * width + 1), dtype=np.int64)
+    # leaves p outside the domain.  hit[2q+f, x] is that digit; the last
+    # row serves positions outside y's domain.  Each gather below copies
+    # whole rows of weighted_hit[p] = base**p * hit, one per column y.
+    hit = np.zeros((2 * width + 1, size), dtype=code_type)
     for f in (0, 1):
-        hit[:, f : 2 * width : 2] = np.where(F == f, digits, 0)
-    weighted_hit = hit[None, :, :] * weights[:, None, None]
-    col = np.where(V >= 0, 2 * V + F, 2 * width)
+        hit[f : 2 * width : 2] = np.where(F == f, digits, 0).T
+    weighted_hit = np.multiply.outer(weights.astype(code_type), hit)
+    # the row of hit per position p and column y; it lies in [0, 2*width],
+    # so mode="clip" never clips, and spares the copy of out that
+    # mode="raise" makes on every gather
+    col = np.where(V >= 0, 2 * V + F, 2 * width).T.astype(np.intp)
+    acc = np.empty((min(size, _block_rows(size)), size), dtype=code_type)
+    gathered = np.empty_like(acc)
+    found = np.empty_like(acc, dtype=product.dtype)
     for j0, j1 in _blocks(size):
-        acc = np.zeros((size, j1 - j0), dtype=np.int64)
+        # acc[j, x] is the code of x after y = j0 + j
+        a, g = acc[: j1 - j0], gathered[: j1 - j0]
+        a.fill(0)
         for p in range(width):
-            acc += weighted_hit[p][:, col[j0:j1, p]]
-        block = lookup(acc)
+            a += np.take(weighted_hit[p], col[p, j0:j1], axis=0, out=g, mode="clip")
+        block = lookup(a, found[: j1 - j0])
         if block.min(initial=0) < 0:
-            j, i = np.argwhere(block.T < 0)[0]
+            j, i = np.argwhere(block < 0)[0]
             raise TheoremViolation(
                 f"composition of elements {i} and {j0 + j} left the semigroup"
             )
-        product[:, j0:j1] = block
+        product[:, j0:j1] = block.T
     return product, int(zero[0])
 
 

@@ -11,7 +11,8 @@ each lamination is clipped on its own, so delete cuts, paunched surfaces
 and check_theorem_sur all use one freeze cut per set of cut diagonals.
 check_theorem_sur compares the sub-seed and the cut seed of each cut set
 once, kept with the surface's own seed on the surface itself, and reads
-every spec off that comparison.
+every spec off that comparison; it cuts each cut set once, from the
+kept cut of the cut set without its last diagonal.
 What depends on one triangulated polygon alone (its faces, apexes, side
 pairs and curve rows) is cached per (N, diagonals).
 """
@@ -84,10 +85,11 @@ class SurfaceData:
         return {c: (self.components[c], tuple(sorted(ds)), ds) for c, ds in label_of.items()}
 
     @cached_attribute
-    def _sweep(self) -> tuple[Seed, dict]:
-        """The surface's own seed and check_theorem_sur's comparisons by
-        cut set, freed with the surface."""
-        return seed_from_surface(self), {}
+    def _sweep(self) -> tuple[Seed, dict, dict]:
+        """The surface's own seed, and check_theorem_sur's comparisons and
+        freeze-cut fields by cut set, freed with the surface."""
+        uncut = self.components, self.diagonals, self.laminations
+        return seed_from_surface(self), {}, {(): uncut}
 
 
 def _norm_curve(comp: int, s: int, t: int):
@@ -389,18 +391,28 @@ def paunched_surface(data: SurfaceData, I0, I1) -> SurfaceData:
     return SurfaceData(components, diagonals, tuple(lam for lam in laminations if lam[0] not in I1))
 
 
-def _cut_set_comparison(data: SurfaceData, base: Seed, cuts: tuple[str, ...]):
+def _cut_fields(fields: dict, cuts: tuple[str, ...]):
+    """_freeze_cut(data, cuts) for cuts in sorted order, where fields
+    maps () to data's fields and keeps every cut set it is asked for:
+    the cut of cuts[:-1], cut once more along cuts[-1]."""
+    if cuts not in fields:
+        fields[cuts] = _cut(*_cut_fields(fields, cuts[:-1]), cuts[-1])
+    return fields[cuts]
+
+
+def _cut_set_comparison(base: Seed, cuts: tuple[str, ...], fields):
     """Both sides of check_theorem_sur for the cut set cuts, compared.
 
     The left side is the sub-seed of the surface seed base that freezes
-    every diagonal in cuts; the right side is the seed of the surface cut
-    freeze-style along cuts, built from the cut polygons' own tables
-    (base itself when cuts is empty).  Returns whether the exchangeable
-    label sets are equal, both frozen label sets, and the column labels
-    on which some row shared by both sides disagrees.
+    every diagonal in cuts; the right side is the seed of the surface
+    whose freeze cut along cuts has the given fields, built from the cut
+    polygons' own tables (base itself when cuts is empty).  Returns
+    whether the exchangeable label sets are equal, both frozen label
+    sets, and the column labels on which some row shared by both sides
+    disagrees.
     """
     left = mixing_subseed(base, SubSeedSpec(frozenset(cuts), frozenset()))
-    right = seed_from_surface(SurfaceData(*_freeze_cut(data, cuts))) if cuts else base
+    right = seed_from_surface(SurfaceData(*fields)) if cuts else base
     right_rows = dict(zip(right.exchangeable_labels, right.matrix))
     rows = [
         (row, right_rows[x])
@@ -430,11 +442,12 @@ def check_theorem_sur(data: SurfaceData, I0, I1) -> bool:
     stays, and each frozen column is computed from its own lamination.
     """
     I0, I1 = frozenset(I0), frozenset(I1)
-    base, comparisons = data._sweep
+    base, comparisons, fields = data._sweep
     SubSeedSpec(I0, I1).validate(base)
+    # in sorted order, as the exchangeable labels of a surface seed are
     cuts = tuple(x for x in base.exchangeable_labels if x in I0 or x in I1)
     if cuts not in comparisons:
-        comparisons[cuts] = _cut_set_comparison(data, base, cuts)
+        comparisons[cuts] = _cut_set_comparison(base, cuts, _cut_fields(fields, cuts))
     ex_equal, left_frozen, right_frozen, disagree = comparisons[cuts]
     return ex_equal and left_frozen - I1 == right_frozen - I1 and disagree <= I1
 

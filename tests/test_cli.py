@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import clusterseeds
 import clusterseeds.surface as surface_module
@@ -373,20 +374,21 @@ def test_surface_sweep_builds_one_seed_per_cut_set(
     # I0 | I1): the empty one, 3 single diagonals and 3 pairs.  One seed
     # for the surface, which is also the empty cut set's, and one per
     # nonempty cut set; one validation for the loaded surface and one
-    # per cut surface
-    calls = {"seed_from_surface": 0, "validate_surface": 0}
+    # per cut surface; one cut per nonempty cut set, each pair cut from
+    # the cut set of its first diagonal
+    calls = {"seed_from_surface": 0, "validate_surface": 0, "_cut": 0}
     for name in calls:
 
-        def counting(data, real=getattr(surface_module, name), name=name):
+        def counting(*args, real=getattr(surface_module, name), name=name):
             calls[name] += 1
-            return real(data)
+            return real(*args)
 
         monkeypatch.setattr(surface_module, name, counting)
     fresh_surface_caches()
     code, out, _ = run(capsys, "--format", "machine", "check-sur", hexagon_file, "--all", "--max-cut", "2")
     doc = json.loads(out)
     assert (code, doc["checked"], doc["all_ok"]) == (0, 26, True)
-    assert calls == {"seed_from_surface": 7, "validate_surface": 7}
+    assert calls == {"seed_from_surface": 7, "validate_surface": 7, "_cut": 6}
 
 
 def test_two_component_sweep_is_pinned(capsys, tmp_path):
@@ -419,6 +421,44 @@ def test_polygon_sweeps_are_pinned(capsys, tmp_path):
     assert digest.hexdigest() == (
         "cf73edfd3b1c306ddb3987833758dae6c1ea070dc152ab3b5ac5c6fb9e019fc4"
     )
+
+
+# sha256 of the human output of the four commands whose human form is
+# the report's JSON, recorded while both formats went through json.dumps;
+# surface-seed's equals the machine pin of the same surface above
+HUMAN_JSON_REPORTS = {
+    "compose": "913973181479ae3461cf7cb89fb24fa90b7d0caeaac14c3700e33e9c1e0ce0c5",
+    "surface-seed": "d50ef0f660e575c08f0e08c7858777f0d1f5be3da0b4e7d4c243aad741898743",
+    "cut": "7ae94d8e844b0a86bf96d58198e5c422bdadf3da4d30a0af9ea49ec83bf2b159",
+    "paunch": "04d0fc88baafc5f068ba28970f7e86dd993f50d2b27c793ed203fe5b7b5a456d",
+}
+
+
+def _human_json_report_argv(command, tmp_path):
+    surf = tmp_path / "two.json"
+    surf.write_text(json.dumps(surface_to_dict(two_component_surface())))
+    if command == "surface-seed":
+        return "surface-seed", str(surf)
+    if command == "cut":
+        return "cut", str(surf), "b", "--mode", "freeze"
+    if command == "paunch":
+        return "paunch", str(surf), "--i0", "a,f", "--i1", "c,L1"
+    seed = tmp_path / "a2_y2.json"
+    dump_seed(a2_y2_seed(), str(seed))
+    outer, inner = tmp_path / "outer.json", tmp_path / "inner.json"
+    outer_map = {"x1": "y2", "x2": "x2", "y1": "y2", "y2": "x1"}
+    outer.write_text(json.dumps({"I0": ["x1"], "I1": [], "map": outer_map}))
+    inner_map = {"x1": "x1", "x2": "x2", "y1": "y2"}
+    inner.write_text(json.dumps({"I0": ["x1", "x2"], "I1": ["y2"], "map": inner_map}))
+    return "compose", str(seed), str(outer), str(inner)
+
+
+@pytest.mark.parametrize("command", sorted(HUMAN_JSON_REPORTS))
+def test_human_json_reports_are_pinned(capsys, tmp_path, command):
+    code, out, err = run(capsys, *_human_json_report_argv(command, tmp_path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["command"] == command
+    assert hashlib.sha256(out.encode()).hexdigest() == HUMAN_JSON_REPORTS[command]
 
 
 def test_reused_parser_matches_fresh_processes(capsys, monkeypatch, a2_file, square_file):
@@ -563,3 +603,83 @@ def test_surface_iso_command(capsys, tmp_path, square_file):
     )
     code, out, _ = run(capsys, "surface-iso", square_file, str(other))
     assert code == 0 and "isomorphic" in out
+
+
+# ------------------------------------------------------------------ writer
+
+_STRINGS = st.one_of(
+    st.text(),
+    st.text(st.sampled_from('"\\/\x00\x08\x1f\x7f\u00e9\u2028\ud800\U0001d11e ab')),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, -(2**70) - 1, 10**40]),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    _STRINGS,
+)
+_KEYS = st.one_of(
+    _STRINGS,
+    st.integers(),
+    st.floats(),
+    st.sampled_from([float("nan"), float("-inf"), -0.0]),
+    st.booleans(),
+    st.none(),
+)
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.lists(_STRINGS),
+        st.dictionaries(_KEYS, children),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCS)
+def test_writer_matches_json_dumps(doc):
+    assert cli.dumps_indented(doc) == json.dumps(doc, indent=2)
+
+
+def test_writer_prints_subclasses_of_scalars_as_json_dumps_does():
+    class Label(str):
+        pass
+
+    class Count(int):
+        def __repr__(self):
+            return "Count()"
+
+    class Ratio(float):
+        def __repr__(self):
+            return "Ratio()"
+
+    doc = {Label("a"): [Count(3), Ratio(0.5), Label("b")], Count(7): {Ratio(2.0): True}}
+    assert cli.dumps_indented(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {1, 2},
+        object(),
+        {"a": [1, {"b": frozenset()}]},
+        [1, "x", object()],
+        {(1, 2): 0},
+        {"a": 1, b"k": 2},
+        {"a": {"b": 1, 2.5: [], (): 3}},
+    ],
+    ids=[
+        "set", "object", "nested-set", "object-item", "tuple-key", "bytes-key", "nested-tuple-key",
+    ],
+)
+def test_writer_raises_where_json_dumps_does(doc):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError) as raised:
+        cli.dumps_indented(doc)
+    assert str(raised.value) == str(expected.value)

@@ -229,28 +229,54 @@ def test_index_of_finds_each_element_and_no_rejected_map(name):
     assert (rejected == 0) == (name in ("A1", "trivial_m1", "trivial_m2"))
 
 
-def both_paths(digits):
-    """The digit rows for each lookup path: as given, which takes the
-    dense code table on every seed here, and padded with all-zero columns
-    to width 7, whose 16**7 codes outnumber size² on every seed here and
-    so take the sorted-code search.  Padding changes no product, since a
-    padded position lies outside every domain."""
+PATHS = ["dense", "sorted", "wide"]
+
+
+def all_paths(digits):
+    """The digit rows for each lookup path and code type, padded with
+    all-zero columns where needed: as given, which takes the dense code
+    table on every seed here and accumulates codes as int16 (width <= 4);
+    to width 7, whose 16**7 codes outnumber size² on every seed here, so
+    the sorted-code search, with int32 codes; and to width 8, the sorted
+    search with int64 codes (18**8 > 2**31).  Padding changes no product,
+    since a padded position lies outside every domain."""
     size, width = digits.shape
-    assert (2 * width + 2) ** width <= size * size < 16**7
-    return {"dense": digits, "sorted": np.pad(digits, ((0, 0), (0, 7 - width)))}
+    assert (2 * width + 2) ** width <= min(size * size, 2**15) and size * size < 16**7
+    return {
+        "dense": digits,
+        "sorted": np.pad(digits, ((0, 0), (0, 7 - width))),
+        "wide": np.pad(digits, ((0, 0), (0, 8 - width))),
+    }
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_SEEDS))
 def test_product_table_lookup_paths_agree(name):
     S = endpar_of(name)
-    for path, digits in both_paths(digit_rows(S)).items():
+    for path, digits in all_paths(digit_rows(S)).items():
         product, zero = _product_table(digits)
         assert product.dtype == S.product.dtype, path
         assert np.array_equal(product, S.product), path
         assert zero == S.zero_index, path
 
 
-@pytest.mark.parametrize("path", ["dense", "sorted"])
+@pytest.mark.parametrize("path, code_type", zip(PATHS, (np.int16, np.int32, np.int64)))
+def test_product_table_gathers_codes_in_the_narrowest_type(monkeypatch, path, code_type):
+    S = endpar_of("a2_y2")
+    real_take = np.take
+    gathered = set()
+
+    def spying_take(a, indices, axis=None, out=None, mode="raise"):
+        if axis == 0:  # the gathers of weighted rows, not the dense lookup
+            gathered.add(out.dtype)
+        return real_take(a, indices, axis=axis, out=out, mode=mode)
+
+    monkeypatch.setattr(np, "take", spying_take)
+    product, _ = _product_table(all_paths(digit_rows(S))[path])
+    assert gathered == {np.dtype(code_type)}
+    assert np.array_equal(product, S.product)
+
+
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("name, stride", [("a2", 1), ("a2_y2", 31)])
 def test_product_table_closure_check_names_the_first_product_outside(name, stride, path):
     """Remove one non-zero row: the first product that lands on it, in
@@ -263,7 +289,7 @@ def test_product_table_closure_check_names_the_first_product_outside(name, strid
         if r == S.zero_index:
             continue
         keep = [k for k in range(size) if k != r]
-        digits = both_paths(digit_rows(S)[keep])[path]
+        digits = all_paths(digit_rows(S)[keep])[path]
         table = S.product[np.ix_(keep, keep)]
         outside = np.argwhere(table.T == r)
         if not len(outside):
@@ -281,22 +307,22 @@ def test_product_table_closure_check_names_the_first_product_outside(name, strid
         assert max(raised) >= _BLOCK_CELLS // size
 
 
-@pytest.mark.parametrize("path", ["dense", "sorted"])
+@pytest.mark.parametrize("path", PATHS)
 def test_product_table_rejects_a_shared_code(path):
     S = endpar_of("a2")
     digits = digit_rows(S)
     for r in (0, S.zero_index, len(S) - 1):
         twice = np.insert(digits, r + 1, digits[r], axis=0)
         with pytest.raises(TheoremViolation, match="two elements of the semigroup share a code"):
-            _product_table(both_paths(twice)[path])
+            _product_table(all_paths(twice)[path])
 
 
-@pytest.mark.parametrize("path", ["dense", "sorted"])
+@pytest.mark.parametrize("path", PATHS)
 def test_product_table_rejects_a_missing_zero(path):
     S = endpar_of("a2")
     digits = np.delete(digit_rows(S), S.zero_index, axis=0)
     with pytest.raises(TheoremViolation, match="the empty homomorphism is missing"):
-        _product_table(both_paths(digits)[path])
+        _product_table(all_paths(digits)[path])
 
 
 def test_zero_absorbs():

@@ -437,7 +437,7 @@ def test_deeper_sweep_compares_each_cut_set_once(monkeypatch, fresh_surface_cach
         dlabels = set(surf.diagonal_labels())
         cut_sets = {frozenset(I0 + I1) & dlabels for I0, I1 in specs}
         assert builds[0] == len(cut_sets), surf
-        _, comparisons = surf._sweep
+        _, comparisons, _ = surf._sweep
         assert len(comparisons) == len(cut_sets), surf
         assert {frozenset(c) for c in comparisons} == cut_sets, surf
         assert fast == [reference_check_theorem_sur(surf, I0, I1) for I0, I1 in specs], surf
@@ -447,6 +447,26 @@ def test_deeper_sweep_compares_each_cut_set_once(monkeypatch, fresh_surface_cach
     # 244 on the two components and 706 on the 11-gon fan (d = 8)
     assert checked == 1 * 2 + 2 * 6 + 5 * 18 + 14 * 46 + 42 * 98 + 244 + 706
     assert len(cut_sets) == 93
+
+
+def test_sweep_memoises_each_cut_set_as_its_freeze_cut():
+    # each nonempty cut set is its prefix's fields cut along its last
+    # label; on every cut set the memo must hold what _freeze_cut builds
+    # from the uncut surface
+    eleven_gon = make_surface(11, fan(11), laminations=[[(1, 6)]])
+    for surf, max_cut in [
+        *((surf, 2) for surf in seeded_polygons()),
+        (two_component_surface(), 3),
+        (eleven_gon, 3),
+    ]:
+        specs = list(sweep_specs(surf, max_cut))
+        for I0, I1 in specs:
+            check_theorem_sur(surf, I0, I1)
+        _, comparisons, fields = surf._sweep
+        assert fields.keys() == comparisons.keys(), surf
+        for cuts, cut in fields.items():
+            assert cuts == tuple(sorted(cuts)), surf
+            assert cut == surface_module._freeze_cut(surf, cuts), (surf, cuts)
 
 
 def test_paunched_surface_validates_one_surface(monkeypatch):
