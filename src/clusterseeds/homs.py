@@ -36,10 +36,10 @@ class SubSeedSpec:
     I1: frozenset[str]
 
     def validate(self, seed: Seed) -> None:
-        bad = self.I0 - set(seed.exchangeable_labels)
+        bad = self.I0.difference(seed.exchangeable_labels)
         if bad:
             raise SpecError(f"I0 labels not exchangeable in the seed: {sorted(bad)}")
-        bad = self.I1 - set(seed.labels)
+        bad = self.I1.difference(seed._position)
         if bad:
             raise SpecError(f"I1 labels not in the extended cluster: {sorted(bad)}")
         both = self.I0 & self.I1
@@ -144,7 +144,7 @@ def check_partial_hom(candidate: PartialSeedHom) -> tuple[bool, str | None]:
         spec.validate(src)
     except SpecError as exc:
         return False, str(exc)
-    labels, mapping = src.labels, candidate.mapping
+    labels, mapping, n = src.labels, candidate.mapping, src.n
     tgt_pos = tgt._position
     # target position of each source position's image (-1 outside the
     # domain), and the domain's positions: exchangeable rows, then the
@@ -161,7 +161,7 @@ def check_partial_hom(candidate: PartialSeedHom) -> tuple[bool, str | None]:
             return False, f"{x!r} maps to unknown target label {v!r}"
         else:
             image.append(tgt_pos[v])
-            (rows if p < src.n and x not in spec.I0 else frozen).append(p)
+            (rows if p < n and x not in spec.I0 else frozen).append(p)
     for i in rows:
         if image[i] >= tgt.n:
             return False, (

@@ -495,34 +495,44 @@ def enumerate_clusters(
     A seed of geometric type is determined by its cluster (conjectured
     by Fomin-Zelevinsky, Compositio 2007, Conj. 4.14; proved by
     Gekhtman-Shapiro-Vainshtein, Math. Res. Lett. 2008), so the search
-    keeps one labeled state per cluster: the first that reached it,
-    with the direction k that did.  Mutation is an involution, so
-    direction k only leads back to the parent and is skipped.  The
+    keeps one labeled state per cluster, the first that reached it, and
+    the set of its slots whose exchange is known to land on a cluster
+    already found.  Mutation is an involution, so a cluster reached in
+    direction k starts with {k}, and an exchange that lands on a known
+    cluster adds to that cluster's set the slot holding the new
+    variable.  Each edge of the exchange graph is computed once, so a
+    closed search makes n * N / 2 exchanges for N clusters.  Only a new
+    cluster gets its matrix mutated and its labeled state built.  The
     status is "closed" once a level finds no new cluster within the
     depth, and max_states caps the number of clusters kept.
     """
     start = initial_state(seed)
-    clusters = {start.cluster()}
-    order = [start.cluster()]
-    frontier = [(start, None)] if seed.n else []
+    # cluster -> (its first labeled state, the slots known to lead back),
+    # in the order the clusters were found
+    kept = {start.cluster(): (start, set())}
+    frontier = list(kept.values()) if seed.n else []
     depth = 0
     while frontier:
         if depth >= max_depth:
-            return ClusterEnumeration(order, "truncated")
+            return ClusterEnumeration(list(kept), "truncated")
         depth += 1
         new_frontier = []
-        for state, back in frontier:
+        for state, known in frontier:
             for k in range(seed.n):
-                if k == back:
+                if k in known:
                     continue
-                nxt = mutate_state(state, k)
-                c = nxt.cluster()
-                if c in clusters:
+                value = exchange(state, k)
+                assignment = state.assignment[:k] + (value,) + state.assignment[k + 1 :]
+                c = frozenset(assignment)
+                landing = kept.get(c)
+                if landing is not None:
+                    # the slot holding value in the landing state leads back here
+                    landing[1].add(landing[0].assignment.index(value))
                     continue
-                if len(clusters) >= max_states:
-                    return ClusterEnumeration(order, "truncated")
-                clusters.add(c)
-                order.append(c)
-                new_frontier.append((nxt, k))
+                if len(kept) >= max_states:
+                    return ClusterEnumeration(list(kept), "truncated")
+                matrix = matrix_mutation(state.matrix, k)
+                kept[c] = entry = (LabeledSeedState(state.seed, matrix, assignment), {k})
+                new_frontier.append(entry)
         frontier = new_frontier
-    return ClusterEnumeration(order, "closed")
+    return ClusterEnumeration(list(kept), "closed")

@@ -25,6 +25,8 @@ __all__ = [
     "find_symmetrizer",
 ]
 
+_INT = frozenset({int})
+
 
 class cached_attribute:
     """A value computed on first access and stored in the instance
@@ -59,10 +61,12 @@ class Seed:
         n, width = self.n, len(self.labels)
         if len(self.matrix) != n:
             raise SeedError(f"expected {n} rows, got {len(self.matrix)}")
+        # entries of type exactly int need no per-entry isinstance test
+        exact = set(map(type, itertools.chain.from_iterable(self.matrix))) <= _INT
         for i, row in enumerate(self.matrix):
             if len(row) != width:
                 raise SeedError(f"row {i} has length {len(row)}, expected {width}")
-            if not all(map(isinstance, row, itertools.repeat(int))):
+            if not exact and not all(map(isinstance, row, itertools.repeat(int))):
                 raise SeedError(f"row {i} contains non-integer entries")
         if len(set(self.labels)) != width:
             raise SeedError("variable labels must be pairwise distinct")

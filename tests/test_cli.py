@@ -297,6 +297,38 @@ def test_deep_clusters_are_pinned(capsys, tmp_path, name):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+# sha256 of the machine JSON of searches that close, recorded before the
+# search computed each edge of the exchange graph once
+CLOSED_CLUSTERS = {
+    "A4": (
+        ["x1", "x2", "x3", "x4"], [],
+        [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]], 42,
+        "6a266e5023cfda2f34602bb02fd27d6e41e54027f2aabf20cee1d8512d20bc75",
+    ),
+    "D4": (
+        ["x1", "x2", "x3", "x4"], [],
+        [[0, 1, 0, 0], [-1, 0, -1, -1], [0, 1, 0, 0], [0, 1, 0, 0]], 50,
+        "adc848986cd50e853850c4a3b4cb9750df52cc1a99a96dff3f64949a0900da5c",
+    ),
+    "A3_prin": (
+        ["x1", "x2", "x3"], ["y1", "y2", "y3"],
+        [[0, 1, 0, 1, 0, 0], [-1, 0, 1, 0, 1, 0], [0, -1, 0, 0, 0, 1]], 14,
+        "b323cc4c543505e79a3ac5d49e0c03a64a79a81b46849d73d1e26c8a53cf2b22",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_CLUSTERS))
+def test_closed_clusters_are_pinned(capsys, tmp_path, name):
+    exchangeable, frozen, rows, count, sha256 = CLOSED_CLUSTERS[name]
+    path = tmp_path / f"{name}.json"
+    dump_seed(Seed.from_data(exchangeable, frozen, rows), str(path))
+    code, out, _ = run(capsys, "--format", "machine", "clusters", str(path), "--depth", "30")
+    doc = json.loads(out)
+    assert (code, doc["count"], doc["status"]) == (0, count, "closed")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 # sha256 of the machine JSON, recorded before the label index moved into
 # Seed and element codes were written at enumeration
 SEMIGROUP_REPORTS = {

@@ -1,6 +1,7 @@
 """Cluster enumeration against the labeled-state search it replaced, and
 the polygon model against cluster enumeration (d-vectors = crossings)."""
 
+import inspect
 import sys
 from math import comb
 
@@ -105,12 +106,10 @@ ORACLE_SEEDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_SEEDS))
-def test_cluster_search_matches_the_labeled_search(monkeypatch, name):
+def assert_matches_the_labeled_search(monkeypatch, search, name):
     """At every depth up to the pinned one: the same clusters in the same
-    order, and "closed" and "truncated" never contradict the oracle.
-    This checks, on these seeds, that a seed is determined by its cluster."""
-    # both searches, at every depth, share one table of mutations
+    order, and "closed" and "truncated" never contradict the oracle."""
+    # the labeled search repeats its mutations at every depth
     memo = {}
     mutate = poly_module.mutate_state
 
@@ -120,7 +119,6 @@ def test_cluster_search_matches_the_labeled_search(monkeypatch, name):
             memo[key] = mutate(state, k)
         return memo[key]
 
-    monkeypatch.setattr(poly_module, "mutate_state", remembered)
     monkeypatch.setattr(sys.modules[__name__], "mutate_state", remembered)
     make_seed, pinned = ORACLE_SEEDS[name]
     seed = make_seed()
@@ -130,7 +128,7 @@ def test_cluster_search_matches_the_labeled_search(monkeypatch, name):
         # so every larger depth repeats it exactly
         if reference is None or reference.status != "closed":
             reference = reference_enumerate_clusters(seed, depth)
-        result = enumerate_clusters(seed, depth)
+        result = search(seed, depth)
         assert result.clusters == reference.clusters, depth
         if reference.status == "closed":
             assert result.status == "closed", depth
@@ -138,12 +136,33 @@ def test_cluster_search_matches_the_labeled_search(monkeypatch, name):
             assert reference.status == "truncated", depth
 
 
-# exchanges of one search: one per direction out of each cluster kept,
-# less the direction back to its parent
+@pytest.mark.parametrize("name", sorted(ORACLE_SEEDS))
+def test_cluster_search_matches_the_labeled_search(monkeypatch, name):
+    """This checks, on these seeds, that a seed is determined by its cluster."""
+    assert_matches_the_labeled_search(monkeypatch, enumerate_clusters, name)
+
+
+def counted(monkeypatch, search, seed, depth):
+    """search(seed, depth) and the number of exchanges it made."""
+    calls = []
+    exchange = search.__globals__["exchange"]
+
+    def counting(state, k):
+        calls.append(k)
+        return exchange(state, k)
+
+    with monkeypatch.context() as patch:
+        patch.setitem(search.__globals__, "exchange", counting)
+        result = search(seed, depth)
+    return result, len(calls)
+
+
+# exchanges of one search: one per edge of the exchange graph between
+# the clusters kept (n * N / 2 when the search closes)
 EXCHANGES = {
-    "A4": (lambda: linear_path_seed(4), 30, 42, 127),
-    "D4": (d4_seed, 30, 50, 151),
-    "A3_prin": (a3_principal_seed, 30, 14, 29),
+    "A4": (lambda: linear_path_seed(4), 30, 42, 84),
+    "D4": (d4_seed, 30, 50, 100),
+    "A3_prin": (a3_principal_seed, 30, 14, 21),
     "markov": (markov_seed, 6, 190, 189),
     "kronecker": (kronecker_seed, 20, 41, 40),
 }
@@ -152,16 +171,53 @@ EXCHANGES = {
 @pytest.mark.parametrize("name", sorted(EXCHANGES))
 def test_cluster_search_exchange_counts_are_pinned(monkeypatch, name):
     make_seed, depth, count, exchanges = EXCHANGES[name]
-    calls = []
-    exchange = poly_module.exchange
+    result, calls = counted(monkeypatch, enumerate_clusters, make_seed(), depth)
+    assert (len(result.clusters), calls) == (count, exchanges)
 
-    def counting(state, k):
-        calls.append(k)
-        return exchange(state, k)
 
-    monkeypatch.setattr(poly_module, "exchange", counting)
-    result = enumerate_clusters(make_seed(), depth)
-    assert (len(result.clusters), len(calls)) == (count, exchanges)
+# the ORACLE_SEEDS of finite type, whose searches close
+CLOSED = sorted(set(ORACLE_SEEDS) - {"markov", "kronecker"})
+
+
+@pytest.mark.parametrize("name", CLOSED)
+def test_closed_search_computes_each_edge_once(monkeypatch, name):
+    """The exchange graph of a closed search is n-regular on its N
+    clusters, so computing each edge once is n * N / 2 exchanges."""
+    make_seed, depth = ORACLE_SEEDS[name]
+    seed = make_seed()
+    result, calls = counted(monkeypatch, enumerate_clusters, seed, depth)
+    assert result.status == "closed"
+    assert calls == seed.n * len(result.clusters) // 2
+
+
+def fault(old, new):
+    """enumerate_clusters with one piece of its source replaced."""
+    source = inspect.getsource(poly_module.enumerate_clusters)
+    assert source.count(old) == 1
+    namespace = dict(vars(poly_module))
+    exec(source.replace(old, new), namespace)
+    return namespace["enumerate_clusters"]
+
+
+@pytest.mark.parametrize("name, exchanges", [("A4", 106), ("D4", 118)])
+def test_edge_count_catches_a_wrong_known_slot(monkeypatch, name, exchanges):
+    """Recording the direction taken instead of the landing state's slot
+    finds the same clusters, so only the edge count shows the fault."""
+    search = fault("landing[0].assignment.index(value)", "k")
+    make_seed, depth = ORACLE_SEEDS[name]
+    seed = make_seed()
+    result, calls = counted(monkeypatch, search, seed, depth)
+    assert (result.clusters, result.status) == (enumerate_clusters(seed, depth).clusters, "closed")
+    assert calls == exchanges != seed.n * len(result.clusters) // 2
+
+
+@pytest.mark.parametrize("name", ["A3", "A4", "D4", "A3_prin", "polygon6"])
+def test_oracle_catches_a_skipped_new_cluster(monkeypatch, name):
+    """A new cluster that also skips its next direction misses clusters
+    that direction leads to first."""
+    search = fault("assignment), {k})", "assignment), {k, (k + 1) % seed.n})")
+    with pytest.raises(AssertionError):
+        assert_matches_the_labeled_search(monkeypatch, search, name)
 
 
 @pytest.mark.parametrize("name", ["A4", "D4", "markov", "kronecker"])

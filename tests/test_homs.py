@@ -372,6 +372,31 @@ def malformed_candidates(seed):
                         yield PartialSeedHom(seed, spec((), I1), seed, tuple(mapping))
 
 
+def set_spec_check(sp, seed):
+    """The spec check on label sets, the form the label-index check replaced."""
+    for bad, message in (
+        (sp.I0 - set(seed.exchangeable_labels), "I0 labels not exchangeable in the seed"),
+        (sp.I1 - set(seed.labels), "I1 labels not in the extended cluster"),
+        (sp.I0 & sp.I1, "I0 and I1 overlap"),
+    ):
+        if bad:
+            return f"{message}: {sorted(bad)}"
+    return None
+
+
+def test_spec_validation_matches_the_label_set_check():
+    for seed in (a2_y2_seed(), double_arrow_seed(), trivial_seed(2)):
+        labels = seed.labels + ("zz", "zy")
+        subsets = [c for r in range(len(labels) + 1) for c in itertools.combinations(labels, r)]
+        for I0, I1 in itertools.product(subsets, repeat=2):
+            sp = spec(I0, I1)
+            try:
+                got = sp.validate(seed)
+            except SpecError as exc:
+                got = str(exc)
+            assert got == set_spec_check(sp, seed), (I0, I1)
+
+
 MALFORMED_KINDS = (
     "not exchangeable in the seed",
     "not in the extended cluster",

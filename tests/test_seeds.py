@@ -29,6 +29,37 @@ def test_matrix_shape_is_enforced():
         Seed(("x1",), (), ((0.5,),))
 
 
+class Count(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (True, None),
+        (Count(1), None),
+        (0.5, "row 1 contains non-integer entries"),
+        ("1", "row 1 contains non-integer entries"),
+    ],
+    ids=["bool", "int-subclass", "float", "str"],
+)
+def test_entries_not_exactly_int_keep_their_outcome(entry, message):
+    """Entries not exactly of type int take the isinstance test: an int
+    subclass (bool too) passes it, anything else is rejected by row."""
+    rows = ((0, 1), (-1, entry))
+    if message is None:
+        assert Seed(("x1", "x2"), (), rows).matrix == rows
+    else:
+        with pytest.raises(SeedError, match=message):
+            Seed(("x1", "x2"), (), rows)
+    # the first faulty row is reported, whatever its fault
+    with pytest.raises(SeedError, match="row 0 has length 1, expected 2"):
+        Seed(("x1", "x2"), (), ((0,), (-1, entry)))
+    if message is not None:
+        with pytest.raises(SeedError, match="row 0 contains non-integer entries"):
+            Seed(("x1", "x2"), (), ((0, entry), (-1,)))
+
+
 def test_a_frozen_only_seed_has_no_rows():
     seed = Seed((), ("y1", "y2"), ())
     assert (seed.n, seed.m, seed.matrix) == (0, 2, ())
