@@ -62,7 +62,6 @@ from .classify import (
 )
 from .surface import (
     SurfaceData,
-    b_matrix_from_triangulation,
     check_theorem_sur,
     curve_crosses,
     cut_along,
@@ -70,7 +69,6 @@ from .surface import (
     make_surface,
     paunched_surface,
     seed_from_surface,
-    shear_coordinates,
     surface_iso,
     validate_surface,
 )

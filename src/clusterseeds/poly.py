@@ -444,7 +444,21 @@ class LabeledSeedState:
         """Current value of column t (exchangeable slot or frozen generator)."""
         if t < self.seed.n:
             return self.assignment[t]
-        return MultiPoly.generator(self.seed.labels, self.seed.labels[t])
+        return _generator(self.seed.labels, self.seed.labels[t])
+
+
+# A MultiPoly is never changed after it is built, so the unit and the
+# frozen generators of a context are built once and shared.
+
+
+@lru_cache(maxsize=64)
+def _unit(context) -> MultiPoly:
+    return MultiPoly.constant(context, 1)
+
+
+@lru_cache(maxsize=1024)
+def _generator(context, label: str) -> MultiPoly:
+    return MultiPoly.generator(context, label)
 
 
 def initial_state(seed: Seed) -> LabeledSeedState:
@@ -466,7 +480,7 @@ def exchange(state: LabeledSeedState, k: int) -> MultiPoly:
     row = state.matrix[k]
     plus = [state.variable(t) ** b for t, b in enumerate(row) if b > 0]
     minus = [state.variable(t) ** -b for t, b in enumerate(row) if b < 0]
-    one = [MultiPoly.constant(state.seed.labels, 1)]  # the product of no factors
+    one = [_unit(state.seed.labels)]  # the product of no factors
     plus, minus = (reduce(operator.mul, side or one) for side in (plus, minus))
     return (plus + minus) / state.assignment[k]
 

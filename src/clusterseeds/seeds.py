@@ -85,8 +85,9 @@ class Seed:
     def m(self) -> int:
         return len(self.frozen_labels)
 
-    # labels and _position are cached per instance, outside the dataclass
-    # fields, so equality, hashing and repr see only the three fields.
+    # labels, _position and _label_sets are cached per instance, outside
+    # the dataclass fields, so equality, hashing and repr see only the
+    # three fields.
     @cached_attribute
     def labels(self) -> tuple[str, ...]:
         """All variables, exchangeable first (the extended cluster)."""
@@ -96,6 +97,11 @@ class Seed:
     def _position(self) -> dict[str, int]:
         """Label -> position in labels: the one label index of the seed."""
         return {x: i for i, x in enumerate(self.labels)}
+
+    @cached_attribute
+    def _label_sets(self) -> tuple[frozenset[str], frozenset[str]]:
+        """The exchangeable labels and all labels, as sets."""
+        return frozenset(self.exchangeable_labels), frozenset(self.labels)
 
     def index(self, label: str) -> int:
         try:

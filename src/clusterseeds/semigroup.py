@@ -195,6 +195,23 @@ def _blocks(size: int):
         yield start, min(size, start + step)
 
 
+# Bytes that a product table and its code lookup may take together.
+# Every int16 table fits (fewer than 32,768 elements: under 2 GiB, with
+# a lookup no larger than the table) and no int32 table does (at least
+# 32,768² cells of 4 bytes, 4 GiB before its lookup).
+TABLE_BYTE_BUDGET = 1 << 32
+
+
+def _projected_table_bytes(size: int, width: int) -> int:
+    """Bytes of the product table of size elements whose codes have
+    width digits, and of its lookup (see _product_table): the dense
+    table by code, or the sorted codes with their order."""
+    itemsize = 2 if size < 32768 else 4
+    codes = (2 * width + 2) ** width
+    lookup = codes * itemsize if codes <= size * size else size * (8 + itemsize)
+    return size * size * itemsize + lookup
+
+
 def _product_table(digits: np.ndarray) -> tuple[np.ndarray, int]:
     """Product table of the elements, given their digit rows as written
     by enumerate_endpar, and the index of the empty hom.  The code of
@@ -203,11 +220,19 @@ def _product_table(digits: np.ndarray) -> tuple[np.ndarray, int]:
     (int16 up to 4 labels, int32 up to 7, int64 beyond), and looked up
     in a dense table indexed by code (-1 where no element has the code),
     or among the sorted codes when that table would have more entries
-    than the product table.
+    than the product table.  Raises ResourceCapExceeded, before
+    allocating, if the two would take more than TABLE_BYTE_BUDGET bytes.
     """
     import numpy as np
 
     size, width = digits.shape
+    projected = _projected_table_bytes(size, width)
+    if projected > TABLE_BYTE_BUDGET:
+        raise ResourceCapExceeded(
+            f"the product table of {size} elements needs {projected} bytes, "
+            f"over the budget of {TABLE_BYTE_BUDGET}",
+            partial_count=size,
+        )
     base = 2 * width + 2
     V = digits // 2 - 1  # image position, -1 outside the domain
     F = digits % 2  # frozen in the domain

@@ -12,7 +12,9 @@ and check_theorem_sur all use one freeze cut per set of cut diagonals.
 check_theorem_sur compares the sub-seed and the cut seed of each cut set
 once, kept with the surface's own seed on the surface itself, and reads
 every spec off that comparison; it cuts each cut set once, from the
-kept cut of the cut set without its last diagonal.
+kept cut of the cut set without its last diagonal, and builds the cut
+seed straight from the cut's fields, so a sweep validates only the
+surface it was given (a cut of a valid surface is valid).
 What depends on one triangulated polygon alone (its faces, apexes, side
 pairs and curve rows) is cached per (N, diagonals).
 """
@@ -34,8 +36,6 @@ __all__ = [
     "validate_surface",
     "diagonals_cross",
     "curve_crosses",
-    "b_matrix_from_triangulation",
-    "shear_coordinates",
     "seed_from_surface",
     "cut_along",
     "paunched_surface",
@@ -76,18 +76,10 @@ class SurfaceData:
         return tuple(lbl for lbl, _ in self.diagonals), tuple(lbl for lbl, _ in self.laminations)
 
     @cached_attribute
-    def _polygons(self) -> dict[int, tuple[int, tuple[tuple[int, int], ...], dict]]:
-        """Component with diagonals -> (vertex count, sorted diagonals,
-        diagonal -> label); the first two key the per-polygon tables below."""
-        label_of: dict[int, dict[tuple[int, int], str]] = {}
-        for lbl, (c, d) in self.diagonals:
-            label_of.setdefault(c, {})[d] = lbl
-        return {c: (self.components[c], tuple(sorted(ds)), ds) for c, ds in label_of.items()}
-
-    @cached_attribute
     def _sweep(self) -> tuple[Seed, dict, dict]:
-        """The surface's own seed, and check_theorem_sur's comparisons and
-        freeze-cut fields by cut set, freed with the surface."""
+        """The surface's own seed, check_theorem_sur's comparisons by cut
+        set and its freeze-cut fields by sorted cut set, freed with the
+        surface."""
         uncut = self.components, self.diagonals, self.laminations
         return seed_from_surface(self), {}, {(): uncut}
 
@@ -205,21 +197,6 @@ def _triangulation_fault(N: int, diagonals) -> str | None:
     return None
 
 
-def b_matrix_from_triangulation(data: SurfaceData) -> tuple[tuple[str, ...], list[list[int]]]:
-    """Skew-symmetric matrix over the diagonals: within each triangle,
-    consecutive counterclockwise diagonal sides (x, y) add b_xy += 1."""
-    labels = tuple(sorted(data.diagonal_labels()))
-    at = {lbl: i for i, lbl in enumerate(labels)}
-    B = [[0] * len(labels) for _ in labels]
-    for N, diagonals, label_of in data._polygons.values():
-        _, _, side_pairs = _polygon_table(N, diagonals)
-        for x, y in side_pairs:
-            i, j = at[label_of[x]], at[label_of[y]]
-            B[i][j] += 1
-            B[j][i] -= 1
-    return labels, B
-
-
 def curve_crosses(curve, comp: int, diag: tuple[int, int]) -> bool:
     c, (s, t) = curve
     if c != comp:
@@ -264,26 +241,38 @@ def _shear_row(N: int, diagonals, segments: tuple[int, int]) -> MappingProxyType
     )
 
 
-def shear_coordinates(data: SurfaceData, curves) -> dict[str, int]:
-    """Shear row of one lamination: diagonal label -> summed contribution."""
-    row = dict.fromkeys(data.diagonal_labels(), 0)
-    polygons = data._polygons
-    for c, (s, t) in curves:
-        if c in polygons:
-            N, diagonals, label_of = polygons[c]
-            for d, sign in _shear_row(N, diagonals, (s, t)).items():
-                row[label_of[d]] += sign
-    return row
+def _seed_of_fields(components, diagonals, laminations) -> Seed:
+    """Seed of the surface with these fields, diagonals exchangeable and
+    laminations frozen, each in label order.  Within each triangle,
+    consecutive counterclockwise diagonal sides (x, y) add b_xy += 1, and
+    a lamination's column sums the shear rows of its curves; both are
+    read from the tables of each polygon.  The fields are not validated."""
+    ex_labels = tuple(sorted(lbl for lbl, _ in diagonals))
+    at = {lbl: i for i, lbl in enumerate(ex_labels)}
+    row_of: dict[int, dict[tuple[int, int], int]] = {}  # component -> diagonal -> row
+    for lbl, (c, d) in diagonals:
+        row_of.setdefault(c, {})[d] = at[lbl]
+    polygons = {c: (components[c], tuple(sorted(ds)), ds) for c, ds in row_of.items()}
+    laminations = sorted(laminations)
+    width = len(ex_labels) + len(laminations)
+    rows = [[0] * width for _ in ex_labels]
+    for N, ds, row in polygons.values():
+        for x, y in _polygon_table(N, ds)[2]:
+            i, j = row[x], row[y]
+            rows[i][j] += 1
+            rows[j][i] -= 1
+    for col, (_, curves) in enumerate(laminations, len(ex_labels)):
+        for c, segments in curves:
+            if c in polygons:
+                N, ds, row = polygons[c]
+                for d, sign in _shear_row(N, ds, segments).items():
+                    rows[row[d]][col] += sign
+    return Seed(ex_labels, tuple(lbl for lbl, _ in laminations), tuple(map(tuple, rows)))
 
 
 def seed_from_surface(data: SurfaceData) -> Seed:
     """Seed with diagonals exchangeable and laminations frozen."""
-    ex_labels, B = b_matrix_from_triangulation(data)
-    laminations = sorted(data.laminations)
-    fr_labels = tuple(lbl for lbl, _ in laminations)
-    columns = [shear_coordinates(data, curves) for _, curves in laminations]
-    rows = tuple(tuple(B[i]) + tuple(col[x] for col in columns) for i, x in enumerate(ex_labels))
-    return Seed(ex_labels, fr_labels, rows)
+    return _seed_of_fields(data.components, data.diagonals, data.laminations)
 
 
 def cut_along(data: SurfaceData, x: str, mode: str = "delete") -> SurfaceData:
@@ -400,7 +389,7 @@ def _cut_fields(fields: dict, cuts: tuple[str, ...]):
     return fields[cuts]
 
 
-def _cut_set_comparison(base: Seed, cuts: tuple[str, ...], fields):
+def _cut_set_comparison(base: Seed, cuts: frozenset[str], fields):
     """Both sides of check_theorem_sur for the cut set cuts, compared.
 
     The left side is the sub-seed of the surface seed base that freezes
@@ -411,21 +400,27 @@ def _cut_set_comparison(base: Seed, cuts: tuple[str, ...], fields):
     sets, and the column labels on which some row shared by both sides
     disagrees.
     """
-    left = mixing_subseed(base, SubSeedSpec(frozenset(cuts), frozenset()))
-    right = seed_from_surface(SurfaceData(*fields)) if cuts else base
+    left = mixing_subseed(base, SubSeedSpec(cuts, frozenset()))
+    right = _seed_of_fields(*fields) if cuts else base
     right_rows = dict(zip(right.exchangeable_labels, right.matrix))
     rows = [
         (row, right_rows[x])
         for x, row in zip(left.exchangeable_labels, left.matrix)
         if x in right_rows
     ]
-    right_labels = set(right.labels)
-    shared = [(j, right.index(y), y) for j, y in enumerate(left.labels) if y in right_labels]
+    disagree = frozenset()
+    if rows:
+        # each side's columns over the shared rows, in its own label order
+        left_cols, right_cols = (list(zip(*side)) for side in zip(*rows))
+        at = right._position
+        disagree = frozenset(
+            y for j, y in enumerate(left.labels) if y in at and left_cols[j] != right_cols[at[y]]
+        )
     return (
         set(left.exchangeable_labels) == right_rows.keys(),
         frozenset(left.frozen_labels),
         frozenset(right.frozen_labels),
-        frozenset(y for j, k, y in shared if any(l[j] != r[k] for l, r in rows)),
+        disagree,
     )
 
 
@@ -443,11 +438,13 @@ def check_theorem_sur(data: SurfaceData, I0, I1) -> bool:
     """
     I0, I1 = frozenset(I0), frozenset(I1)
     base, comparisons, fields = data._sweep
-    SubSeedSpec(I0, I1).validate(base)
-    # in sorted order, as the exchangeable labels of a surface seed are
-    cuts = tuple(x for x in base.exchangeable_labels if x in I0 or x in I1)
+    exchangeable, labels = base._label_sets
+    if not (I0 <= exchangeable and I1 <= labels and I0.isdisjoint(I1)):
+        SubSeedSpec(I0, I1).validate(base)  # raises the SpecError of the first failed test
+    cuts = I0 | (I1 & exchangeable)
     if cuts not in comparisons:
-        comparisons[cuts] = _cut_set_comparison(base, cuts, _cut_fields(fields, cuts))
+        cut_fields = _cut_fields(fields, tuple(sorted(cuts)))
+        comparisons[cuts] = _cut_set_comparison(base, cuts, cut_fields)
     ex_equal, left_frozen, right_frozen, disagree = comparisons[cuts]
     return ex_equal and left_frozen - I1 == right_frozen - I1 and disagree <= I1
 

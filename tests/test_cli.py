@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import clusterseeds
+import clusterseeds.semigroup as semigroup_module
 import clusterseeds.surface as surface_module
 from clusterseeds import MultiPoly, Seed, cli, initial_state
 from clusterseeds.fileio import surface_to_dict
@@ -204,6 +205,23 @@ def test_exit_3_on_cap(capsys, tmp_path):
     code, _, err = run(capsys, "endpar", str(path), "--cap", "20")
     assert code == 3
     assert "partial count 20" in err
+
+
+def test_exit_3_over_the_table_byte_budget(capsys, tmp_path, monkeypatch):
+    # a2_y2 has 773 elements: an int16 table of 773² cells and a dense
+    # lookup of 10**4 codes
+    path = tmp_path / "a2_y2.json"
+    dump_seed(a2_y2_seed(), str(path))
+    projected = 2 * 773**2 + 2 * 10**4
+    monkeypatch.setattr(semigroup_module, "TABLE_BYTE_BUDGET", 2 * 773**2 - 1)
+    code, out, err = run(capsys, "endpar", str(path))
+    assert (code, out) == (3, "")
+    assert err == (
+        f"resource cap exceeded: the product table of 773 elements needs {projected} bytes, "
+        f"over the budget of {2 * 773**2 - 1} (partial count 773)\n"
+    )
+    monkeypatch.setattr(semigroup_module, "TABLE_BYTE_BUDGET", projected)
+    assert run(capsys, "endpar", str(path))[0] == 0
 
 
 def test_exit_4_on_cross_check_failure(capsys, square_file, monkeypatch):
@@ -405,10 +423,11 @@ def test_surface_sweep_builds_one_seed_per_cut_set(
     # the 26 specs of --max-cut 2 have 7 cut sets (the diagonals of
     # I0 | I1): the empty one, 3 single diagonals and 3 pairs.  One seed
     # for the surface, which is also the empty cut set's, and one per
-    # nonempty cut set; one validation for the loaded surface and one
-    # per cut surface; one cut per nonempty cut set, each pair cut from
-    # the cut set of its first diagonal
-    calls = {"seed_from_surface": 0, "validate_surface": 0, "_cut": 0}
+    # nonempty cut set, all made by one builder; one validation, of the
+    # loaded surface, since each cut seed is built from the cut's fields;
+    # one cut per nonempty cut set, each pair cut from the cut set of its
+    # first diagonal
+    calls = {"seed_from_surface": 0, "_seed_of_fields": 0, "validate_surface": 0, "_cut": 0}
     for name in calls:
 
         def counting(*args, real=getattr(surface_module, name), name=name):
@@ -420,7 +439,7 @@ def test_surface_sweep_builds_one_seed_per_cut_set(
     code, out, _ = run(capsys, "--format", "machine", "check-sur", hexagon_file, "--all", "--max-cut", "2")
     doc = json.loads(out)
     assert (code, doc["checked"], doc["all_ok"]) == (0, 26, True)
-    assert calls == {"seed_from_surface": 7, "validate_surface": 7, "_cut": 6}
+    assert calls == {"seed_from_surface": 1, "_seed_of_fields": 7, "validate_surface": 1, "_cut": 6}
 
 
 def test_two_component_sweep_is_pinned(capsys, tmp_path):

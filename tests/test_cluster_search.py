@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from clusterseeds import (
+    MultiPoly,
     Seed,
     diagonals_cross,
     enumerate_clusters,
@@ -173,6 +174,32 @@ def test_cluster_search_exchange_counts_are_pinned(monkeypatch, name):
     make_seed, depth, count, exchanges = EXCHANGES[name]
     result, calls = counted(monkeypatch, enumerate_clusters, make_seed(), depth)
     assert (len(result.clusters), calls) == (count, exchanges)
+
+
+def test_a_search_builds_the_unit_and_each_frozen_generator_once(monkeypatch):
+    """exchange reads the constant 1 and the frozen generators of its
+    context from bounded caches instead of building them per call."""
+    built = {}
+    real_constant, real_generator = MultiPoly.constant, MultiPoly.generator
+
+    def constant(context, value):
+        built[value] = built.get(value, 0) + 1
+        return real_constant(context, value)
+
+    def generator(context, label):
+        built[label] = built.get(label, 0) + 1
+        return real_generator(context, label)
+
+    monkeypatch.setattr(MultiPoly, "constant", staticmethod(constant))
+    monkeypatch.setattr(MultiPoly, "generator", staticmethod(generator))
+    poly_module._unit.cache_clear()
+    poly_module._generator.cache_clear()
+    result, calls = counted(monkeypatch, enumerate_clusters, a3_principal_seed(), 30)
+    assert (len(result.clusters), result.status, calls) == (14, "closed", 21)
+    # the unit, the initial cluster x1..x3 and the frozen y1..y3, once each
+    assert built == {1: 1, **dict.fromkeys(["x1", "x2", "x3", "y1", "y2", "y3"], 1)}
+    for cache in (poly_module._unit, poly_module._generator):
+        assert cache.cache_parameters()["maxsize"] is not None  # bounded
 
 
 # the ORACLE_SEEDS of finite type, whose searches close

@@ -13,8 +13,8 @@ import clusterseeds.surface as surface_module
 from clusterseeds import (
     Seed,
     SeedError,
+    SpecError,
     SurfaceData,
-    b_matrix_from_triangulation,
     check_theorem_sur,
     curve_crosses,
     cut_along,
@@ -25,7 +25,6 @@ from clusterseeds import (
     mixing_subseed,
     paunched_surface,
     seed_from_surface,
-    shear_coordinates,
     surface_iso,
     validate_surface,
 )
@@ -37,6 +36,16 @@ from oracles import enumerate_triangulations, shear_contribution, spec_of, trian
 def fan(N):
     """The fan triangulation of an N-gon from vertex 0."""
     return [(0, k) for k in range(2, N - 1)]
+
+
+def b_matrix(seed):
+    """The exchangeable labels and the principal part of the seed, as lists."""
+    return seed.exchangeable_labels, [list(row[: seed.n]) for row in seed.matrix]
+
+
+def shear_column(seed, y):
+    """Diagonal label -> entry of the seed's column y."""
+    return {x: seed.b(x, y) for x in seed.exchangeable_labels}
 
 
 # --------------------------------------------------------------- validation
@@ -120,15 +129,13 @@ def test_triangulation_counts_are_catalan():
 
 
 def test_pentagon_fan_b_matrix():
-    labels, B = b_matrix_from_triangulation(make_surface(5, fan(5)))
+    labels, B = b_matrix(seed_from_surface(make_surface(5, fan(5))))
     assert labels == ("d0_2", "d0_3")
     assert B == [[0, -1], [1, 0]]
 
 
 def test_hexagon_zigzag_b_matrix():
-    labels, B = b_matrix_from_triangulation(
-        make_surface(6, [(0, 2), (2, 4), (0, 4)])
-    )
+    labels, B = b_matrix(seed_from_surface(make_surface(6, [(0, 2), (2, 4), (0, 4)])))
     assert labels == ("d0_2", "d0_4", "d2_4")
     # the central triangle (0,2,4) makes a 3-cycle of diagonals
     assert all(B[i][j] == -B[j][i] for i in range(3) for j in range(3))
@@ -160,7 +167,7 @@ def test_shear_sign_convention_on_the_square():
 
 def test_shear_row_sums_parallel_curves():
     surf = make_surface(4, [(0, 2)], laminations=[[(1, 3), (1, 3)]])
-    row = shear_coordinates(surf, dict(surf.laminations)["L0"])
+    row = shear_column(seed_from_surface(surf), "L0")
     assert abs(row["d0_2"]) == 2
 
 
@@ -171,13 +178,15 @@ def test_seed_reads_laminations_in_label_order():
     seed = seed_from_surface(surf)
     assert seed.frozen_labels == ("L", "M")
     lam = dict(surf.laminations)
-    assert [seed.b("d", y) for y in "LM"] == [shear_coordinates(surf, lam[y])["d"] for y in "LM"]
+    assert [seed.b("d", y) for y in "LM"] == [
+        reference_shear_coordinates(surf, lam[y])["d"] for y in "LM"
+    ]
     assert seed.b("d", "L") == -seed.b("d", "M") != 0
 
 
 def test_noncrossing_curve_contributes_zero():
     surf = make_surface(5, fan(5), laminations=[[(3, 4)]])
-    row = shear_coordinates(surf, dict(surf.laminations)["L0"])
+    row = shear_column(seed_from_surface(surf), "L0")
     assert row == {"d0_2": 0, "d0_3": 0}
 
 
@@ -332,16 +341,19 @@ def test_row_comparison_rejects_a_perturbed_paunched_seed(monkeypatch, fresh_sur
     surf = make_surface(6, fan(6), laminations=[[(1, 4)]])
     I0, I1 = ("d0_2",), ()
     assert check_theorem_sur(surf, I0, I1) and reference_check_theorem_sur(surf, I0, I1)
-    real = surface_module.seed_from_surface
+    # the builder of every surface seed, the cut seeds of the sweep and
+    # the paunched seeds of the reference included
+    real = surface_module._seed_of_fields
     paunched = paunched_surface(surf, I0, I1)
-    seed = real(paunched)
+    fields = paunched.components, paunched.diagonals, paunched.laminations
+    seed = real(*fields)
     assert (seed.n, seed.frozen_labels) == (2, ("L0", "d0_2"))
     assert _perturbed(seed, kind) != seed
 
-    def perturbed_seed_from_surface(data):
-        return _perturbed(real(data), kind) if data == paunched else real(data)
+    def perturbed_seed_of_fields(*args):
+        return _perturbed(real(*args), kind) if args == fields else real(*args)
 
-    monkeypatch.setattr(surface_module, "seed_from_surface", perturbed_seed_from_surface)
+    monkeypatch.setattr(surface_module, "_seed_of_fields", perturbed_seed_of_fields)
     fresh_surface_caches()
     # the first check kept its comparison of the cut set I0 | I1 on surf
     surf = make_surface(6, fan(6), laminations=[[(1, 4)]])
@@ -380,33 +392,52 @@ def _bumped(seed, x, y):
     return Seed.from_data(seed.exchangeable_labels, seed.frozen_labels, rows)
 
 
-@pytest.mark.parametrize("fault", ["shear sign", "hug curve", "sub-seed entry"])
+@pytest.mark.parametrize("fault", ["shear sign", "hug curve", "sub-seed entry", "cut seed entry"])
 def test_sweep_verdicts_match_the_reference_under_a_fault(monkeypatch, fresh_surface_caches, fault):
     # each surface's first diagonal and first lamination: the diagonal's
-    # hug curve is wrong, or the sub-seed's entry in its row and the
-    # lamination's column
-    faulty = [None, None]
+    # hug curve is wrong, or the entry in its row and the lamination's
+    # column is wrong in the sub-seed, or in the seed the builder makes of
+    # every cut surface (one with more components than the swept one)
+    faulty = [None, None, None]
     if fault == "shear sign":
         flipped = _flip_on_the_last_segment(surface_module._crossing_sign)
         monkeypatch.setattr(surface_module, "_crossing_sign", flipped)
     elif fault == "hug curve":
         monkeypatch.setattr(surface_module, "_cut", _one_sided_hug(surface_module._cut, faulty))
-    else:
+    elif fault == "sub-seed entry":
         real = surface_module.mixing_subseed
-        bumped = lambda seed, spec: _bumped(real(seed, spec), *faulty)
+        bumped = lambda seed, spec: _bumped(real(seed, spec), *faulty[:2])
         monkeypatch.setattr(surface_module, "mixing_subseed", bumped)
+    else:
+        real = surface_module._seed_of_fields
+
+        def bumped(components, diagonals, laminations):
+            seed = real(components, diagonals, laminations)
+            return _bumped(seed, *faulty[:2]) if len(components) > faulty[2] else seed
+
+        monkeypatch.setattr(surface_module, "_seed_of_fields", bumped)
     fresh_surface_caches()
     fast, reference, hidden = [], [], []
     for surf in [*seeded_polygons(), two_component_surface()]:
-        faulty[:] = min(surf.diagonal_labels(), default=None), min(surf.lamination_labels())
+        faulty[:] = (
+            min(surf.diagonal_labels(), default=None),
+            min(surf.lamination_labels()),
+            len(surf.components),
+        )
         base = None
         if fault == "sub-seed entry":
-            base = _bumped(seed_from_surface(surf), *faulty)
+            base = _bumped(seed_from_surface(surf), *faulty[:2])
         for I0, I1 in sweep_specs(surf, 2):
             fast.append(check_theorem_sur(surf, I0, I1))
             reference.append(reference_check_theorem_sur(surf, I0, I1, base))
-            # a deleted hug, or a faulty entry outside the sub-seed
-            if faulty[0] in I1 or fault == "sub-seed entry" and (faulty[0] in I0 or faulty[1] in I1):
+            # a deleted hug, or a faulty entry outside the sub-seed or the
+            # cut seed, or no cut seed
+            if (
+                faulty[0] in I1
+                or fault == "sub-seed entry" and (faulty[0] in I0 or faulty[1] in I1)
+                or fault == "cut seed entry"
+                and (faulty[0] in I0 or faulty[1] in I1 or not set(I0 + I1) & set(surf.diagonal_labels()))
+            ):
                 hidden.append(fast[-1])
     assert fast == reference
     assert True in fast and False in fast, fault
@@ -418,15 +449,16 @@ def test_deeper_sweep_compares_each_cut_set_once(monkeypatch, fresh_surface_cach
     # at --max-cut 3 a cut set recurs farther apart than at depth 2; the
     # empty cut set's seed is the surface's own.  The 11-gon fan has
     # 1 + 8 + 28 + 56 = 93 cut sets, more than a cache of 64 recent ones
-    # holds.
+    # holds.  Seeds are counted at the builder, which seed_from_surface
+    # and the cut seeds share; comparisons are kept by cut set.
     builds = [0]
-    real = surface_module.seed_from_surface
+    real = surface_module._seed_of_fields
 
-    def counting_seed_from_surface(data):
+    def counting_seed_of_fields(*fields):
         builds[0] += 1
-        return real(data)
+        return real(*fields)
 
-    monkeypatch.setattr(surface_module, "seed_from_surface", counting_seed_from_surface)
+    monkeypatch.setattr(surface_module, "_seed_of_fields", counting_seed_of_fields)
     fresh_surface_caches()
     checked = 0
     eleven_gon = make_surface(11, fan(11), laminations=[[(1, 6)]])
@@ -452,7 +484,8 @@ def test_deeper_sweep_compares_each_cut_set_once(monkeypatch, fresh_surface_cach
 def test_sweep_memoises_each_cut_set_as_its_freeze_cut():
     # each nonempty cut set is its prefix's fields cut along its last
     # label; on every cut set the memo must hold what _freeze_cut builds
-    # from the uncut surface
+    # from the uncut surface.  Fields are kept by sorted cut set and
+    # comparisons by cut set.
     eleven_gon = make_surface(11, fan(11), laminations=[[(1, 6)]])
     for surf, max_cut in [
         *((surf, 2) for surf in seeded_polygons()),
@@ -463,10 +496,89 @@ def test_sweep_memoises_each_cut_set_as_its_freeze_cut():
         for I0, I1 in specs:
             check_theorem_sur(surf, I0, I1)
         _, comparisons, fields = surf._sweep
-        assert fields.keys() == comparisons.keys(), surf
+        assert {frozenset(cuts) for cuts in fields} == comparisons.keys(), surf
+        assert len(fields) == len(comparisons), surf
         for cuts, cut in fields.items():
             assert cuts == tuple(sorted(cuts)), surf
             assert cut == surface_module._freeze_cut(surf, cuts), (surf, cuts)
+
+
+def swept_cuts():
+    """Every (surface, sorted cut set, cut fields) that a sweep memoises:
+    the seeded polygons and the two-component surface at --max-cut 2, the
+    11-gon fan at --max-cut 3."""
+    eleven_gon = make_surface(11, fan(11), laminations=[[(1, 6)]])
+    for surf, max_cut in [
+        *((surf, 2) for surf in seeded_polygons()),
+        (two_component_surface(), 2),
+        (eleven_gon, 3),
+    ]:
+        for I0, I1 in sweep_specs(surf, max_cut):
+            check_theorem_sur(surf, I0, I1)
+        _, _, fields = surf._sweep
+        for cuts, cut in fields.items():
+            yield surf, cuts, cut
+
+
+def test_cut_seed_builder_matches_the_references_on_every_swept_cut():
+    # the cut seed is built from the cut's fields; on every cut set it is
+    # the face-scan B matrix with one shear column per lamination
+    checked = 0
+    for surf, cuts, cut in swept_cuts():
+        seed = surface_module._seed_of_fields(*cut)
+        assert_matches_the_references(SurfaceData(*cut), seed)
+        checked += bool(cuts)
+    # nonempty cut sets: d + C(d, 2) per polygon, 5 + 10 on the two
+    # components, 8 + 28 + 56 on the 11-gon fan
+    assert checked == 2 * 1 + 5 * 3 + 14 * 6 + 42 * 10 + 15 + 92
+
+
+def test_every_swept_cut_is_a_valid_surface(monkeypatch):
+    # the sweep builds no SurfaceData for a cut, so none is validated
+    # there: a cut of a valid surface must be valid by construction
+    validated = []
+    real = surface_module.validate_surface
+
+    def counting_validate_surface(data):
+        validated.append(data)
+        return real(data)
+
+    monkeypatch.setattr(surface_module, "validate_surface", counting_validate_surface)
+    cuts = list(swept_cuts())
+    assert len(validated) == 64 + 1 + 1  # the swept surfaces themselves
+    for surf, _, cut in cuts:
+        SurfaceData(*cut)  # raises SeedError if the cut is not a valid surface
+    assert len(validated) == 66 + len(cuts)
+    assert len(cuts) == 66 + 2 * 1 + 5 * 3 + 14 * 6 + 42 * 10 + 15 + 92  # with the empty cut sets
+
+
+def test_spec_errors_are_those_of_the_spec_validation():
+    # every (I0, I1) over the hexagon's labels and two unknown ones
+    surf = make_surface(6, fan(6), laminations=[[(1, 4)]])
+    base = seed_from_surface(surf)
+    labels = (*surf.diagonal_labels(), *surf.lamination_labels(), "u", "v")
+    subsets = [
+        frozenset(itertools.compress(labels, bits))
+        for bits in itertools.product((0, 1), repeat=len(labels))
+    ]
+    rejected = 0
+    for I0 in subsets:
+        for I1 in subsets:
+            try:
+                spec_of(I0, I1).validate(base)
+                expected = None
+            except SpecError as exc:
+                expected = str(exc)
+            try:
+                assert check_theorem_sur(surf, I0, I1) in (True, False)
+                got = None
+            except SpecError as exc:
+                got = str(exc)
+            assert got == expected, (I0, I1)
+            rejected += expected is not None
+    # accepted: each diagonal in I0, in I1 or in neither, the lamination
+    # in I1 or not, and no unknown label
+    assert rejected == 64 * 64 - 3**3 * 2
 
 
 def test_paunched_surface_validates_one_surface(monkeypatch):
@@ -556,10 +668,15 @@ def reference_shear_coordinates(data, curves):
     }
 
 
-def assert_matches_the_references(data):
-    assert b_matrix_from_triangulation(data) == reference_b_matrix_from_triangulation(data)
+def assert_matches_the_references(data, seed=None):
+    """seed, by default the surface's own, is the reference B matrix
+    with one reference shear column per lamination, in label order."""
+    if seed is None:
+        seed = seed_from_surface(data)
+    assert b_matrix(seed) == reference_b_matrix_from_triangulation(data)
+    assert seed.frozen_labels == tuple(sorted(data.lamination_labels()))
     for lbl, curves in data.laminations:
-        assert shear_coordinates(data, curves) == reference_shear_coordinates(data, curves), lbl
+        assert shear_column(seed, lbl) == reference_shear_coordinates(data, curves), lbl
 
 
 def test_polygon_tables_match_the_face_scan_on_every_paunched_surface():
@@ -590,7 +707,7 @@ def test_polygon_tables_keep_each_component_labels_apart():
         ),
     )
     assert_matches_the_references(surf)
-    labels, B = b_matrix_from_triangulation(surf)
+    labels, B = b_matrix(seed_from_surface(surf))
     at = {x: i for i, x in enumerate(labels)}
     same = {"p": "c", "q": "a", "r": "b"}
     assert all(B[at[x]][at[y]] == B[at[same[x]]][at[same[y]]] for x in same for y in same)
@@ -601,19 +718,25 @@ def test_polygon_tables_keep_each_component_labels_apart():
 
 
 def test_matrix_and_shear_row_are_fresh_per_call():
+    # the seed's rows are tuples, so no caller can change a cached
+    # per-polygon table through them
     surf = make_surface(6, fan(6), laminations=[[(1, 4), (2, 5)]])
     curves = dict(surf.laminations)["L0"]
-    labels, B = b_matrix_from_triangulation(surf)
-    row = shear_coordinates(surf, curves)
+    seed = seed_from_surface(surf)
+    labels, B = b_matrix(seed)
+    row = shear_column(seed, "L0")
     expected = (labels, [r[:] for r in B]), dict(row)
+    with pytest.raises(TypeError):
+        seed.matrix[0][1] += 5
     B[0][1] += 5
     B[1].append(9)
     B.append([])
     row["d0_2"] += 7
     row["extra"] = 1
-    # the same surface object, whose grouping is cached, and an equal new one
+    # the same surface object and an equal new one
     for data in (surf, make_surface(6, fan(6), laminations=[[(1, 4), (2, 5)]])):
-        assert (b_matrix_from_triangulation(data), shear_coordinates(data, curves)) == expected
+        again = seed_from_surface(data)
+        assert (b_matrix(again), shear_column(again, "L0")) == expected
     assert expected[1] == reference_shear_coordinates(surf, curves)
 
 
