@@ -182,10 +182,11 @@ def cmd_mutate(args):
 def cmd_clusters(args):
     seed = require_valid(load_seed(args.seed))
     result = enumerate_clusters(seed, max_depth=args.depth, max_states=args.cap)
+    monomials = {}  # one monomial table for every variable of this command
     doc = {
         "count": len(result.clusters),
         "status": result.status,
-        "clusters": [sorted(str(v) for v in c) for c in result.clusters],
+        "clusters": [sorted(v.text(monomials) for v in c) for c in result.clusters],
     }
 
     def human(d):

@@ -124,13 +124,8 @@ def _product(left, right) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=4096)
-def _factor(v: str, k: int) -> str:
-    return f"{v}^{k}" if k > 1 else v
-
-
 def _monomial_text(context, e) -> str:
-    return "*".join([_factor(v, k) for v, k in zip(context, e) if k])
+    return "*".join([f"{v}^{k}" if k > 1 else v for v, k in zip(context, e) if k])
 
 
 class MultiPoly:
@@ -330,7 +325,7 @@ class MultiPoly:
         heapq.heapify(heap)
         divisor = sorted(other._keys(w, other._lo).items(), reverse=True)
         lead, lc = divisor[0]
-        tail = divisor[1:]
+        tail = [(k, -gc) for k, gc in divisor[1:]]  # negated once: rem += q * (-gc)
         upper = w.pack(tuple(map(operator.sub, hi, lo)))
         nonnegative = w.nonnegative
         heappop, heappush = heapq.heappop, heapq.heappush
@@ -345,18 +340,18 @@ class MultiPoly:
             if r or not nonnegative(e) or not nonnegative(upper - e):
                 return None
             quot[e] = q
-            for k, gc in tail:
+            for k, ngc in tail:
                 m = e + k
-                v = rem.get(m)
-                if v is None:
-                    rem[m] = -q * gc
+                try:
+                    v = rem[m] + q * ngc
+                except KeyError:  # a new remainder key
+                    rem[m] = q * ngc
                     heappush(heap, -m)
+                    continue
+                if v:
+                    rem[m] = v
                 else:
-                    v -= q * gc
-                    if v:
-                        rem[m] = v
-                    else:
-                        del rem[m]
+                    del rem[m]
             if len(rem) > MAX_TERMS:
                 raise ResourceCapExceeded(
                     f"division remainder exceeded {MAX_TERMS} terms", partial_count=len(rem)
@@ -389,24 +384,45 @@ class MultiPoly:
 
         Formatted once per polynomial: terms in decreasing packed-key
         (grlex) order, the numerator's exponents shifted by den."""
+        return self.text({})
+
+    __repr__ = __str__
+
+    def text(self, monomials: dict) -> str:
+        """str(self), made through the monomial table ``monomials``.
+
+        Polynomials printed together share one table (an empty dict to
+        start), so a numerator monomial they have in common is formatted
+        once.  The table maps (context, field width) to a dict from the
+        masked numerator key (key + pack(den)) & low to the monomial's
+        text: the numerator's exponents are nonnegative and below
+        2**bits, so its fields neither borrow nor overlap and the masked
+        key identifies the monomial.  The text is still kept per
+        polynomial, so a polynomial printed before is not looked up."""
         if self._str is None:
-            self._str = self._format()
+            self._str = self._format(monomials)
         return self._str
 
-    def _format(self) -> str:
+    def _format(self, monomials: dict) -> str:
         if self.is_zero():
             return "0"
         context = self.context
         p, packed = self._packing, self._packed
         d = self._den_exponents()
         shift = d if any(d) else None
+        ks, low = p.pack(d), p.low
+        table = monomials.setdefault((context, p.bits), {})
         parts = []
         for key in sorted(packed, reverse=True):
-            e = p.unpack(key)
-            if shift:
-                e = tuple(map(operator.add, e, shift))
+            m = (key + ks) & low
+            body = table.get(m)
+            if body is None:
+                # the masked key is unsigned: read the signed original
+                e = p.unpack(key)
+                if shift:
+                    e = tuple(map(operator.add, e, shift))
+                body = table[m] = _monomial_text(context, e)
             c = packed[key]
-            body = _monomial_text(context, e)
             if not body:
                 mono = str(abs(c))
             elif abs(c) == 1:
@@ -420,9 +436,10 @@ class MultiPoly:
             return text
         if len(packed) > 1:
             text = f"({text})"
-        return f"{text}/{_monomial_text(context, d)}"
-
-    __repr__ = __str__
+        den = table.get(ks & low)
+        if den is None:
+            den = table[ks & low] = _monomial_text(context, d)
+        return f"{text}/{den}"
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import clusterseeds
+import clusterseeds.poly as poly_module
 import clusterseeds.semigroup as semigroup_module
 import clusterseeds.surface as surface_module
-from clusterseeds import MultiPoly, Seed, cli, initial_state
+from clusterseeds import MultiPoly, Seed, cli, enumerate_clusters, initial_state
 from clusterseeds.fileio import surface_to_dict
 from conftest import (
     a2_seed,
@@ -25,7 +26,7 @@ from conftest import (
     two_component_surface,
 )
 from clusterseeds import make_surface
-from oracles import dump_seed
+from oracles import dump_seed, reference_str
 
 
 @pytest.fixture
@@ -345,6 +346,62 @@ def test_closed_clusters_are_pinned(capsys, tmp_path, name):
     doc = json.loads(out)
     assert (code, doc["count"], doc["status"]) == (0, count, "closed")
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def _pinned_searches():
+    """(seed, depth) of every DEEP_CLUSTERS and CLOSED_CLUSTERS search."""
+    for name, (matrix, depth, *_) in sorted(DEEP_CLUSTERS.items()):
+        yield name, Seed.from_data([f"x{i + 1}" for i in range(len(matrix))], [], matrix), depth
+    for name, (exchangeable, frozen, rows, *_) in sorted(CLOSED_CLUSTERS.items()):
+        yield name, Seed.from_data(exchangeable, frozen, rows), 30
+
+
+def test_one_monomial_table_prints_every_pinned_search_like_the_oracle():
+    """One table shared by the variables of all five searches (three
+    contexts) gives each variable the oracle's text."""
+    monomials = {}
+    for _, seed, depth in _pinned_searches():
+        variables = set().union(*enumerate_clusters(seed, depth).clusters)
+        for v in variables:
+            assert v.text(monomials) == reference_str(v)
+    assert {bits for _, bits in monomials} == {8}
+
+
+def _printed_monomials(seed, depth):
+    """The distinct (field width, monomial) pairs the variables of a
+    search print: each term's numerator monomial and each denominator."""
+    seen = set()
+    for v in set().union(*enumerate_clusters(seed, depth).clusters):
+        d = v._den_exponents()
+        bits = v._packing.bits
+        seen.update((bits, tuple(map(sum, zip(e, d)))) for e in v.terms)
+        if any(d):
+            seen.add((bits, d))
+    return seen
+
+
+def test_clusters_formats_each_monomial_once_per_command(monkeypatch, capsys, tmp_path):
+    """A clusters command formats each distinct monomial once, and the
+    next command formats them all again: the table lives for one command."""
+    calls = []
+    monomial_text = poly_module._monomial_text
+    monkeypatch.setattr(
+        poly_module, "_monomial_text", lambda context, e: calls.append(e) or monomial_text(context, e)
+    )
+    matrix, depth, *_ = DEEP_CLUSTERS["markov"]
+    seed = Seed.from_data([f"x{i + 1}" for i in range(len(matrix))], [], matrix)
+    path = tmp_path / "markov.json"
+    dump_seed(seed, str(path))
+    expected = len(_printed_monomials(seed, depth))
+    assert expected == 1_749  # against 11,769 printed terms
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        code, out, _ = run(capsys, "--format", "machine", "clusters", str(path), "--depth", str(depth))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == DEEP_CLUSTERS["markov"][3]
+        counts.append(len(calls))
+    assert counts == [expected, expected]
 
 
 # sha256 of the machine JSON, recorded before the label index moved into

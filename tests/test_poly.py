@@ -1,7 +1,9 @@
 """Exact Laurent-polynomial arithmetic and symbolic cluster enumeration."""
 
+import inspect
 import random
 import signal
+import textwrap
 from contextlib import contextmanager
 
 import pytest
@@ -159,6 +161,90 @@ def test_division_honours_the_term_cap(monkeypatch):
     assert exc.value.partial_count > 12
 
 
+def divide_variant(replacements, **names):
+    """MultiPoly._divide with pieces of its source replaced (old -> new);
+    names are added to the module namespace it runs in."""
+    source = textwrap.dedent(inspect.getsource(MultiPoly._divide))
+    for old, new in replacements.items():
+        assert source.count(old) == 1
+        source = source.replace(old, new)
+    namespace = {**vars(poly_module), **names}
+    exec(source, namespace)
+    return namespace["_divide"]
+
+
+def _divisible(a, b):
+    return a * b, b
+
+
+# (dividend, divisor): each takes a tail product to a remainder key that
+# is not in the remainder when it is written
+NEW_KEY_DIVISIONS = {
+    # a key cancels, and a later quotient term writes it again
+    "rewritten after cancelling": _divisible(
+        poly({(1, 1): -1, (0, 2): 1, (1, 0): -1}), poly({(1, 1): 2, (2, 0): 1, (1, 2): 1})
+    ),
+    "rewritten after cancelling, negative coefficients": _divisible(
+        poly({(2, 1): -1, (2, 2): -2, (1, 2): 2}), poly({(0, 0): -2, (0, 1): 2, (1, 0): 1})
+    ),
+    "exact, x^2 - 1 by x + 1": (poly({(2, 0): 1, (0, 0): -1}), poly({(1, 0): 1, (0, 0): 1})),
+    # x^2 + 1 - x (x + 1) = 1 - x, then -x/x leaves 2, whose quotient
+    # exponent leaves the box
+    "None: quotient exponent outside the box": (
+        poly({(2, 0): 1, (0, 0): 1}),
+        poly({(1, 0): 1, (0, 0): 1}),
+    ),
+    # 2x^2 + 1 - x (2x + 1) = 1 - x, and 2 does not divide -1
+    "None: leading coefficient does not divide": (
+        poly({(2, 0): 2, (0, 0): 1}),
+        poly({(1, 0): 2, (0, 0): 1}),
+    ),
+}
+
+
+def _assert_divides_like_the_reference():
+    for f, g in NEW_KEY_DIVISIONS.values():
+        assert exact_div(f, g) == reference_exact_div(f, g)
+
+
+def test_new_remainder_keys_divide_like_the_reference():
+    """Each case writes a new remainder key (and the first two write a
+    cancelled key again), and still divides like the reference."""
+    written, cancelled = [], set()
+    instrumented = divide_variant(
+        {
+            "heappush(heap, -m)": "heappush(heap, -m); written.append(m in cancelled)",
+            "del rem[m]": "del rem[m]; cancelled.add(m)",
+        },
+        written=written,
+        cancelled=cancelled,
+    )
+    for name, (f, g) in NEW_KEY_DIVISIONS.items():
+        written.clear()
+        cancelled.clear()
+        expected = reference_exact_div(f, g)
+        assert (instrumented(f, g) is None) == (expected is None)
+        assert written, name
+        if name.startswith("rewritten"):
+            assert any(written), name
+        assert (expected is None) == name.startswith("None")
+    _assert_divides_like_the_reference()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("heappush(heap, -m)", "pass"),  # a new key never reaches the heap
+        ("(k, -gc) for k, gc", "(k, gc) for k, gc"),  # the tail is not negated
+    ],
+    ids=["no push on a new key", "no pre-negation"],
+)
+def test_division_oracle_catches_a_faulty_inner_loop(monkeypatch, old, new):
+    monkeypatch.setattr(MultiPoly, "_divide", divide_variant({old: new}))
+    with pytest.raises(AssertionError):
+        _assert_divides_like_the_reference()
+
+
 # ------------------------------------------------------ packed monomials
 
 
@@ -249,6 +335,60 @@ def test_results_print_like_fresh_polynomials(pair, k):
     for value in (product, product / b, a**k, -a, a + b, a - a):
         _as_fresh(value)
     assert product / b == a
+
+
+# wide 8-bit exponents put numerator fields in 128..254 (x^-100 + x^100)
+_print_exponent = st.integers(-127, 127) | _exponent
+
+
+@st.composite
+def _print_batch(draw):
+    """Polynomials in one context of 1-3 variables, zero included, and
+    the product of each one with the next."""
+    n = draw(st.integers(1, 3))
+    ctx = tuple(f"x{i + 1}" for i in range(n))
+    terms = st.dictionaries(st.tuples(*[_print_exponent] * n), st.integers(-3, 3), max_size=5)
+    batch = [MultiPoly(ctx, t) for t in draw(st.lists(terms, min_size=1, max_size=6))]
+    return batch + [a * b for a, b in zip(batch, batch[1:])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_print_batch(), st.data())
+def test_one_monomial_table_prints_a_batch_like_the_oracle(batch, data):
+    printed = data.draw(st.sets(st.sampled_from(range(len(batch)))))
+    for i in printed:  # printed alone first: text kept, table not used
+        assert str(batch[i]) == reference_str(batch[i])
+    monomials = {}
+    for p in batch:
+        assert p.text(monomials) == reference_str(p)
+    for p in batch:
+        assert p.text({}) == str(_copy(p)) == reference_str(p)
+
+
+def test_one_monomial_table_across_field_widths():
+    x1, x2, one = gen("x1"), gen("x2"), const(1)
+    early = x1**-127 * x2 - const(3) * x1**127  # numerator x1^254*x2 in 8 bits
+    assert str(early) == reference_str(early)
+    batch = [
+        x1**-100 + x1**100,  # numerator fields 0 and 200 in 8 bits
+        -(x1**-100) + const(2) * x1**100 * x2**-5,
+        early,
+        x1**-200 + x2**300,  # 16 bits
+        const(-1) * x1**-40_000 * x2 + x2**40_000,  # 32 bits
+        x1**100 - x1**-100 + one,  # the same numerator monomials in 8 bits again
+        x1 * x2 - one,
+        const(-1),
+        const(7),
+        const(0),
+        -x1,
+        early,
+    ]
+    monomials = {}
+    for p in batch:
+        assert p.text(monomials) == reference_str(p)
+    assert {bits for _, bits in monomials} == {8, 16, 32}
+    assert str(batch[0]) == "(x1^200 + 1)/x1^100"
+    assert str(early) == "(-3*x1^254 + x2)/x1^127"
 
 
 def test_terms_are_read_only():
