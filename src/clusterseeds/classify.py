@@ -48,12 +48,11 @@ class IsoClass:
 def iso_classes_of_subseeds(seed: Seed) -> list[IsoClass]:
     """Partition of all valid specs by isomorphism of their sub-seeds.
 
-    The representative is the lexicographically least spec in the
-    seed's label order.
+    The representative is the least spec by (|I0|, I0, |I1|, I1) in the
+    seed's label order; specs are enumerated in that order.
     """
-    specs = sorted(_all_specs(seed), key=lambda s: s.sort_key(seed))
     reps: list[tuple[SubSeedSpec, Seed, list[SubSeedSpec]]] = []
-    for spec in specs:
+    for spec in _all_specs(seed):
         sub = mixing_subseed(seed, spec)
         for _, rep_sub, members in reps:
             if find_seed_iso(sub, rep_sub) is not None:

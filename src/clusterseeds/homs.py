@@ -55,15 +55,6 @@ class SubSeedSpec:
         )
         return ex, fr
 
-    def sort_key(self, seed: Seed):
-        """Lexicographic key in the seed's label order, I0 before I1."""
-        return (
-            len(self.I0),
-            sorted(map(seed.index, self.I0)),
-            len(self.I1),
-            sorted(map(seed.index, self.I1)),
-        )
-
 
 EMPTY_SPEC = SubSeedSpec(frozenset(), frozenset())
 

@@ -28,7 +28,7 @@ from clusterseeds.homs import (
     mixing_subseed,
 )
 from clusterseeds.seeds import Seed, matrix_mutation
-from clusterseeds.semigroup import GreenPartition, SemigroupTable
+from clusterseeds.semigroup import GreenPartition, SemigroupTable, _all_specs
 from clusterseeds.surface import _crossing_sign, _polygon_table, curve_crosses
 
 
@@ -354,6 +354,28 @@ def regularity_linear_an(f: PartialSeedHom) -> bool:
 
 def spec_universe_size(seed: Seed) -> int:
     return 3**seed.n * 2**seed.m
+
+
+def spec_sort_key(seed: Seed, spec: SubSeedSpec):
+    """Lexicographic key in the seed's label order, I0 before I1, the
+    order in which iso_classes_of_subseeds reads the specs."""
+    return (
+        len(spec.I0),
+        sorted(map(seed.index, spec.I0)),
+        len(spec.I1),
+        sorted(map(seed.index, spec.I1)),
+    )
+
+
+def endpar_bound_by_specs(seed: Seed) -> int:
+    """projected_endpar_bound spec by spec: n targets per exchangeable
+    label of the sub-seed and n+m per frozen one, summed over all specs."""
+    total_vars = seed.n + seed.m
+    bound = 0
+    for spec in _all_specs(seed):
+        ex, fr = spec.parts(seed)
+        bound += (seed.n ** len(ex)) * (total_vars ** len(fr))
+    return bound
 
 
 def triangles_of(N: int, diagonals) -> list[tuple[int, int, int]]:

@@ -9,6 +9,8 @@ against it.
 import dataclasses
 import functools
 import itertools
+import math
+import random
 import re
 from types import SimpleNamespace
 
@@ -18,6 +20,7 @@ import pytest
 from clusterseeds import (
     PartialSeedHom,
     ResourceCapExceeded,
+    Seed,
     SeedError,
     TheoremViolation,
     check_partial_hom,
@@ -57,6 +60,7 @@ from oracles import (
     element_index,
     elements,
     empty_hom,
+    endpar_bound_by_specs,
     idempotents,
     identity_inclusion,
     is_id_form,
@@ -64,6 +68,8 @@ from oracles import (
     is_regular_element,
     regularity_linear_an,
     spec_of,
+    spec_sort_key,
+    spec_universe_size,
     subseed_components,
 )
 
@@ -146,6 +152,45 @@ def test_pinned_semigroup_sizes(name):
 @pytest.mark.parametrize("n", sorted(LINEAR_SIZES))
 def test_pinned_linear_path_sizes(n):
     assert len(enumerate_endpar(linear_path_seed(n))) == LINEAR_SIZES[n]
+
+
+def shuffled_seed(n, m):
+    """n exchangeable and m frozen labels, each kind listed in a shuffled
+    order: a path on the exchangeable positions, and each frozen label
+    below the exchangeable position of its index mod n."""
+    rng = random.Random(10 * n + m)
+    ex = rng.sample([f"x{i}" for i in range(1, n + 1)], n)
+    fr = rng.sample([f"y{j}" for j in range(1, m + 1)], m)
+    rows = [[0] * (n + m) for _ in range(n)]
+    for i in range(n - 1):
+        rows[i][i + 1], rows[i + 1][i] = 1, -1
+    for j in range(m if n else 0):
+        rows[j % n][n + j] = 1
+    return Seed.from_data(ex, fr, rows)
+
+
+SHUFFLED_SIZES = list(itertools.product(range(5), range(4)))
+
+
+@pytest.mark.parametrize("n,m", SHUFFLED_SIZES)
+def test_projected_bound_is_the_sum_over_specs(n, m):
+    seed = shuffled_seed(n, m)
+    assert projected_endpar_bound(seed) == endpar_bound_by_specs(seed)
+
+
+@pytest.mark.parametrize("n,count", [(5, 161_051), (6, 4_826_809), (7, 170_859_375)])
+def test_pinned_projected_bounds(n, count):
+    assert projected_endpar_bound(linear_path_seed(n)) == count
+
+
+@pytest.mark.parametrize("n,m", SHUFFLED_SIZES)
+def test_specs_are_enumerated_in_label_order(n, m):
+    """iso_classes_of_subseeds takes the first spec of each class as its
+    representative, so the order of _all_specs is what it reports."""
+    seed = shuffled_seed(n, m)
+    specs = list(_all_specs(seed))
+    assert specs == sorted(specs, key=lambda spec: spec_sort_key(seed, spec))
+    assert len(set(specs)) == len(specs) == spec_universe_size(seed)
 
 
 def test_cap_raises_with_partial_count():
@@ -562,6 +607,32 @@ def test_h_class_group_rejects_an_h_class_larger_than_the_automorphisms(name):
         TheoremViolation, match=rf"^Aut <-> H-class correspondence is not bijective at element {e}$"
     ):
         h_class_group(dataclasses.replace(S, product=product), dataclasses.replace(P, H=tuple(H)), e)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("fault", ["a*a=a", "e*a=zero", "a*e=e", "e*e=a"])
+def test_h_class_group_reports_a_wrong_cell_as_not_multiplicative(m, fault):
+    """One wrong cell in the H-class of order m! of the frozen-only seed
+    with m labels breaks a product of lifts: no inverse, no closure, no
+    identity, or e not idempotent."""
+    S = enumerate_endpar(trivial_seed(m))
+    P = green_relations(S)
+    e = S.index_of(spec_of((), ()))
+    members = h_class_group(S, P, e).members
+    assert len(members) == math.factorial(m)
+    a = next(a for a in members if a != e)
+    cell, value = {
+        "a*a=a": ((a, a), a),
+        "e*a=zero": ((e, a), S.zero_index),
+        "a*e=e": ((a, e), e),
+        "e*e=a": ((e, e), a),
+    }[fault]
+    product = S.product.copy()
+    product[cell] = value
+    with pytest.raises(
+        TheoremViolation, match=rf"^Aut -> H-class map is not multiplicative at element {e}$"
+    ):
+        h_class_group(dataclasses.replace(S, product=product), P, e)
 
 
 @pytest.mark.parametrize("name", ["a2", "trivial_m2"])
