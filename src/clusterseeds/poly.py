@@ -13,7 +13,8 @@ packed into one int), together with its exact exponent ranges: it is
 packed when built from terms and keeps the packing it was computed in,
 so an operand is packed once however often it is squared or divided,
 and the tuple-keyed ``terms`` and the printed text are made on first
-use only.
+use only.  The powers k >= 2 of a polynomial are kept on it once
+computed, like its text, and freed with it.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 MAX_TERMS = 10**6
+MAX_TERM_PRODUCTS = 10**7
 
 
 class _Packing:
@@ -141,7 +143,7 @@ class MultiPoly:
     equal packed dicts.
     """
 
-    __slots__ = ("context", "_lo", "_hi", "_packing", "_packed", "_terms", "_hash", "_str")
+    __slots__ = ("context", "_lo", "_hi", "_packing", "_packed", "_terms", "_hash", "_str", "_powers")
 
     def __init__(self, context: tuple[str, ...], terms: dict[tuple[int, ...], int]):
         terms = {e: c for e, c in terms.items() if c != 0}
@@ -154,7 +156,7 @@ class MultiPoly:
         self.context = context
         self._lo, self._hi = lo, hi
         self._packing, self._packed = packing, packed
-        self._terms = self._hash = self._str = None
+        self._terms = self._hash = self._str = self._powers = None
 
     @classmethod
     def _from_packed(cls, context, packing: _Packing, packed: dict[int, int], lo, hi) -> "MultiPoly":
@@ -253,8 +255,18 @@ class MultiPoly:
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
+        """The product; ResourceCapExceeded, before any term is multiplied,
+        if it would take more than MAX_TERM_PRODUCTS term products."""
         if self.is_zero() or other.is_zero():
             return MultiPoly(self.context, {})
+        a = len(self._packed)
+        products = a * (a + 1) // 2 if self is other else a * len(other._packed)
+        if products > MAX_TERM_PRODUCTS:
+            raise ResourceCapExceeded(
+                f"a product of {a} by {len(other._packed)} terms needs {products} term products, "
+                f"over the cap of {MAX_TERM_PRODUCTS}",
+                partial_count=products,
+            )
         lo = tuple(map(operator.add, self._lo, other._lo))
         hi = tuple(map(operator.add, self._hi, other._hi))
         p = _packing(len(self.context), _bound(lo, hi))
@@ -280,15 +292,21 @@ class MultiPoly:
         return quot
 
     def __pow__(self, k: int) -> "MultiPoly":
+        """self**k; a power k >= 2 is computed once and kept on self."""
         if k < 0:
             return MultiPoly.constant(self.context, 1) / self**-k
         if k == 0:
             return MultiPoly.constant(self.context, 1)
         if k == 1:
             return self
+        if self._powers is None:
+            self._powers = {}
+        elif k in self._powers:
+            return self._powers[k]
         half = self ** (k >> 1)
         square = half * half
-        return square * self if k & 1 else square
+        power = self._powers[k] = square * self if k & 1 else square
+        return power
 
     def shift(self, exponents) -> "MultiPoly":
         """self times the monomial x^exponents; the exponents may be negative."""
@@ -512,6 +530,27 @@ def mutate_state(state: LabeledSeedState, k: int) -> LabeledSeedState:
     )
 
 
+def _memo_exchange(memo: dict, state: LabeledSeedState, k: int) -> MultiPoly:
+    """exchange(state, k), computed only if memo has no equal relation.
+
+    The relation in direction k is fixed by the outgoing variable and
+    the pairs (variable, b_kt) with b_kt != 0.  The variables of a
+    labeled seed are distinct, so the set of those pairs identifies them
+    whatever slots they sit in.  memo maps each relation computed to its
+    variable and each variable to itself: a hit returns the stored
+    object, and a miss that gives a known variable returns the known
+    object, so one object stands for each variable and clusters compare
+    by identity."""
+    row = state.matrix[k]
+    variable = state.variable
+    key = (state.assignment[k], frozenset([(variable(t), b) for t, b in enumerate(row) if b]))
+    value = memo.get(key)
+    if value is None:
+        value = exchange(state, k)
+        value = memo[key] = memo.setdefault(value, value)
+    return value
+
+
 @dataclass
 class ClusterEnumeration:
     clusters: list[frozenset[MultiPoly]]
@@ -531,8 +570,10 @@ def enumerate_clusters(
     already found.  Mutation is an involution, so a cluster reached in
     direction k starts with {k}, and an exchange that lands on a known
     cluster adds to that cluster's set the slot holding the new
-    variable.  Each edge of the exchange graph is computed once, so a
-    closed search makes n * N / 2 exchanges for N clusters.  Only a new
+    variable.  Each edge of the exchange graph is taken once, so a
+    closed search takes n * N / 2 edges for N clusters, and many edges
+    share one exchange relation: a memo made for this call computes
+    each distinct relation once (see _memo_exchange).  Only a new
     cluster gets its matrix mutated and its labeled state built.  The
     status is "closed" once a level finds no new cluster within the
     depth, and max_states caps the number of clusters kept.
@@ -542,6 +583,7 @@ def enumerate_clusters(
     # in the order the clusters were found
     kept = {start.cluster(): (start, set())}
     frontier = list(kept.values()) if seed.n else []
+    memo = {v: v for v in start.assignment}  # see _memo_exchange
     depth = 0
     while frontier:
         if depth >= max_depth:
@@ -552,7 +594,7 @@ def enumerate_clusters(
             for k in range(seed.n):
                 if k in known:
                     continue
-                value = exchange(state, k)
+                value = _memo_exchange(memo, state, k)
                 assignment = state.assignment[:k] + (value,) + state.assignment[k + 1 :]
                 c = frozenset(assignment)
                 landing = kept.get(c)

@@ -204,18 +204,27 @@ def require_valid(seed: Seed) -> Seed:
 
 
 def matrix_mutation(rows: tuple[tuple[int, ...], ...], k: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix mutation of a seed's rows in exchangeable direction k (an involution)."""
+    """Matrix mutation of a seed's rows in exchangeable direction k (an involution).
+
+    Row k and column k change sign; an entry b_jl off them gains
+    |b_jk| b_kl when b_jk and b_kl have the same sign and keeps its value
+    otherwise, so a row j with b_jk = 0 is returned as the same tuple."""
     n = len(rows)
     if not 0 <= k < n:
         raise IndexError(f"mutation direction {k} out of range 0..{n - 1}")
-    a = rows
-    out = []
-    for j in range(n):
-        row = []
-        for l in range(len(a[j])):
-            if j == k or l == k:
-                row.append(-a[j][l])
-            else:
-                row.append(a[j][l] + (abs(a[j][k]) * a[k][l] + a[j][k] * abs(a[k][l])) // 2)
-        out.append(tuple(row))
+    row_k = rows[k]
+    positive = [(l, b) for l, b in enumerate(row_k) if b > 0]
+    negative = [(l, b) for l, b in enumerate(row_k) if b < 0]
+    out = list(rows)
+    out[k] = tuple(-b for b in row_k)
+    for j, row in enumerate(rows):
+        c = row[k]
+        if not c or j == k:
+            continue
+        new = list(row)
+        step = abs(c)
+        for l, b in positive if c > 0 else negative:
+            new[l] += step * b
+        new[k] = -c  # whatever b_kk is
+        out[j] = tuple(new)
     return tuple(out)

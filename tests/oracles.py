@@ -78,6 +78,45 @@ def min_exponents(poly: MultiPoly) -> tuple[int, ...]:
     return tuple(map(min, zip(*poly.terms)))
 
 
+def cartan_counterpart(rows, transpose: bool = False) -> list[list[int]]:
+    """a_ii = 2 and a_ij = -|b_ji| (-|b_ij| with transpose) for the square
+    matrix rows.  The exchange in direction k reads row k here and column
+    k in Fomin-Zelevinsky, so -|b_ji| is their a_ij = -|b_ij|."""
+    n = len(rows)
+    return [
+        [2 if i == j else -abs(rows[i][j] if transpose else rows[j][i]) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def almost_positive_roots(a) -> set[tuple[int, ...]]:
+    """Phi_{>=-1} of the finite root system with Cartan matrix a, in the
+    basis of simple roots: the negative simple roots and the positive
+    roots.  A simple reflection s_i(beta) = beta - (sum_j a_ij beta_j)
+    alpha_i permutes the positive roots other than alpha_i, so closing
+    the simple roots under them finds every positive root; more than
+    10,000 of them means a is not of finite type."""
+    n = len(a)
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots, stack = set(simple), list(simple)
+    while stack:
+        beta = stack.pop()
+        for i in range(n):
+            c = sum(a[i][j] * beta[j] for j in range(n))
+            image = tuple(v - c if j == i else v for j, v in enumerate(beta))
+            if c and min(image) >= 0 and image not in roots:
+                roots.add(image)
+                stack.append(image)
+        if len(roots) > 10_000:
+            raise ValueError("more than 10,000 positive roots: not of finite type")
+    return roots | {tuple(-v for v in alpha) for alpha in simple}
+
+
+def d_vectors(variables) -> set[tuple[int, ...]]:
+    """The d-vector of each cluster variable: its negated least exponents."""
+    return {tuple(-v for v in min_exponents(x)) for x in variables}
+
+
 def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly | None:
     """The quotient f/g if it is a polynomial over Z (no negative
     exponent), else None."""
@@ -96,6 +135,21 @@ def dump_seed(seed: Seed, path: str) -> None:
 
 def spec_of(I0, I1) -> SubSeedSpec:
     return SubSeedSpec(frozenset(I0), frozenset(I1))
+
+
+def matrix_mutation_entrywise(rows, k: int) -> tuple[tuple[int, ...], ...]:
+    """Matrix mutation entry by entry (Fomin-Zelevinsky, Cluster algebras
+    I, 2002, (4.3)): b'_jl = -b_jl if j = k or l = k, else b_jl +
+    (|b_jk| b_kl + b_jk |b_kl|) / 2."""
+    a = rows
+    return tuple(
+        tuple(
+            -a[j][l] if j == k or l == k
+            else a[j][l] + (abs(a[j][k]) * a[k][l] + a[j][k] * abs(a[k][l])) // 2
+            for l in range(len(a[j]))
+        )
+        for j in range(len(a))
+    )
 
 
 def mutate_seed_matrix(seed: Seed, k: int) -> Seed:

@@ -208,6 +208,19 @@ def test_exit_3_on_cap(capsys, tmp_path):
     assert "partial count 20" in err
 
 
+def test_exit_3_on_a_product_over_the_term_product_cap(capsys, tmp_path):
+    """The rank-2 seed with b = 60 squares a 7,216-term polynomial at depth
+    3: 26,038,936 term products, refused before the first."""
+    path = tmp_path / "b60.json"
+    dump_seed(Seed.from_data(["x1", "x2"], [], [[0, 60], [-60, 0]]), str(path))
+    code, out, err = run(capsys, "clusters", str(path), "--depth", "3")
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource cap exceeded: a product of 7216 by 7216 terms needs 26038936 term products, "
+        "over the cap of 10000000 (partial count 26038936)\n"
+    )
+
+
 def test_exit_3_over_the_table_byte_budget(capsys, tmp_path, monkeypatch):
     # a2_y2 has 773 elements: an int16 table of 773² cells and a dense
     # lookup of 10**4 codes

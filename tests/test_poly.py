@@ -318,6 +318,47 @@ def test_square_equals_the_generic_product(pair):
         _as_fresh(square)
 
 
+def test_powers_are_kept_on_the_polynomial(monkeypatch):
+    """p**k for k >= 2 is computed once and kept on p, as are the powers
+    __pow__ takes on the way to it; a polynomial equal to p keeps its own."""
+    products = []
+    mul = MultiPoly.__mul__
+
+    def counting(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    x1, x2, one = gen("x1"), gen("x2"), const(1)
+    p = x1 + x2 + one
+    fifth = p**5
+    assert len(products) == 3  # p * p, p**2 * p**2, then that times p
+    assert p**5 is fifth and p**2 is p**2
+    assert len(products) == 3
+    assert fifth == p * p * p * p * p
+    products.clear()
+    assert _copy(p) ** 2 == p**2 and len(products) == 1
+
+
+def test_a_product_projects_its_term_products_before_multiplying(monkeypatch):
+    """A square of a terms takes a(a + 1)/2 term products and a product of
+    a by b terms a*b: at MAX_TERM_PRODUCTS it is computed, one above it
+    raises before any term is multiplied."""
+    x1, x2, one = gen("x1"), gen("x2"), const(1)
+    p, q = x1 + x2 + one, x1 - x2  # 3 and 2 terms: 6 products each way
+    square, product = p * _copy(p), p * q
+    monkeypatch.setattr(poly_module, "MAX_TERM_PRODUCTS", 6)
+    assert p * p == square and p * q == q * p == product
+    monkeypatch.setattr(poly_module, "MAX_TERM_PRODUCTS", 5)
+    monkeypatch.setattr(poly_module, "_square", None)  # no term is multiplied
+    monkeypatch.setattr(poly_module, "_product", None)
+    for a, b in ((p, p), (p, q), (q, p)):
+        with pytest.raises(ResourceCapExceeded) as exc:
+            a * b
+        assert exc.value.partial_count == 6
+        assert str(exc.value).endswith("needs 6 term products, over the cap of 5")
+
+
 def test_square_with_cancelling_cross_terms():
     x1, x2, one = gen("x1"), gen("x2"), const(1)
     p = one + x1 - x2 + x1 * x2  # 2*(1 * x1x2) and 2*(x1 * -x2) cancel

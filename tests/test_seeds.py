@@ -1,6 +1,7 @@
 """Seed construction, validation, symmetrizers, and matrix mutation."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,12 @@ from clusterseeds import (
     validate_seed,
 )
 from conftest import a2_seed, trivial_seed
-from oracles import connected_components, is_connected, mutate_seed_matrix
+from oracles import (
+    connected_components,
+    is_connected,
+    matrix_mutation_entrywise,
+    mutate_seed_matrix,
+)
 
 
 # ---------------------------------------------------------------- structure
@@ -166,6 +172,21 @@ def test_mutation_direction_bounds():
         matrix_mutation(m, 2)
     with pytest.raises(IndexError):
         matrix_mutation(m, -1)
+
+
+def test_mutation_matches_the_entrywise_formula():
+    """On random integer matrices, skew-symmetrizable or not, including
+    nonzero diagonals: the entrywise formula, and every row j != k with
+    b_jk = 0 kept as the same tuple."""
+    rng = random.Random(20161)
+    for _ in range(20_000):
+        n, m = rng.randint(1, 5), rng.randint(0, 3)
+        rows = tuple(tuple(rng.choice((0, 0, 1, -1, 2, -2, 3, -3)) for _ in range(n + m)) for _ in range(n))
+        k = rng.randrange(n)
+        out = matrix_mutation(rows, k)
+        assert out == matrix_mutation_entrywise(rows, k), (rows, k)
+        for j in range(n):
+            assert (out[j] is rows[j]) == (j != k and rows[j][k] == 0), (rows, k, j)
 
 
 def test_mutation_touches_frozen_columns():
