@@ -2,10 +2,10 @@
 
 Machine output is a versioned JSON document; the human rendering is
 derived from that document, never computed separately.  Every JSON
-report, machine or human, is written by dumps_indented, which returns
+report, machine or human, is made by dumps_indented, which returns
 json.dumps(doc, indent=2) byte for byte without json's pure-Python
-indenting encoder.  Exit codes: 0 success, 2 input error, 3 resource cap
-exceeded, 4 theorem violation.
+indenting encoder, and written in slices.  Exit codes: 0 success, 2
+input error, 3 resource cap exceeded, 4 theorem violation.
 """
 
 from __future__ import annotations
@@ -79,6 +79,16 @@ def _scalar_text(x) -> str | None:
     return None
 
 
+# the text of a value of exactly one of these types, from one lookup on
+# its type; any other value goes through _scalar_text
+_exact_text = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}.get
+
+
 def _key_text(key) -> str:
     if isinstance(key, str):
         return _quote(key)
@@ -92,21 +102,38 @@ def dumps_indented(doc, newline: str = "\n") -> str:
     """json.dumps(doc, indent=2), the same text and the same TypeErrors,
     with the items of each container joined at once and strings quoted
     by json's C encoder.  newline is the line break and indent before
-    doc's own closing bracket."""
+    doc's own closing bracket.
+
+    A str, int, bool or None item of exactly that type gets its text
+    from one lookup on its type, a list whose items share one such type
+    is written by one map, and any other item recurses at once.  The
+    items are dropped once joined and the brackets added in one copy,
+    so a large container's text is held at most twice while it is made."""
     inner = newline + "  "
     if isinstance(doc, dict):
         if not doc:
             return "{}"
         items = [
-            _key_text(k) + ": " + (_scalar_text(v) or dumps_indented(v, inner))
+            (_quote(k) if type(k) is str else _key_text(k))
+            + ": "
+            + (text(v) if (text := _exact_text(type(v))) else dumps_indented(v, inner))
             for k, v in doc.items()
         ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        items = ("," + inner).join(items)
+        return f"{{{inner}{items}{newline}}}"
     if isinstance(doc, (list, tuple)):
         if not doc:
             return "[]"
-        items = [_scalar_text(v) or dumps_indented(v, inner) for v in doc]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        kinds = set(map(type, doc))
+        if len(kinds) == 1 and (text := _exact_text(kinds.pop())):
+            items = map(text, doc)
+        else:
+            items = [
+                text(v) if (text := _exact_text(type(v))) else dumps_indented(v, inner)
+                for v in doc
+            ]
+        items = ("," + inner).join(items)
+        return f"[{inner}{items}{newline}]"
     text = _scalar_text(doc)
     if text is None:
         raise TypeError(f"Object of type {doc.__class__.__name__} is not JSON serializable")
@@ -487,6 +514,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# characters per write: a report is written in slices, so writing it
+# makes no full copy of its text, encoded or not
+WRITE_SLICE = 1 << 20
+
+
+def _write_report(fh, text: str) -> None:
+    """text and a newline written to fh, in slices of WRITE_SLICE characters."""
+    for start in range(0, len(text), WRITE_SLICE):
+        fh.write(text[start : start + WRITE_SLICE])
+    fh.write("\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -507,13 +546,13 @@ def main(argv=None) -> int:
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+                _write_report(fh, text)
         except OSError as exc:
             print(f"input error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2
     else:
         try:
-            print(text)
+            _write_report(sys.stdout, text)
             sys.stdout.flush()
         except BrokenPipeError as exc:
             # the reader went away; point stdout at devnull so the flush

@@ -3,8 +3,11 @@
 By the Laurent phenomenon (Fomin-Zelevinsky, "Cluster algebras I",
 2002) every cluster variable lies in Z[x^+-1], so one type serves for
 all of them: a dictionary from signed exponent vectors to integer
-coefficients.  Division shifts each operand by its own smallest
-exponents and divides exactly; a quotient outside Z[x^+-1] raises
+coefficients.  Division by a one-term divisor c*x^e is a shift by -e
+with a test that c divides every coefficient; every other division
+shifts each operand by its own smallest exponents, runs a sparse heap
+division and counts its term products against ``MAX_TERM_PRODUCTS``,
+the cap of a product.  A quotient outside Z[x^+-1] raises
 ``LaurentViolation`` and aborts the run instead of returning a wrong
 value.
 
@@ -321,10 +324,18 @@ class MultiPoly:
     def _divide(self, other: "MultiPoly") -> "MultiPoly | None":
         """The quotient self/other in Z[x^+-1], or None if there is none.
 
-        Both operands are shifted by their exact smallest exponents, so
-        an exact quotient is a polynomial in the box from 0 to the
-        difference of the operands' spans, and no remainder term ever
-        leaves the dividend's box; the working fields hold that span.
+        A one-term divisor c*x^e divides as the shift of self by -e with
+        every coefficient divided by c, so there is a quotient iff c
+        divides every coefficient of self.  Every other divisor takes the
+        heap division below, whose term products (each quotient term
+        times the divisor's other terms) count against
+        MAX_TERM_PRODUCTS like those of a product.
+
+        Both operands of the heap division are shifted by their exact
+        smallest exponents, so an exact quotient is a polynomial in the
+        box from 0 to the difference of the operands' spans, and no
+        remainder term ever leaves the dividend's box; the working fields
+        hold that span.
         Sparse heap division (Johnson 1974; Monagan and Pearce, JSC 46,
         2011): the remainder is one dict updated in place, and a max-heap
         of its keys yields the leading term.  A key whose coefficient
@@ -332,6 +343,15 @@ class MultiPoly:
         division fails as soon as a leading coefficient does not divide
         or a quotient exponent leaves the box.
         """
+        if len(other._packed) == 1:
+            (c,) = other._packed.values()
+            quot = self.shift(tuple(map(operator.neg, other._lo)))
+            if c == 1:
+                return quot
+            if any(v % c for v in self._packed.values()):
+                return None
+            packed = {k: v // c for k, v in quot._packed.items()}
+            return MultiPoly._from_packed(self.context, quot._packing, packed, quot._lo, quot._hi)
         lo = tuple(map(operator.sub, self._lo, other._lo))
         hi = tuple(map(operator.sub, self._hi, other._hi))
         if any(map(operator.gt, lo, hi)):  # other's span exceeds self's
@@ -344,6 +364,9 @@ class MultiPoly:
         divisor = sorted(other._keys(w, other._lo).items(), reverse=True)
         lead, lc = divisor[0]
         tail = [(k, -gc) for k, gc in divisor[1:]]  # negated once: rem += q * (-gc)
+        # counted as the quotient grows, not projected: a quotient's box
+        # can hold far more monomials than its support
+        step, products, cap = len(tail), 0, MAX_TERM_PRODUCTS
         upper = w.pack(tuple(map(operator.sub, hi, lo)))
         nonnegative = w.nonnegative
         heappop, heappush = heapq.heappop, heapq.heappush
@@ -358,6 +381,12 @@ class MultiPoly:
             if r or not nonnegative(e) or not nonnegative(upper - e):
                 return None
             quot[e] = q
+            products += step
+            if products > cap:
+                raise ResourceCapExceeded(
+                    f"a division needs more than {cap} term products",
+                    partial_count=products,
+                )
             for k, ngc in tail:
                 m = e + k
                 try:

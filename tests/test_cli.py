@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: reports, formats, and exit codes."""
 
 import dataclasses
+import enum
 import hashlib
 import json
 import os
@@ -95,6 +96,26 @@ def test_out_writes_to_file(capsys, a2_file, tmp_path):
     )
     assert code == 0 and out == ""
     assert json.loads(dest.read_text())["ok"] is True
+
+
+@pytest.mark.parametrize("fmt", ["machine", "human"])
+def test_reports_are_written_in_slices(capsys, monkeypatch, a2_file, tmp_path, fmt):
+    """A report written five characters at a time, to stdout and to
+    --out, is its text and one newline."""
+    argv = ["--format", fmt, "clusters", a2_file]
+    args = cli.build_parser().parse_args(argv)
+    doc, human, _ = args.fn(args)
+    doc = {"schema_version": cli.SCHEMA_VERSION, "command": "clusters", **doc}
+    text = cli.dumps_indented(doc) if fmt == "machine" else human(doc)
+    monkeypatch.setattr(cli, "WRITE_SLICE", 5)
+    writes = []
+    write = sys.stdout.write
+    monkeypatch.setattr(sys.stdout, "write", lambda part: writes.append(part) or write(part))
+    assert run(capsys, *argv) == (0, text + "\n", "")
+    assert writes == [text[i : i + 5] for i in range(0, len(text), 5)] + ["\n"]
+    dest = tmp_path / "report.txt"
+    assert run(capsys, "--out", str(dest), *argv) == (0, "", "")
+    assert dest.read_text() == text + "\n"
 
 
 # -------------------------------------------------------------- exit codes
@@ -781,6 +802,68 @@ def test_writer_prints_subclasses_of_scalars_as_json_dumps_does():
 
     doc = {Label("a"): [Count(3), Ratio(0.5), Label("b")], Count(7): {Ratio(2.0): True}}
     assert cli.dumps_indented(doc) == json.dumps(doc, indent=2)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+class _Name(str):
+    pass
+
+
+# every scalar kind the writer looks up or passes on, subclasses
+# included, and values json cannot write
+_TYPED_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from(list(_Level)),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    _STRINGS,
+    _STRINGS.map(_Name),
+)
+_UNWRITABLE = st.sampled_from([frozenset(), b"x", object(), 1j])
+_TYPED_KEYS = st.one_of(_STRINGS, st.integers(), st.floats(), st.booleans(), st.none())
+
+
+def _typed_docs(scalars, keys):
+    return st.recursive(
+        scalars,
+        lambda children: st.one_of(
+            st.lists(children),
+            st.lists(children).map(tuple),
+            st.one_of([st.lists(s) for s in (_STRINGS, st.integers(), st.booleans(), st.none())]),
+            st.dictionaries(keys, children),
+        ),
+        max_leaves=30,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_typed_docs(_TYPED_SCALARS, _TYPED_KEYS))
+def test_writer_matches_json_dumps_on_every_scalar_kind(doc):
+    assert cli.dumps_indented(doc) == json.dumps(doc, indent=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _typed_docs(
+        st.one_of(_TYPED_SCALARS, _UNWRITABLE),
+        st.one_of(_TYPED_KEYS, st.sampled_from([(), b"k", frozenset()])),
+    )
+)
+def test_writer_raises_like_json_dumps_on_every_scalar_kind(doc):
+    try:
+        expected = json.dumps(doc, indent=2)
+    except TypeError as exc:
+        with pytest.raises(TypeError) as raised:
+            cli.dumps_indented(doc)
+        assert str(raised.value) == str(exc)
+    else:
+        assert cli.dumps_indented(doc) == expected
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import inspect
 import random
 import signal
 import textwrap
+import types
 from contextlib import contextmanager
 
 import pytest
@@ -161,6 +162,74 @@ def test_division_honours_the_term_cap(monkeypatch):
     assert exc.value.partial_count > 12
 
 
+def test_division_counts_its_term_products(monkeypatch):
+    """The heap division adds the divisor's 2 tail terms for each of the
+    10 terms of g**3: 20 term products, within a cap of 20, over 19."""
+    x1, x2, one = gen("x1"), gen("x2"), const(1)
+    g = x1 + x2 + one
+    f, cube = g**4, g**3
+    monkeypatch.setattr(poly_module, "MAX_TERM_PRODUCTS", 20)
+    assert f / g == cube
+    monkeypatch.setattr(poly_module, "MAX_TERM_PRODUCTS", 19)
+    with pytest.raises(ResourceCapExceeded) as exc:
+        f / g
+    assert exc.value.partial_count == 20
+
+
+# (dividend, c, e): the divisor c*x^e, in cases the drawn pairs reach rarely
+ONE_TERM_DIVISIONS = {
+    "coefficient 1": (poly({(2, 0): 1, (1, 1): -3, (0, 0): 5}), 1, (1, -1)),
+    "coefficient -1": (poly({(2, 0): 1, (1, 1): -3, (0, 0): 5}), -1, (0, 2)),
+    "-2 divides every coefficient": (poly({(3, 1): -4, (0, 0): 6, (1, -2): 2}), -2, (-1, 1)),
+    "None: 3 does not divide 4": (poly({(2, 0): 3, (0, 1): 6, (0, 0): 4}), 3, (1, 0)),
+    "16-bit fields": (poly({(150, -150): 2, (0, 0): -1, (-150, 7): 1}), 1, (-150, 150)),
+    "32-bit fields": (poly({(40_000, 0): 5, (-40_000, 3): -5}), 5, (-40_000, 40_000)),
+    "constant divisor": (poly({(1, 1): 4, (0, -1): -8}), 4, (0, 0)),
+}
+
+ONE_TERM_UNITS = [poly({(2, -3): -1}), poly({(150, -40_000): 1}), const(-1)]
+
+
+def _one_term_quotient(f, c, e):
+    """f / (c*x^e) term by term, or None if c does not divide every coefficient."""
+    if any(v % c for v in f.terms.values()):
+        return None
+    terms = {tuple(a - b for a, b in zip(m, e)): v // c for m, v in f.terms.items()}
+    return MultiPoly(f.context, terms)
+
+
+def _assert_one_term_divisions():
+    for name, (f, c, e) in ONE_TERM_DIVISIONS.items():
+        g = MultiPoly(f.context, {e: c})
+        expected = _one_term_quotient(f, c, e)
+        assert (expected is None) == name.startswith("None"), name
+        quot = f._divide(g)
+        assert quot == expected, name
+        if expected is None:
+            with pytest.raises(LaurentViolation):
+                f / g
+        else:
+            _as_fresh(quot)
+            assert quot * g == f, name
+    for b in ONE_TERM_UNITS:
+        assert b**-1 * b == const(1)
+
+
+def test_one_term_divisions_match_the_terms():
+    _assert_one_term_divisions()
+
+
+def test_one_term_division_takes_no_heap(monkeypatch):
+    def heap_step(*args):
+        raise AssertionError("a one-term division reached the heap")
+
+    heap = types.SimpleNamespace(heapify=heap_step, heappop=heap_step, heappush=heap_step)
+    monkeypatch.setattr(poly_module, "heapq", heap)
+    _assert_one_term_divisions()
+    with pytest.raises(AssertionError, match="reached the heap"):
+        (gen("x1") + const(1)) / (gen("x1") + const(1))
+
+
 def divide_variant(replacements, **names):
     """MultiPoly._divide with pieces of its source replaced (old -> new);
     names are added to the module namespace it runs in."""
@@ -243,6 +312,14 @@ def test_division_oracle_catches_a_faulty_inner_loop(monkeypatch, old, new):
     monkeypatch.setattr(MultiPoly, "_divide", divide_variant({old: new}))
     with pytest.raises(AssertionError):
         _assert_divides_like_the_reference()
+
+
+def test_one_term_cases_catch_a_missing_divisibility_test(monkeypatch):
+    # without the test, 4 // 3 gives a wrong quotient instead of None
+    variant = divide_variant({"any(v % c for v in self._packed.values())": "False"})
+    monkeypatch.setattr(MultiPoly, "_divide", variant)
+    with pytest.raises(AssertionError):
+        _assert_one_term_divisions()
 
 
 # ------------------------------------------------------ packed monomials
