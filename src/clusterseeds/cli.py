@@ -3,9 +3,9 @@
 Machine output is a versioned JSON document; the human rendering is
 derived from that document, never computed separately.  Every JSON
 report, machine or human, is made by dumps_indented, which returns
-json.dumps(doc, indent=2) byte for byte without json's pure-Python
-indenting encoder, and written in slices.  Exit codes: 0 success, 2
-input error, 3 resource cap exceeded, 4 theorem violation.
+json.dumps(doc, indent=2) of a report byte for byte without json's
+pure-Python indenting encoder, and written in slices.  Exit codes: 0
+success, 2 input error, 3 resource cap exceeded, 4 theorem violation.
 """
 
 from __future__ import annotations
@@ -52,35 +52,13 @@ from .surface import check_theorem_sur, cut_along, paunched_surface, seed_from_s
 
 SCHEMA_VERSION = 1
 
-_INFINITY = float("inf")
+
+def _refuse(value, what="value"):
+    raise TypeError(f"a report {what} cannot be of type {value.__class__.__name__}")
 
 
-def _scalar_text(x) -> str | None:
-    """The JSON text json writes for a str, None, bool, int or float;
-    None for any other type."""
-    if isinstance(x, str):
-        return _quote(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        if x != x:
-            return "NaN"
-        if x == _INFINITY:
-            return "Infinity"
-        if x == -_INFINITY:
-            return "-Infinity"
-        return float.__repr__(x)
-    return None
-
-
-# the text of a value of exactly one of these types, from one lookup on
-# its type; any other value goes through _scalar_text
+# the text of a str, int, bool or None of exactly that type, from one
+# lookup on its type
 _exact_text = {
     str: _quote,
     int: int.__repr__,
@@ -89,39 +67,32 @@ _exact_text = {
 }.get
 
 
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return _quote(key)
-    text = _scalar_text(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-    return _quote(text)
-
-
 def dumps_indented(doc, newline: str = "\n") -> str:
-    """json.dumps(doc, indent=2), the same text and the same TypeErrors,
-    with the items of each container joined at once and strings quoted
-    by json's C encoder.  newline is the line break and indent before
-    doc's own closing bracket.
+    """json.dumps(doc, indent=2) of a report, with the items of each
+    container joined at once and strings quoted by json's C encoder.
+    A report is a dict with str keys, a list, a str, an int, a bool or
+    None, each of exactly that type; any other value or key is a
+    TypeError that names its type.  newline is the line break and
+    indent before doc's own closing bracket.
 
-    A str, int, bool or None item of exactly that type gets its text
-    from one lookup on its type, a list whose items share one such type
-    is written by one map, and any other item recurses at once.  The
-    items are dropped once joined and the brackets added in one copy,
-    so a large container's text is held at most twice while it is made."""
+    A scalar item gets its text from one lookup on its type, a list
+    whose items share one scalar type is written by one map, and any
+    other item recurses at once.  The items are dropped once joined and
+    the brackets added in one copy, so a large container's text is held
+    at most twice while it is made."""
     inner = newline + "  "
-    if isinstance(doc, dict):
+    if type(doc) is dict:
         if not doc:
             return "{}"
         items = [
-            (_quote(k) if type(k) is str else _key_text(k))
+            (_quote(k) if type(k) is str else _refuse(k, "key"))
             + ": "
             + (text(v) if (text := _exact_text(type(v))) else dumps_indented(v, inner))
             for k, v in doc.items()
         ]
         items = ("," + inner).join(items)
         return f"{{{inner}{items}{newline}}}"
-    if isinstance(doc, (list, tuple)):
+    if type(doc) is list:
         if not doc:
             return "[]"
         kinds = set(map(type, doc))
@@ -134,10 +105,7 @@ def dumps_indented(doc, newline: str = "\n") -> str:
             ]
         items = ("," + inner).join(items)
         return f"[{inner}{items}{newline}]"
-    text = _scalar_text(doc)
-    if text is None:
-        raise TypeError(f"Object of type {doc.__class__.__name__} is not JSON serializable")
-    return text
+    return _exact_text(type(doc), _refuse)(doc)
 
 
 def _spec_from_args(args, valid_labels) -> tuple[frozenset, frozenset]:
@@ -174,17 +142,12 @@ def cmd_validate(args):
 def cmd_mutate(args):
     seed = require_valid(load_seed(args.seed))
     state = initial_state(seed)
-    steps = [
-        {
-            "k": None,
-            "matrix": [list(r) for r in state.matrix],
-            "cluster": [str(v) for v in state.assignment],
-        }
-    ]
-    for k in args.sequence:
-        if not 0 <= k < seed.n:
-            raise ParseError(f"mutation index {k} out of range 0..{seed.n - 1}")
-        state = mutate_state(state, k)
+    steps = []
+    for k in (None, *args.sequence):  # None stands for the initial seed
+        if k is not None:
+            if not 0 <= k < seed.n:
+                raise ParseError(f"mutation index {k} out of range 0..{seed.n - 1}")
+            state = mutate_state(state, k)
         steps.append(
             {
                 "k": k,
@@ -542,7 +505,11 @@ def main(argv=None) -> int:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 4
     doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **doc}
-    text = dumps_indented(doc) if args.format == "machine" else human(doc)
+    try:
+        text = dumps_indented(doc) if args.format == "machine" else human(doc)
+    except ValueError as exc:  # an integer over the interpreter's str digit limit
+        print(f"resource cap exceeded: {exc}", file=sys.stderr)
+        return 3
     if args.out:
         try:
             with open(args.out, "w") as fh:

@@ -210,3 +210,7 @@ def _read_json(path: str):
         raise ParseError(f"{path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except ParseError:  # a repeated key
+        raise
+    except (RecursionError, ValueError) as exc:  # too deep, or an integer too long
+        raise ParseError(f"{path} cannot be decoded: {exc}") from exc

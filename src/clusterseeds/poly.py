@@ -306,6 +306,10 @@ class MultiPoly:
             self._powers = {}
         elif k in self._powers:
             return self._powers[k]
+        if not self.is_zero():
+            # ResourceCapExceeded now, not k's bit count of recursion
+            # later, if the power's exponents k*lo..k*hi cannot be packed
+            _packing(len(self.context), k * _bound(self._lo, self._hi))
         half = self ** (k >> 1)
         square = half * half
         power = self._powers[k] = square * self if k & 1 else square

@@ -156,6 +156,29 @@ def test_exit_2_on_non_utf8_input(capsys, a2_file, tmp_path, kind):
     assert err.startswith(f"input error: {bad} is not UTF-8: ")
 
 
+@pytest.mark.parametrize("kind", ["seed", "hom", "surface"])
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[" * 100_000 + "]" * 100_000, "cannot be decoded: maximum recursion depth exceeded"),
+        ("[" + "9" * 5000 + "]", "cannot be decoded: Exceeds the limit (4300 digits)"),
+        ('{"a": 1, "a": 2}', "repeats the key 'a'\n"),
+    ],
+    ids=["deep", "long-integer", "repeated-key"],
+)
+def test_exit_2_on_input_the_decoder_cannot_handle(capsys, a2_file, tmp_path, kind, text, message):
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text(text)
+    argv = {
+        "seed": ["validate", str(bad)],
+        "hom": ["hom-check", a2_file, str(bad)],
+        "surface": ["surface-seed", str(bad)],
+    }[kind]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {bad} {message}")
+
+
 def test_exit_2_when_the_reader_closes_stdout(tmp_path):
     # a reader that stops early, as `| head -1` does; the report (about
     # 130 kB) is larger than a pipe buffer, so the write is still pending
@@ -257,6 +280,30 @@ def test_exit_3_over_the_table_byte_budget(capsys, tmp_path, monkeypatch):
     )
     monkeypatch.setattr(semigroup_module, "TABLE_BYTE_BUDGET", projected)
     assert run(capsys, "endpar", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("b", [2**70, 2**1000], ids=["2^70", "2^1000"])
+@pytest.mark.parametrize(
+    "argv", [("mutate", "SEED", "0"), ("clusters", "SEED", "--depth", "2")], ids=["mutate", "clusters"]
+)
+def test_exit_3_on_a_power_whose_exponents_do_not_fit_64_bits(capsys, tmp_path, b, argv):
+    # x2**b is refused before it is computed, not after one recursion per bit of b
+    path = tmp_path / "huge.json"
+    dump_seed(Seed.from_data(["x1", "x2"], [], [[0, b], [-b, 0]]), str(path))
+    code, out, err = run(capsys, *(str(path) if a == "SEED" else a for a in argv))
+    assert (code, out) == (3, "")
+    assert err.startswith("resource cap exceeded: ")
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_exit_3_on_a_report_integer_too_long_to_print(capsys, tmp_path, fmt):
+    # the symmetrizer (1, P, P**2) has an 8,001-digit entry
+    P = 10**4000 + 1
+    path = tmp_path / "long.json"
+    dump_seed(Seed.from_data(["a", "b", "c"], [], [[0, P, 0], [-1, 0, P], [0, -1, 0]]), str(path))
+    code, out, err = run(capsys, "--format", fmt, "validate", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("resource cap exceeded: ")
 
 
 def test_exit_4_on_cross_check_failure(capsys, square_file, monkeypatch):
@@ -753,137 +800,142 @@ _STRINGS = st.one_of(
     st.text(),
     st.text(st.sampled_from('"\\/\x00\x08\x1f\x7f\u00e9\u2028\ud800\U0001d11e ab')),
 )
-_SCALARS = st.one_of(
+# the values a report holds: dicts with str keys, lists, str, int, bool
+# and None, each of exactly that type; lists of one scalar type, which
+# the writer maps at once, and mixed lists, which it does item by item
+_REPORT_SCALARS = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
     st.sampled_from([2**64, -(2**70) - 1, 10**40]),
-    st.floats(),
-    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
     _STRINGS,
 )
-_KEYS = st.one_of(
-    _STRINGS,
-    st.integers(),
-    st.floats(),
-    st.sampled_from([float("nan"), float("-inf"), -0.0]),
-    st.booleans(),
-    st.none(),
-)
-_DOCS = st.recursive(
-    _SCALARS,
+_REPORTS = st.recursive(
+    _REPORT_SCALARS,
     lambda children: st.one_of(
         st.lists(children),
-        st.lists(children).map(tuple),
-        st.lists(_STRINGS),
-        st.dictionaries(_KEYS, children),
+        st.one_of([st.lists(s) for s in (_STRINGS, st.integers(), st.booleans(), st.none())]),
+        st.dictionaries(_STRINGS, children),
     ),
-    max_leaves=20,
+    max_leaves=30,
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(_DOCS)
+@settings(max_examples=300, deadline=None)
+@given(_REPORTS)
 def test_writer_matches_json_dumps(doc):
     assert cli.dumps_indented(doc) == json.dumps(doc, indent=2)
 
 
-def test_writer_prints_subclasses_of_scalars_as_json_dumps_does():
-    class Label(str):
-        pass
-
-    class Count(int):
-        def __repr__(self):
-            return "Count()"
-
-    class Ratio(float):
-        def __repr__(self):
-            return "Ratio()"
-
-    doc = {Label("a"): [Count(3), Ratio(0.5), Label("b")], Count(7): {Ratio(2.0): True}}
-    assert cli.dumps_indented(doc) == json.dumps(doc, indent=2)
+@pytest.mark.parametrize(
+    "doc,name",
+    [
+        ({1, 2}, "set"),
+        (object(), "object"),
+        ({"a": [1, {"b": frozenset()}]}, "frozenset"),
+        ([1, "x", object()], "object"),
+        ({(1, 2): 0}, "tuple"),
+        ({"a": 1, b"k": 2}, "bytes"),
+        ({"a": {"b": 1, 2.5: [], (): 3}}, "float"),
+    ],
+    ids=[
+        "set", "object", "nested-set", "object-item", "tuple-key", "bytes-key", "nested-tuple-key",
+    ],
+)
+def test_writer_raises_where_json_dumps_does(doc, name):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError, match=f"cannot be of type {name}$"):
+        cli.dumps_indented(doc)
 
 
 class _Level(enum.IntEnum):
     LOW = 1
-    HIGH = 2**70
 
 
 class _Name(str):
     pass
 
 
-# every scalar kind the writer looks up or passes on, subclasses
-# included, and values json cannot write
-_TYPED_SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.sampled_from(list(_Level)),
-    st.floats(),
-    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
-    _STRINGS,
-    _STRINGS.map(_Name),
-)
-_UNWRITABLE = st.sampled_from([frozenset(), b"x", object(), 1j])
-_TYPED_KEYS = st.one_of(_STRINGS, st.integers(), st.floats(), st.booleans(), st.none())
+class _Record(dict):
+    pass
 
 
-def _typed_docs(scalars, keys):
-    return st.recursive(
-        scalars,
-        lambda children: st.one_of(
-            st.lists(children),
-            st.lists(children).map(tuple),
-            st.one_of([st.lists(s) for s in (_STRINGS, st.integers(), st.booleans(), st.none())]),
-            st.dictionaries(keys, children),
-        ),
-        max_leaves=30,
-    )
-
-
-@settings(max_examples=300, deadline=None)
-@given(_typed_docs(_TYPED_SCALARS, _TYPED_KEYS))
-def test_writer_matches_json_dumps_on_every_scalar_kind(doc):
-    assert cli.dumps_indented(doc) == json.dumps(doc, indent=2)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    _typed_docs(
-        st.one_of(_TYPED_SCALARS, _UNWRITABLE),
-        st.one_of(_TYPED_KEYS, st.sampled_from([(), b"k", frozenset()])),
-    )
-)
-def test_writer_raises_like_json_dumps_on_every_scalar_kind(doc):
-    try:
-        expected = json.dumps(doc, indent=2)
-    except TypeError as exc:
-        with pytest.raises(TypeError) as raised:
-            cli.dumps_indented(doc)
-        assert str(raised.value) == str(exc)
-    else:
-        assert cli.dumps_indented(doc) == expected
+class _Row(list):
+    pass
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "value,where",
     [
-        {1, 2},
-        object(),
-        {"a": [1, {"b": frozenset()}]},
-        [1, "x", object()],
-        {(1, 2): 0},
-        {"a": 1, b"k": 2},
-        {"a": {"b": 1, 2.5: [], (): 3}},
+        (0.5, "value"),
+        (float("nan"), "value"),
+        ((1, 2), "value"),
+        (_Name("a"), "value"),
+        (_Level.LOW, "value"),
+        (_Record(a=1), "value"),
+        (_Row([1]), "value"),
+        (1, "key"),
+        (2.5, "key"),
+        (True, "key"),
+        (None, "key"),
+        (_Name("k"), "key"),
     ],
     ids=[
-        "set", "object", "nested-set", "object-item", "tuple-key", "bytes-key", "nested-tuple-key",
+        "float", "nan", "tuple", "str-subclass", "IntEnum", "dict-subclass", "list-subclass",
+        "int-key", "float-key", "bool-key", "None-key", "str-subclass-key",
     ],
 )
-def test_writer_raises_where_json_dumps_does(doc):
-    with pytest.raises(TypeError) as expected:
+def test_writer_refuses_what_json_dumps_writes_but_reports_do_not_hold(value, where):
+    # alone, as the one type of a list, among other items and nested
+    if where == "value":
+        docs = (value, [value], [value, value], [1, "x", value], {"a": value}, {"a": [{"b": value}]})
+    else:
+        docs = ({value: 0}, {"a": 1, value: 2}, {"a": [{"b": 1, value: []}]})
+    for doc in docs:
         json.dumps(doc, indent=2)
-    with pytest.raises(TypeError) as raised:
-        cli.dumps_indented(doc)
-    assert str(raised.value) == str(expected.value)
+        with pytest.raises(TypeError, match=f"report {where} cannot be of type {type(value).__name__}$"):
+            cli.dumps_indented(doc)
+
+
+def _holds_report_types_only(doc) -> bool:
+    if type(doc) is dict:
+        return all(type(k) is str and _holds_report_types_only(v) for k, v in doc.items())
+    if type(doc) is list:
+        return all(map(_holds_report_types_only, doc))
+    return type(doc) in (str, int, bool, type(None))
+
+
+# arguments of each subcommand on the fixtures; HOM keeps x1 and deletes x2
+_TRAFFIC = {
+    "validate": ["SEED"],
+    "mutate": ["SEED", "0", "1"],
+    "clusters": ["SEED"],
+    "hom-check": ["SEED", "HOM"],
+    "compose": ["SEED", "HOM", "HOM"],
+    "endpar": ["SEED"],
+    "green": ["SEED"],
+    "classify": ["SEED"],
+    "surface-seed": ["SURFACE"],
+    "cut": ["SURFACE", "d0_2", "--mode", "freeze"],
+    "paunch": ["SURFACE", "--i0", "d0_2"],
+    "check-sur": ["SURFACE", "--all"],
+    "surface-iso": ["SURFACE", "SURFACE"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TRAFFIC))
+def test_every_machine_report_holds_report_types_and_prints_as_json_dumps(
+    capsys, tmp_path, a2_file, square_file, command
+):
+    hom = tmp_path / "hom.json"
+    hom.write_text(json.dumps({"I0": [], "I1": ["x2"], "map": {"x1": "x1"}}))
+    files = {"SEED": a2_file, "SURFACE": square_file, "HOM": str(hom)}
+    argv = ["--format", "machine", command, *(files.get(a, a) for a in _TRAFFIC[command])]
+    args = cli.build_parser().parse_args(argv)
+    doc, _, code = args.fn(args)
+    doc = {"schema_version": cli.SCHEMA_VERSION, "command": command, **doc}
+    assert _holds_report_types_only(doc)
+    text = json.dumps(doc, indent=2)
+    assert cli.dumps_indented(doc) == text
+    assert run(capsys, *argv) == (code, text + "\n", "")
