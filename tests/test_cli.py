@@ -827,6 +827,41 @@ def test_writer_matches_json_dumps(doc):
     assert cli.dumps_indented(doc) == json.dumps(doc, indent=2)
 
 
+# each scalar kind a report holds, drawn one kind at a time
+_SCALAR_KINDS = {
+    "None": st.none(),
+    "bool": st.booleans(),
+    "int": st.one_of(st.integers(), st.sampled_from([2**64, -(2**70) - 1, 10**40])),
+    "str": _STRINGS,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(_SCALAR_KINDS)).flatmap(
+        lambda kind: st.lists(_SCALAR_KINDS[kind], min_size=1)
+    ),
+    _REPORT_SCALARS,
+    _STRINGS,
+)
+def test_writer_matches_json_dumps_on_every_scalar_kind(values, other, key):
+    # one kind alone, as the one type of a list, among items of another
+    # kind, as a dict value and nested under lists and dicts
+    value = values[0]
+    docs = (
+        value,
+        values,
+        values + [other],
+        [other] + values,
+        {key: value},
+        {key: values},
+        [{key: values}, [values]],
+        {key: {"": value, "k": [values, other]}},
+    )
+    for doc in docs:
+        assert cli.dumps_indented(doc) == json.dumps(doc, indent=2)
+
+
 @pytest.mark.parametrize(
     "doc,name",
     [
