@@ -252,15 +252,19 @@ def enumerate_seed_isos(a: Seed, b: Seed):
     bijections sending exchangeable to exchangeable).
 
     Backtracking over exchangeable labels first, pruned by per-vertex
-    weight multisets; each completed bijection is re-validated by
-    check_partial_hom.  That check is also the magnitude test: it rules
-    out any entry shrinking, and a row that never shrinks and keeps its
-    sorted magnitudes (the vertex signature) keeps every magnitude.
+    weight multisets and, at each placed label, by the magnitudes and
+    the row signs that check_partial_hom requires of every completion:
+    a subtree is cut only if it holds no isomorphism, so the
+    isomorphisms come in the order of the unpruned search.  Each
+    completed bijection is re-validated by check_partial_hom.  That
+    check is also the magnitude test: it rules out any entry shrinking,
+    and a row that never shrinks and keeps its sorted magnitudes (the
+    vertex signature) keeps every magnitude.
     """
     if a.n != b.n or a.m != b.m:
         return
     sig_a = {x: _vertex_signature(a, x) for x in a.labels}
-    sig_b = {x: _vertex_signature(b, x) for x in b.labels}
+    sig_b = sig_a if b is a else {x: _vertex_signature(b, x) for x in b.labels}
     candidates = {
         x: [y for y in (b.exchangeable_labels if a.is_exchangeable(x) else b.frozen_labels)
             if sig_b[y] == sig_a[x]]
@@ -269,16 +273,49 @@ def enumerate_seed_isos(a: Seed, b: Seed):
     if any(not candidates[x] for x in a.labels):
         return
 
+    # b_xy by positions, 0 on the frozen rows
+    rows_a = _signed_rows(a)
+    rows_b = rows_a if b is a else _signed_rows(b)
+    pos_b, n = b._position, a.n
     assignment: dict[str, str] = {}
+    placed: list[tuple[int, int]] = []  # the positions of assignment's pairs
     used: set[str] = set()
+    # per exchangeable row x of a: the sign of b'_{f(x)f(y)} * b_xy over
+    # the columns placed so far, 0 while every such product is 0
+    sign = [0] * n
 
-    def consistent(x: str, y: str) -> bool:
-        for u, v in assignment.items():
-            if abs(a.b_or_zero(x, u)) != abs(b.b_or_zero(y, v)):
-                return False
-            if abs(a.b_or_zero(u, x)) != abs(b.b_or_zero(v, y)):
-                return False
-        return True
+    def extend(i: int, j: int) -> list[int] | None:
+        """The rows whose sign placing i -> j fixes, or None if the
+        placement changes a magnitude or makes a row's products of both
+        signs, which check_partial_hom would reject in every completion."""
+        row_i, row_j = rows_a[i], rows_b[j]
+        entries = [(i, row_i[i], row_j[j])]  # (row, b_xy, b'_{f(x)f(y)})
+        for u, v in placed:
+            e, f, g, h = row_i[u], row_j[v], rows_a[u][i], rows_b[v][j]
+            if e or f:
+                entries.append((i, e, f))
+            if g or h:
+                entries.append((u, g, h))
+        fixed: list[int] = []
+        for x, e, f in entries:
+            if e == f:
+                s = 1
+            elif e == -f:
+                s = -1
+            else:
+                break
+            if not e or x >= n:
+                continue
+            if not sign[x]:
+                sign[x] = s
+                fixed.append(x)
+            elif sign[x] != s:
+                break
+        else:
+            return fixed
+        for x in fixed:
+            sign[x] = 0
+        return None
 
     def backtrack(i: int):
         if i == len(a.labels):
@@ -288,15 +325,27 @@ def enumerate_seed_isos(a: Seed, b: Seed):
             return
         x = a.labels[i]
         for y in candidates[x]:
-            if y in used or not consistent(x, y):
+            if y in used:
+                continue
+            j = pos_b[y]
+            fixed = extend(i, j)
+            if fixed is None:
                 continue
             assignment[x] = y
             used.add(y)
+            placed.append((i, j))
             yield from backtrack(i + 1)
+            placed.pop()
             del assignment[x]
             used.discard(y)
+            for row in fixed:
+                sign[row] = 0
 
     yield from backtrack(0)
+
+
+def _signed_rows(seed: Seed) -> list[tuple[int, ...]]:
+    return list(seed.matrix) + [(0,) * len(seed.labels)] * seed.m
 
 
 def find_seed_iso(a: Seed, b: Seed) -> PartialSeedHom | None:

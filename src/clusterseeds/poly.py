@@ -23,13 +23,17 @@ computed, like its text, and freed with it.
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 import operator
 import struct
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
 
 from .errors import LaurentViolation, ResourceCapExceeded
+from .homs import enumerate_seed_isos
 from .seeds import Seed, matrix_mutation
 
 __all__ = [
@@ -44,6 +48,8 @@ __all__ = [
 
 MAX_TERMS = 10**6
 MAX_TERM_PRODUCTS = 10**7
+# a seed with more automorphisms is searched without their images
+MAX_AUTOMORPHISMS = 64
 
 
 class _Packing:
@@ -302,18 +308,57 @@ class MultiPoly:
             return MultiPoly.constant(self.context, 1)
         if k == 1:
             return self
+        if self.is_zero():
+            return self
         if self._powers is None:
             self._powers = {}
         elif k in self._powers:
             return self._powers[k]
-        if not self.is_zero():
-            # ResourceCapExceeded now, not k's bit count of recursion
-            # later, if the power's exponents k*lo..k*hi cannot be packed
-            _packing(len(self.context), k * _bound(self._lo, self._hi))
+        # ResourceCapExceeded now, not k's bit count of recursion
+        # later, if the power's exponents k*lo..k*hi cannot be packed
+        p = _packing(len(self.context), k * _bound(self._lo, self._hi))
+        if len(self._packed) == 1:
+            power = self._powers[k] = self._term_power(p, k)
+            return power
         half = self ** (k >> 1)
         square = half * half
         power = self._powers[k] = square * self if k & 1 else square
         return power
+
+    def _term_power(self, p: _Packing, k: int) -> "MultiPoly":
+        """(c*x^e)**k as c**k * x^(k*e) in packing p, with no product;
+        ResourceCapExceeded before c**k is computed if its decimal
+        digits could not pass the interpreter's str digit limit."""
+        (c,) = self._packed.values()
+        # 0 where the limit is off, and before Python 3.10.7, which has none
+        digits = getattr(sys, "get_int_max_str_digits", int)()
+        # c**k has floor(k*log10|c|) + 1 digits: past limit + 1 it has
+        # more than the limit, and below it c**k is cheap to compute
+        if digits and abs(c) > 1 and k > (digits + 1) / math.log10(abs(c)):
+            raise ResourceCapExceeded(
+                f"a one-term power has a coefficient of more than {digits} decimal digits"
+            )
+        lo = tuple(k * v for v in self._lo)
+        return MultiPoly._from_packed(self.context, p, {p.pack(lo): c**k}, lo, lo)
+
+    def relabel(self, order) -> "MultiPoly":
+        """The polynomial whose exponent j is exponent order[j] of self,
+        term by term: the image of self under the ring automorphism of
+        Z[x^+-1] sending x_order[j] to x_j.  No arithmetic: the terms,
+        ranges and packing are self's, permuted."""
+        if self.is_zero():
+            return self
+        p, n = self._packing, len(order)
+        # packing is linear: the new key is the dot product of the old
+        # exponents with their new fields' weights, the top field included
+        weights = [0] * n
+        for j, i in enumerate(order):
+            weights[i] = (1 << (p.bits * n)) + (1 << (p.bits * (n - 1 - j)))
+        unpack, mul = p.unpack, operator.mul
+        packed = {sum(map(mul, unpack(k), weights)): c for k, c in self._packed.items()}
+        lo = tuple(map(self._lo.__getitem__, order))
+        hi = tuple(map(self._hi.__getitem__, order))
+        return MultiPoly._from_packed(self.context, p, packed, lo, hi)
 
     def shift(self, exponents) -> "MultiPoly":
         """self times the monomial x^exponents; the exponents may be negative."""
@@ -563,24 +608,105 @@ def mutate_state(state: LabeledSeedState, k: int) -> LabeledSeedState:
     )
 
 
-def _memo_exchange(memo: dict, state: LabeledSeedState, k: int) -> MultiPoly:
+class _Memo(dict):
+    """The memo of one search (see _memo_exchange) and the seed's automorphisms.
+
+    An automorphism of the initial seed (homs.enumerate_seed_isos) is a
+    label permutation sigma with b_{sigma x, sigma y} = eps_x * b_xy, one
+    sign eps_x per exchangeable row, constant on each component (-1 on
+    an anti-automorphism of it, such as the reversal of a path).  sigma
+    is a ring automorphism of Z[x^+-1] and commutes with mutation
+    (Assem-Dupont-Schiffler, JPAA 2014), so it sends the relation keyed
+    (x_k, {(v_t, b_kt)}) with variable w to the relation keyed
+    (sigma x_k, {(sigma v_t, eps_k * b_kt)}) with variable sigma(w), the
+    relation of a labeled seed at the same depth.  A relation's variable
+    depends only on its key, and M+ + M- does not change when b flips
+    sign, so the image is exact for any label permutation; only an
+    automorphism makes it a relation the search can meet.  The
+    automorphisms are read lazily, and a seed with more than
+    MAX_AUTOMORPHISMS of them (one label and ten zero frozen columns
+    have 10!) is searched with the identity only.
+
+    Besides the dict: the automorphisms, the identity first, as the
+    ``orders`` that relabel takes, the signs eps per row, and ``after``,
+    where after[i][j] is the index of sigma_j after sigma_i; and
+    ``images``, mapping each variable to its images under them.
+    """
+
+    __slots__ = ("orders", "signs", "after", "images")
+
+    def __init__(self, start: LabeledSeedState):
+        super().__init__((v, v) for v in start.assignment)
+        seed = start.seed
+        identity = tuple(range(len(seed.labels)))
+        isos = list(itertools.islice(enumerate_seed_isos(seed, seed), MAX_AUTOMORPHISMS + 1))
+        if len(isos) > MAX_AUTOMORPHISMS:
+            isos = []
+        perms = [identity]  # perm[t]: the position of the image of label t
+        perms += [p for p in (tuple(map(seed.index, iso.mapping)) for iso in isos) if p != identity]
+        self.orders = [tuple(sorted(identity, key=p.__getitem__)) for p in perms]
+        if len(perms) == 1:
+            return  # the identity stores no image
+        at = {p: g for g, p in enumerate(perms)}
+        self.after = [[at[tuple(map(q.__getitem__, p))] for q in perms] for p in perms]
+        rows = seed.matrix
+        self.signs = [
+            [next((1 if rows[p[k]][p[t]] == b else -1 for t, b in enumerate(row) if b), 1)
+             for k, row in enumerate(rows)]
+            for p in perms
+        ]
+        variables = [start.variable(t) for t in identity]
+        self.images = {v: tuple(variables[p[t]] for p in perms) for t, v in enumerate(variables)}
+
+    def add_images(self, x: MultiPoly, pairs, k: int, value: MultiPoly) -> None:
+        """Store the image of the relation computed in slot k, outgoing
+        x, with (variable, b) pairs and the given variable, under each
+        automorphism.  A variable new to the search is relabelled once
+        per automorphism, and its images are the variables of its orbit."""
+        if len(self.orders) == 1:
+            return
+        images = self.images
+        own = images.get(value) or self._orbit(value)
+        outgoing, neighbours = images[x], [(images[v], b) for v, b in pairs]
+        for g in range(1, len(own)):
+            sign = self.signs[g][k]
+            key = (outgoing[g], frozenset([(vs[g], sign * b) for vs, b in neighbours]))
+            self.setdefault(key, own[g])
+
+    def _orbit(self, value: MultiPoly) -> tuple[MultiPoly, ...]:
+        """The images of value, made by relabelling it; each image goes
+        through the memo, so a variable stays one object, and each
+        variable of the orbit gets its images: sigma_j(sigma_i(value))."""
+        orbit = [value]
+        for order in self.orders[1:]:
+            image = value.relabel(order)
+            orbit.append(self.setdefault(image, image))
+        for v, after in zip(orbit, self.after):
+            self.images.setdefault(v, tuple(map(orbit.__getitem__, after)))
+        return self.images[value]
+
+
+def _memo_exchange(memo: _Memo, state: LabeledSeedState, k: int) -> MultiPoly:
     """exchange(state, k), computed only if memo has no equal relation.
 
     The relation in direction k is fixed by the outgoing variable and
     the pairs (variable, b_kt) with b_kt != 0.  The variables of a
     labeled seed are distinct, so the set of those pairs identifies them
-    whatever slots they sit in.  memo maps each relation computed to its
+    whatever slots they sit in.  memo maps each relation computed, and
+    its image under each automorphism of the seed (see _Memo), to its
     variable and each variable to itself: a hit returns the stored
     object, and a miss that gives a known variable returns the known
     object, so one object stands for each variable and clusters compare
     by identity."""
     row = state.matrix[k]
     variable = state.variable
-    key = (state.assignment[k], frozenset([(variable(t), b) for t, b in enumerate(row) if b]))
+    pairs = [(variable(t), b) for t, b in enumerate(row) if b]
+    key = (state.assignment[k], frozenset(pairs))
     value = memo.get(key)
     if value is None:
         value = exchange(state, k)
         value = memo[key] = memo.setdefault(value, value)
+        memo.add_images(state.assignment[k], pairs, k, value)
     return value
 
 
@@ -606,7 +732,10 @@ def enumerate_clusters(
     variable.  Each edge of the exchange graph is taken once, so a
     closed search takes n * N / 2 edges for N clusters, and many edges
     share one exchange relation: a memo made for this call computes
-    each distinct relation once (see _memo_exchange).  Only a new
+    each distinct relation at most once, and with each relation it
+    computes it stores that relation's images under the automorphisms
+    of the seed, read once per call, so an image is relabelled and not
+    divided again (see _memo_exchange and _Memo).  Only a new
     cluster gets its matrix mutated and its labeled state built.  The
     status is "closed" once a level finds no new cluster within the
     depth, and max_states caps the number of clusters kept.
@@ -616,7 +745,7 @@ def enumerate_clusters(
     # in the order the clusters were found
     kept = {start.cluster(): (start, set())}
     frontier = list(kept.values()) if seed.n else []
-    memo = {v: v for v in start.assignment}  # see _memo_exchange
+    memo = _Memo(start)  # see _memo_exchange
     depth = 0
     while frontier:
         if depth >= max_depth:

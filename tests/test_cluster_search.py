@@ -2,13 +2,16 @@
 the polygon model against cluster enumeration (d-vectors = crossings)."""
 
 import inspect
+import itertools
 import sys
+import time
 from math import comb
 
 import pytest
 
 from clusterseeds import (
     MultiPoly,
+    PartialSeedHom,
     Seed,
     diagonals_cross,
     enumerate_clusters,
@@ -16,7 +19,16 @@ from clusterseeds import (
     poly as poly_module,
     seed_from_surface,
 )
-from clusterseeds.poly import ClusterEnumeration, _memo_exchange, exchange, initial_state, mutate_state
+from clusterseeds.errors import LaurentViolation
+from clusterseeds.homs import EMPTY_SPEC
+from clusterseeds.poly import (
+    ClusterEnumeration,
+    _Memo,
+    _memo_exchange,
+    exchange,
+    initial_state,
+    mutate_state,
+)
 from conftest import a2_seed, linear_path_seed, trivial_seed
 from oracles import enumerate_triangulations, reference_str
 
@@ -93,6 +105,29 @@ def twin_seed():
     return Seed.from_data(["x1", "x2"], ["y"], [[0, 0, 2], [0, 0, 2]])
 
 
+def two_a2_seed():
+    """Two copies of A2.  Its eight automorphisms reverse either copy, an
+    anti-automorphism of that copy alone, and swap the copies, so the
+    sign of a row differs between the components."""
+    return Seed.from_data(
+        ["x1", "x2", "x3", "x4"],
+        [],
+        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+    )
+
+
+def frozen_fan_seed():
+    """One exchangeable label and ten zero frozen columns: 10!
+    automorphisms, one per permutation of the frozen labels."""
+    return Seed.from_data(["x1"], [f"y{i}" for i in range(1, 11)], [[0] * 11])
+
+
+def isolated_seed():
+    """Eight exchangeable labels and a zero matrix: 8! automorphisms and
+    2**8 clusters."""
+    return Seed.from_data([f"x{i}" for i in range(1, 9)], [], [[0] * 8] * 8)
+
+
 def polygon_seed(N):
     """The seed of the first triangulation of the N-gon, no laminations."""
     return seed_from_surface(make_surface(N, enumerate_triangulations(N)[0]))
@@ -110,6 +145,9 @@ ORACLE_SEEDS = {
     "markov": (markov_seed, 6),
     "kronecker": (kronecker_seed, 20),
     "twin": (twin_seed, 3),
+    "two_a2": (two_a2_seed, 10),
+    "frozen_fan": (frozen_fan_seed, 3),
+    "isolated": (isolated_seed, 9),
     **{f"polygon{N}": (lambda N=N: polygon_seed(N), 2 * N) for N in range(4, 8)},
 }
 
@@ -151,11 +189,12 @@ def test_cluster_search_matches_the_labeled_search(monkeypatch, name):
 
 
 def counted(monkeypatch, search, seed, depth):
-    """search(seed, depth), the edges it took (memo lookups) and the
-    exchanges it computed."""
-    edges, exchanges = [], []
+    """search(seed, depth), the edges it took (memo lookups), the
+    exchanges it computed and the relabels it made."""
+    edges, exchanges, relabels = [], [], []
     names = search.__globals__
     take, compute = names["_memo_exchange"], names["exchange"]
+    relabel = MultiPoly.relabel
 
     def taking(memo, state, k):
         edges.append(k)
@@ -165,44 +204,57 @@ def counted(monkeypatch, search, seed, depth):
         exchanges.append(k)
         return compute(state, k)
 
+    def relabelling(poly, order):
+        relabels.append(order)
+        return relabel(poly, order)
+
     with monkeypatch.context() as patch:
         patch.setitem(names, "_memo_exchange", taking)
         patch.setitem(names, "exchange", computing)
+        patch.setattr(MultiPoly, "relabel", relabelling)
         result = search(seed, depth)
-    return result, len(edges), len(exchanges)
+    return result, len(edges), len(exchanges), len(relabels)
 
 
 # edges of one search: one per edge of the exchange graph between the
 # clusters kept (n * N / 2 when the search closes); exchanges: one per
-# distinct exchange relation among those edges
+# exchange relation among those edges that the memo holds neither
+# computed nor as the image of a computed one under an automorphism of
+# the seed; relabels: one per automorphism other than the identity for
+# each variable computed that is new to the search.  A3_prin has no
+# automorphism but the identity, A4 and Kronecker one more, and D4 and
+# Markov five more.
 EXCHANGES = {
-    "A4": (lambda: linear_path_seed(4), 30, 42, 84, 35),
-    "D4": (d4_seed, 30, 50, 100, 58),
-    "A3_prin": (a3_principal_seed, 30, 14, 21, 15),
-    "markov": (markov_seed, 6, 190, 189, 189),
-    "kronecker": (kronecker_seed, 20, 41, 40, 40),
+    "A4": (lambda: linear_path_seed(4), 30, 42, 84, 25, 6),
+    "D4": (d4_seed, 30, 50, 100, 22, 30),
+    "A3_prin": (a3_principal_seed, 30, 14, 21, 15, 0),
+    "markov": (markov_seed, 6, 190, 189, 32, 160),
+    "kronecker": (kronecker_seed, 20, 41, 40, 20, 20),
 }
 
 
 @pytest.mark.parametrize("name", sorted(EXCHANGES))
 def test_cluster_search_exchange_counts_are_pinned(monkeypatch, name):
-    make_seed, depth, count, edges, exchanges = EXCHANGES[name]
-    result, taken, computed = counted(monkeypatch, enumerate_clusters, make_seed(), depth)
-    assert (len(result.clusters), taken, computed) == (count, edges, exchanges)
+    make_seed, depth, *pinned = EXCHANGES[name]
+    result, *taken = counted(monkeypatch, enumerate_clusters, make_seed(), depth)
+    assert [len(result.clusters), *taken] == pinned
 
 
 def test_the_memo_lives_for_one_search(monkeypatch):
-    """A second search of the same seed computes its 35 distinct exchange
-    relations again: no relation is remembered past the call."""
+    """A second search of the same seed computes its 25 exchange
+    relations and 6 relabels again: no relation or image is remembered
+    past the call."""
     seed = linear_path_seed(4)
     for _ in range(2):
-        result, edges, exchanges = counted(monkeypatch, enumerate_clusters, seed, 30)
-        assert (len(result.clusters), edges, exchanges) == (42, 84, 35)
+        result, *taken = counted(monkeypatch, enumerate_clusters, seed, 30)
+        assert [len(result.clusters), *taken] == [42, 84, 25, 6]
 
 
 def test_markov_squares_each_variable_once(monkeypatch):
-    """Each Markov exchange squares two variables, 378 square factors at
-    depth 6; a square is kept on its polynomial, so 96 are computed."""
+    """Each Markov exchange squares two variables, 64 square factors for
+    the 32 exchanges computed at depth 6; a square is kept on its
+    polynomial and the square of a one-term polynomial is made in closed
+    form, so 16 go through the square kernel."""
     squares = []
     square = poly_module._square
 
@@ -211,8 +263,8 @@ def test_markov_squares_each_variable_once(monkeypatch):
         return square(items)
 
     monkeypatch.setattr(poly_module, "_square", counting)
-    result, edges, exchanges = counted(monkeypatch, enumerate_clusters, markov_seed(), 6)
-    assert (len(result.clusters), exchanges, len(squares)) == (190, 189, 96)
+    result, edges, exchanges, relabels = counted(monkeypatch, enumerate_clusters, markov_seed(), 6)
+    assert (len(result.clusters), exchanges, relabels, len(squares)) == (190, 32, 160, 16)
 
 
 def test_a_search_builds_the_unit_and_each_frozen_generator_once(monkeypatch):
@@ -233,8 +285,8 @@ def test_a_search_builds_the_unit_and_each_frozen_generator_once(monkeypatch):
     monkeypatch.setattr(MultiPoly, "generator", staticmethod(generator))
     poly_module._unit.cache_clear()
     poly_module._generator.cache_clear()
-    result, edges, exchanges = counted(monkeypatch, enumerate_clusters, a3_principal_seed(), 30)
-    assert (len(result.clusters), result.status, edges, exchanges) == (14, "closed", 21, 15)
+    result, edges, exchanges, relabels = counted(monkeypatch, enumerate_clusters, a3_principal_seed(), 30)
+    assert (len(result.clusters), result.status, edges, exchanges, relabels) == (14, "closed", 21, 15, 0)
     # the unit, the initial cluster x1..x3 and the frozen y1..y3, once each
     assert built == {1: 1, **dict.fromkeys(["x1", "x2", "x3", "y1", "y2", "y3"], 1)}
     for cache in (poly_module._unit, poly_module._generator):
@@ -252,27 +304,28 @@ def test_closed_search_computes_each_edge_once(monkeypatch, name):
     computes more than one exchange."""
     make_seed, depth = ORACLE_SEEDS[name]
     seed = make_seed()
-    result, edges, exchanges = counted(monkeypatch, enumerate_clusters, seed, depth)
+    result, edges, exchanges, _ = counted(monkeypatch, enumerate_clusters, seed, depth)
     assert result.status == "closed"
     assert edges == seed.n * len(result.clusters) // 2
     assert exchanges <= edges
 
 
-def patched(old, new):
-    """The poly namespace with one piece of the source of enumerate_clusters
-    or of the _memo_exchange it calls replaced, both defined anew there."""
-    functions = (poly_module._memo_exchange, poly_module.enumerate_clusters)
+def patched(old, new, **names):
+    """The poly namespace, with names added, and one piece of the source
+    of enumerate_clusters, of the _memo_exchange it calls or of the _Memo
+    it makes replaced, all three defined anew there."""
+    functions = (poly_module._Memo, poly_module._memo_exchange, poly_module.enumerate_clusters)
     sources = [inspect.getsource(f) for f in functions]
     assert sum(source.count(old) for source in sources) == 1
-    namespace = dict(vars(poly_module))
+    namespace = {**vars(poly_module), **names}
     for source in sources:
         exec(source.replace(old, new), namespace)
     return namespace
 
 
-def fault(old, new):
+def fault(old, new, **names):
     """enumerate_clusters with one piece of its source replaced."""
-    return patched(old, new)["enumerate_clusters"]
+    return patched(old, new, **names)["enumerate_clusters"]
 
 
 @pytest.mark.parametrize("name, exchanges", [("A4", 106), ("D4", 118)])
@@ -282,7 +335,7 @@ def test_edge_count_catches_a_wrong_known_slot(monkeypatch, name, exchanges):
     search = fault("landing[0].assignment.index(value)", "k")
     make_seed, depth = ORACLE_SEEDS[name]
     seed = make_seed()
-    result, edges, _ = counted(monkeypatch, search, seed, depth)
+    result, edges, *_ = counted(monkeypatch, search, seed, depth)
     assert (result.clusters, result.status) == (enumerate_clusters(seed, depth).clusters, "closed")
     assert edges == exchanges != seed.n * len(result.clusters) // 2
 
@@ -308,10 +361,10 @@ def test_oracle_catches_a_memo_key_without_the_outgoing_variable(monkeypatch):
 def memo_matches_exchange(memo_exchange):
     """Through one memo, the exchanges in direction 0 of the rank-2 seeds
     with b_12 = b, whose variables are equal, each equal to exchange."""
-    memo = {}
-    for b in (1, 2, -3, 3):
-        state = initial_state(Seed.from_data(["x1", "x2"], [], [[0, b], [-b, 0]]))
-        assert memo_exchange(memo, state, 0) == exchange(state, 0), b
+    states = [initial_state(Seed.from_data(["x1", "x2"], [], [[0, b], [-b, 0]])) for b in (1, 2, -3, 3)]
+    memo = _Memo(states[0])
+    for state in states:
+        assert memo_exchange(memo, state, 0) == exchange(state, 0), state.matrix
 
 
 def test_memo_keys_carry_the_exponents():
@@ -324,7 +377,161 @@ def test_memo_keys_carry_the_exponents():
     with equal variables and different exponents."""
     memo_matches_exchange(_memo_exchange)
     with pytest.raises(AssertionError):
-        memo_matches_exchange(patched("(variable(t), b) for", "variable(t) for")["_memo_exchange"])
+        memo_matches_exchange(patched("frozenset(pairs)", "frozenset(v for v, _ in pairs)")["_memo_exchange"])
+
+
+def searched_memo(search, seed, depth):
+    """search(seed, depth) and the memo it kept."""
+    names = search.__globals__
+    take = names["_memo_exchange"]
+    memos = []
+
+    def taking(memo, state, k):
+        memos.append(memo)
+        return take(memo, state, k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(names, "_memo_exchange", taking)
+        result = search(seed, depth)
+    assert len({id(memo) for memo in memos}) == 1
+    return result, memos[0]
+
+
+def relation_key(state, k):
+    """The memo key of the relation in direction k of a labeled state."""
+    row = state.matrix[k]
+    return (state.assignment[k], frozenset((state.variable(t), b) for t, b in enumerate(row) if b))
+
+
+def relation_value(key):
+    """The variable of the relation keyed (x, {(v, b)}), (M+ + M-)/x, by
+    plain MultiPoly arithmetic."""
+    x, pairs = key
+    plus = minus = MultiPoly.constant(x.context, 1)
+    for v, b in pairs:
+        if b > 0:
+            plus = plus * v**b
+        else:
+            minus = minus * v**-b
+    return (plus + minus) / x
+
+
+def labeled_relation_keys(seed, depth):
+    """The key of every relation of every labeled state the labeled search
+    mutates within depth, that is, of every state at depth below it."""
+    start = initial_state(seed)
+    seen, level, keys = {(start.assignment, start.matrix)}, [start], set()
+    for d in range(depth):
+        next_level = []
+        for state in level:
+            for k in range(seed.n):
+                keys.add(relation_key(state, k))
+                if d + 1 < depth:
+                    new = mutate_state(state, k)
+                    if (new.assignment, new.matrix) not in seen:
+                        seen.add((new.assignment, new.matrix))
+                        next_level.append(new)
+        level = next_level
+    return keys
+
+
+def assert_memo_holds_exact_relations(search, name):
+    """Every relation the memo holds, computed or image, equals the one
+    recomputed from its own key, and is a relation the labeled search
+    meets within the depth: an automorphism fixes the initial labeled
+    seed and commutes with mutation, so it maps the relations met within
+    a depth onto themselves.  Every variable is stored as itself."""
+    make_seed, depth = ORACLE_SEEDS[name]
+    seed = make_seed()
+    result, memo = searched_memo(search, seed, depth)
+    assert result.clusters == enumerate_clusters(seed, depth).clusters
+    met = labeled_relation_keys(seed, depth)
+    relations = [key for key in memo if isinstance(key, tuple)]
+    for key in relations:
+        value = memo[key]
+        assert value == relation_value(key)
+        assert memo[value] is value
+        assert key in met
+    for key in memo:
+        if not isinstance(key, tuple):
+            assert memo[key] is key
+
+
+MEMO_SEEDS = sorted(EXCHANGES) + ["two_a2", "twin"]
+
+
+@pytest.mark.parametrize("name", MEMO_SEEDS)
+def test_memo_holds_exact_relations(name):
+    assert_memo_holds_exact_relations(enumerate_clusters, name)
+
+
+def every_permutation(seed, _):
+    """Every bijection of the exchangeable labels with the frozen ones
+    fixed, as isomorphisms: a group, mostly of non-automorphisms."""
+    for image in itertools.permutations(seed.exchangeable_labels):
+        yield PartialSeedHom(seed, EMPTY_SPEC, seed, image + seed.frozen_labels)
+
+
+# a fault in the images, and a seed whose memo shows it
+IMAGE_FAULTS = {
+    "dropped sign": (("sign * b", "b"), {}, "A4"),
+    "dropped sign, two components": (("sign * b", "b"), {}, "two_a2"),
+    "inverse swapped": (("sorted(identity, key=p.__getitem__)", "p"), {}, "D4"),
+    "inverse swapped, Markov": (("sorted(identity, key=p.__getitem__)", "p"), {}, "markov"),
+    "non-automorphisms": (
+        ("enumerate_seed_isos(seed, seed)", "every_permutation(seed, seed)"),
+        {"every_permutation": every_permutation},
+        "A4",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault_name", sorted(IMAGE_FAULTS))
+def test_memo_oracle_catches_a_wrong_image(fault_name):
+    """A sign dropped from an anti-automorphism's image key, sigma and its
+    inverse swapped in the relabel, or images stored for label
+    permutations that are not automorphisms: each stores a relation the
+    labeled search never meets or a variable its key does not give; a
+    wrong variable may also make a later division fail, which a search
+    on these seeds never does."""
+    (old, new), names, name = IMAGE_FAULTS[fault_name]
+    with pytest.raises((AssertionError, LaurentViolation)):
+        assert_memo_holds_exact_relations(fault(old, new, **names), name)
+
+
+@pytest.mark.parametrize("name", ["frozen_fan", "isolated"])
+def test_a_huge_automorphism_group_is_read_up_to_the_cap(monkeypatch, name):
+    """frozen_fan has 10! automorphisms and isolated 8!: the search reads
+    MAX_AUTOMORPHISMS + 1 of them, stores no image, closes well under a
+    second and finds the labeled search's clusters."""
+    read = []
+    isos = poly_module.enumerate_seed_isos
+
+    def reading(a, b):
+        for iso in isos(a, b):
+            read.append(iso)
+            yield iso
+
+    monkeypatch.setattr(poly_module, "enumerate_seed_isos", reading)
+    make_seed, depth = ORACLE_SEEDS[name]
+    seed = make_seed()
+    started = time.perf_counter()
+    result, edges, exchanges, relabels = counted(monkeypatch, enumerate_clusters, seed, depth)
+    assert time.perf_counter() - started < 0.5
+    assert len(read) == poly_module.MAX_AUTOMORPHISMS + 1
+    assert (len(result.clusters), result.status, relabels) == (2**seed.n, "closed", 0)
+    assert (exchanges, edges) == (seed.n, seed.n * 2**seed.n // 2)
+    assert_matches_the_labeled_search(monkeypatch, enumerate_clusters, name)
+
+
+def test_a_group_under_the_cap_stores_images(monkeypatch):
+    """Four isolated labels have 24 automorphisms, under the cap: the 32
+    edges compute x1 * x1' = 2 and take its images for the other labels,
+    and the new variable 2/x1 is relabelled once per automorphism other
+    than the identity."""
+    seed = Seed.from_data(["x1", "x2", "x3", "x4"], [], [[0] * 4] * 4)
+    result, *taken = counted(monkeypatch, enumerate_clusters, seed, 5)
+    assert [len(result.clusters), result.status, *taken] == [16, "closed", 32, 1, 23]
 
 
 @pytest.mark.parametrize("name", ["A4", "D4", "markov", "kronecker"])

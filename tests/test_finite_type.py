@@ -91,27 +91,49 @@ def expected_counts(n, h, exponents) -> tuple[int, int]:
 
 @cache
 def closed_search(name):
-    """The seed of type name and its search to depth 64, made once per
-    test session."""
+    """The seed of type name, its search to depth 64 and the exchange
+    relations that search computed, made once per test session."""
     seed = linear_seed(TYPES[name][0])
-    return seed, enumerate_clusters(seed, max_depth=64)
+    names = enumerate_clusters.__globals__
+    compute, computed = names["exchange"], []
+
+    def computing(state, k):
+        computed.append(k)
+        return compute(state, k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(names, "exchange", computing)
+        result = enumerate_clusters(seed, max_depth=64)
+    return seed, result, len(computed)
+
+
+# exchange relations computed per closed search: one per relation met
+# that the memo holds neither computed nor as an image under an
+# automorphism of the seed.  A5 and D4-D6 have one automorphism besides
+# the identity; the other types have none, so their counts are the
+# distinct relations met, as before automorphisms were used.
+COMPUTED = {
+    "A5": 54, "G2": 8, "B3": 22, "B4": 61, "B5": 140, "C3": 22, "C4": 61,
+    "D4": 37, "D5": 97, "D6": 210, "F4": 103, "E6": 437, "E7": 1248,
+}
 
 
 @pytest.mark.parametrize("name", sorted(TYPES))
 def test_finite_type_cluster_counts(name):
     a, h, exponents = TYPES[name]
-    seed, result = closed_search(name)
+    seed, result, computed = closed_search(name)
     assert validate_seed(seed).ok
     assert result.status == "closed"
     variables = frozenset().union(*result.clusters)
     assert (len(result.clusters), len(variables)) == expected_counts(len(a), h, exponents)
+    assert computed == COMPUTED[name]
 
 
 @pytest.mark.parametrize("name", sorted(TYPES))
 def test_each_variable_is_one_object(name):
     """A variable reached through several exchange relations, or again at
     its initial slot, is the object the search made first."""
-    _, result = closed_search(name)
+    _, result, _ = closed_search(name)
     variables = frozenset().union(*result.clusters)
     assert len({id(v) for cluster in result.clusters for v in cluster}) == len(variables)
 
@@ -121,7 +143,7 @@ def test_d_vectors_are_the_almost_positive_roots(name):
     """Fomin–Zelevinsky (Cluster algebras II, Thm. 1.9): the d-vectors of
     the cluster variables are the almost positive roots of the Cartan
     counterpart of the exchange matrix, each once."""
-    seed, result = closed_search(name)
+    seed, result, _ = closed_search(name)
     variables = frozenset().union(*result.clusters)
     roots = almost_positive_roots(cartan_counterpart(seed.matrix))
     assert d_vectors(variables) == roots
@@ -132,7 +154,7 @@ def test_g2_pins_the_index_convention_of_the_cartan_counterpart():
     """a_ij = -|b_ji| gives G2's almost positive roots as d-vectors;
     a_ij = -|b_ij| gives those of the dual system, with the long and
     short roots exchanged."""
-    seed, result = closed_search("G2")
+    seed, result, _ = closed_search("G2")
     found = d_vectors(frozenset().union(*result.clusters))
     assert found == almost_positive_roots(cartan_counterpart(seed.matrix))
     dual = almost_positive_roots(cartan_counterpart(seed.matrix, transpose=True))

@@ -22,7 +22,7 @@ from clusterseeds import (
     projected_endpar_bound,
     require_hom,
 )
-from clusterseeds import semigroup as semigroup_module
+from clusterseeds import homs as homs_module, semigroup as semigroup_module
 from conftest import (
     a2_seed,
     a2_y2_seed,
@@ -608,6 +608,49 @@ def test_enumerate_seed_isos_is_complete(make):
         found = [g.mapping for g in enumerate_seed_isos(a, b)]
         assert len(found) == len(set(found))
         assert set(found) == brute
+
+
+def sign_pattern_seed(m):
+    """Three exchangeable labels and m frozen ones; frozen label j has
+    b = +1 or -1 from row i as bit i of j is set or not.  Every column
+    has the same magnitudes, so only the row signs tell the frozen
+    labels apart."""
+    rows = [[0, 0, 0] + [1 if j >> i & 1 else -1 for j in range(m)] for i in range(3)]
+    return Seed.from_data(["x1", "x2", "x3"], [f"y{j}" for j in range(m)], rows)
+
+
+def brute_isos(a, b):
+    """The mappings of every label bijection a -> b that is_seed_iso
+    accepts, in the order the backtracking tries them."""
+    found = []
+    for ex in itertools.permutations(b.exchangeable_labels):
+        for fr in itertools.permutations(b.frozen_labels):
+            hom = PartialSeedHom.from_dict(a, spec(), b, dict(zip(a.labels, ex + fr)))
+            if is_seed_iso(hom):
+                found.append(hom.mapping)
+    return found
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_enumerate_seed_isos_yields_the_brute_force_isos_in_order(m):
+    seed = sign_pattern_seed(m)
+    assert [g.mapping for g in enumerate_seed_isos(seed, seed)] == brute_isos(seed, seed)
+
+
+def test_enumerate_seed_isos_prunes_on_row_signs(monkeypatch):
+    """The 3! * 7! bijections of sign_pattern_seed(7) keep every column's
+    magnitudes; a partial map that makes a row's signs disagree is cut at
+    once, so only the 6 automorphisms reach check_partial_hom."""
+    checked = []
+    check = homs_module.check_partial_hom
+
+    def counting(candidate):
+        checked.append(candidate)
+        return check(candidate)
+
+    monkeypatch.setattr(homs_module, "check_partial_hom", counting)
+    seed = sign_pattern_seed(7)
+    assert len(list(enumerate_seed_isos(seed, seed))) == len(checked) == 6
 
 
 def vf2_isos(a, b):

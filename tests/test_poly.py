@@ -1,11 +1,14 @@
 """Exact Laurent-polynomial arithmetic and symbolic cluster enumeration."""
 
 import inspect
+import operator
 import random
 import signal
+import sys
 import textwrap
 import types
 from contextlib import contextmanager
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -386,6 +389,24 @@ def _as_fresh(p):
 
 
 @settings(max_examples=300, deadline=None)
+@given(_wide_pair(), st.randoms(use_true_random=False))
+def test_relabel_permutes_the_exponents_of_every_term(pair, rng):
+    """relabel(order) has exponent j of each term taken from exponent
+    order[j], in every field width and sign, and is a ring automorphism:
+    it commutes with sums, products and exact quotients."""
+    a, b = pair
+    order = list(range(len(a.context)))
+    rng.shuffle(order)
+    order = tuple(order)
+    image = a.relabel(order)
+    assert dict(image.terms) == {tuple(e[i] for i in order): c for e, c in a.terms.items()}
+    _as_fresh(image)
+    assert (a + b).relabel(order) == image + b.relabel(order)
+    assert (a * b).relabel(order) == image * b.relabel(order)
+    assert (a * b / b).relabel(order) == image
+
+
+@settings(max_examples=300, deadline=None)
 @given(_wide_pair())
 def test_square_equals_the_generic_product(pair):
     for p in pair:
@@ -415,6 +436,62 @@ def test_powers_are_kept_on_the_polynomial(monkeypatch):
     assert fifth == p * p * p * p * p
     products.clear()
     assert _copy(p) ** 2 == p**2 and len(products) == 1
+
+
+@pytest.mark.parametrize(
+    "c, k, power",
+    [(1, 2**1000, 1), (0, 2**1000, 0), (-1, 2**1000, 1), (-1, 2**1000 + 1, -1)],
+    ids=["1", "0", "-1 even", "-1 odd"],
+)
+def test_a_constant_takes_a_huge_power_in_closed_form(monkeypatch, c, k, power):
+    """c**k for a constant c is made without a product and without one
+    recursion per bit of k, which raised RecursionError at k = 2**1000."""
+    monkeypatch.setattr(MultiPoly, "__mul__", None)  # no product is taken
+    assert MultiPoly.constant(("x",), c) ** k == MultiPoly.constant(("x",), power)
+
+
+def test_a_coefficient_too_long_to_print_is_refused_before_it_is_computed():
+    """2**(2**1000) is never computed: a power c**k whose decimal digits
+    could not pass the str digit limit raises ResourceCapExceeded, the
+    cap the CLI maps to exit 3.  Just under the limit the power is exact;
+    at the limit itself it is computed and str refuses it, as it refuses
+    any such integer.  The powers that are cheap to compute come first,
+    so a broken check fails on them before 2**(2**1000) is tried."""
+    limit = sys.get_int_max_str_digits()
+    ten = const(10) * gen("x1") ** -1
+    assert str(ten ** (limit - 1)) == f"{10 ** (limit - 1)}/x1^{limit - 1}"  # limit digits
+    with pytest.raises(ValueError):
+        str(ten**limit)  # limit + 1 digits
+    for base, k in ((ten, limit + 2), (const(2), 4 * limit), (const(-3), 3 * limit)):
+        with pytest.raises(ResourceCapExceeded, match="decimal digits"):
+            base**k
+    with pytest.raises(ResourceCapExceeded, match="decimal digits"):
+        MultiPoly.constant(("x",), 2) ** (2**1000)
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 64])
+def test_a_one_term_power_is_made_in_closed_form(monkeypatch, k):
+    """(c*x^e)**k is c**k * x^(k*e), with exponents of either sign, made
+    without a product, and kept on the polynomial."""
+    x1, x2 = gen("x1"), gen("x2")
+    term = const(-3) * x1**-2 * x2**5
+    expected = poly({(-2 * k, 5 * k): (-3) ** k})
+    assert reduce(operator.mul, [term] * k) == expected
+    monkeypatch.setattr(MultiPoly, "__mul__", None)
+    assert term**k == expected
+    assert term**k is term**k
+    _as_fresh(term**k)
+
+
+def test_a_one_term_power_keeps_the_packing_check():
+    """A one-term power whose exponents cannot be packed in 64 bits raises
+    ResourceCapExceeded like any other power."""
+    x1 = gen("x1")
+    assert (x1 ** (2**62 - 1)).terms == {(2**62 - 1, 0): 1}
+    with pytest.raises(ResourceCapExceeded):
+        x1 ** (2**63)
+    with pytest.raises(ResourceCapExceeded):
+        (const(2) * x1) ** (2**63)
 
 
 def test_a_product_projects_its_term_products_before_multiplying(monkeypatch):
