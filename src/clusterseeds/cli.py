@@ -11,9 +11,12 @@ success, 2 input error, 3 resource cap exceeded, 4 theorem violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
+import math
 import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -345,6 +348,23 @@ def cmd_paunch(args):
     return doc, dumps_indented, 0
 
 
+# the most specs check-sur --all sweeps; a larger sweep is exit 3 before
+# any spec is made
+MAX_SWEEP_SPECS = 10**6
+
+
+def sweep_spec_count(d: int, m: int, max_cut: int) -> int:
+    """The number of specs check-sur --all --max-cut max_cut sweeps on a
+    surface with d diagonals and m laminations: the sum over k + l <=
+    max_cut of C(d, k) C(m, l) 2^k, each of the k chosen diagonals frozen
+    or deleted."""
+    return sum(
+        math.comb(d, k) * 2**k * math.comb(m, l)
+        for k in range(min(d, max_cut) + 1)
+        for l in range(min(m, max_cut - k) + 1)
+    )
+
+
 def cmd_check_sur(args):
     data = load_surface(args.surface)
     dlabels = data.diagonal_labels()
@@ -352,6 +372,13 @@ def cmd_check_sur(args):
     if args.all:
         if args.i0 or args.i1:
             raise ParseError("--i0 and --i1 name one spec and cannot be combined with --all")
+        count = sweep_spec_count(len(dlabels), len(data.lamination_labels()), args.max_cut)
+        if count > MAX_SWEEP_SPECS:
+            raise ResourceCapExceeded(
+                f"check-sur --all --max-cut {args.max_cut} sweeps {count} specs, "
+                f"more than {MAX_SWEEP_SPECS}",
+                partial_count=count,
+            )
         specs = []
         for size in range(args.max_cut + 1):
             for chosen in itertools.combinations(labels, size):
@@ -489,6 +516,22 @@ def _write_report(fh, text: str) -> None:
     fh.write("\n")
 
 
+def _write_out(path: str, text: str) -> None:
+    """The report written to the file path.  If a write fails, the file
+    is removed when it is a regular file, so no half-written report
+    stays; a device or a FIFO is left alone.  The OSError is raised
+    again."""
+    with open(path, "w") as fh:
+        try:
+            _write_report(fh, text)
+            fh.flush()
+        except OSError:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                with contextlib.suppress(OSError):
+                    os.unlink(path)
+            raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -512,8 +555,7 @@ def main(argv=None) -> int:
         return 3
     if args.out:
         try:
-            with open(args.out, "w") as fh:
-                _write_report(fh, text)
+            _write_out(args.out, text)
         except OSError as exc:
             print(f"input error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2

@@ -11,10 +11,12 @@ each lamination is clipped on its own, so delete cuts, paunched surfaces
 and check_theorem_sur all use one freeze cut per set of cut diagonals.
 check_theorem_sur compares the sub-seed and the cut seed of each cut set
 once, kept with the surface's own seed on the surface itself, and reads
-every spec off that comparison; it cuts each cut set once, from the
-kept cut of the cut set without its last diagonal, and builds the cut
-seed straight from the cut's fields, so a sweep validates only the
-surface it was given (a cut of a valid surface is valid).
+every spec off that comparison.  Both sides are compared as rows
+indexed by label, with no Seed built per cut set: the sub-seed's rows
+are read off the surface seed, and the cut seed's rows are built
+straight from the cut's fields.  Each cut set is cut once, from the
+kept cut of the cut set without its last diagonal, so a sweep validates
+only the surface it was given (a cut of a valid surface is valid).
 What depends on one triangulated polygon alone (its faces, apexes, side
 pairs and curve rows) is cached per (N, diagonals).
 """
@@ -28,6 +30,7 @@ from types import MappingProxyType
 
 from .errors import SeedError
 from .seeds import Seed, cached_attribute
+# mixing_subseed is unused here: perfbench's WRAPS and its test name it (ROADMAP item 1)
 from .homs import SubSeedSpec, mixing_subseed
 
 __all__ = [
@@ -241,17 +244,18 @@ def _shear_row(N: int, diagonals, segments: tuple[int, int]) -> MappingProxyType
     )
 
 
-def _seed_of_fields(components, diagonals, laminations) -> Seed:
-    """Seed of the surface with these fields, diagonals exchangeable and
-    laminations frozen, each in label order.  Within each triangle,
-    consecutive counterclockwise diagonal sides (x, y) add b_xy += 1, and
-    a lamination's column sums the shear rows of its curves; both are
-    read from the tables of each polygon.  The fields are not validated."""
-    ex_labels = tuple(sorted(lbl for lbl, _ in diagonals))
-    at = {lbl: i for i, lbl in enumerate(ex_labels)}
+def _rows_of_fields(components, diagonals, laminations):
+    """Exchangeable labels, frozen labels and matrix rows of the seed of
+    the surface with these fields, diagonals exchangeable and laminations
+    frozen, each in label order.  Within each triangle, consecutive
+    counterclockwise diagonal sides (x, y) add b_xy += 1, and a
+    lamination's column sums the shear rows of its curves; both are read
+    from the tables of each polygon.  The fields are not validated."""
+    diagonals = sorted(diagonals)
+    ex_labels = tuple(lbl for lbl, _ in diagonals)
     row_of: dict[int, dict[tuple[int, int], int]] = {}  # component -> diagonal -> row
-    for lbl, (c, d) in diagonals:
-        row_of.setdefault(c, {})[d] = at[lbl]
+    for i, (_, (c, d)) in enumerate(diagonals):
+        row_of.setdefault(c, {})[d] = i
     polygons = {c: (components[c], tuple(sorted(ds)), ds) for c, ds in row_of.items()}
     laminations = sorted(laminations)
     width = len(ex_labels) + len(laminations)
@@ -267,12 +271,12 @@ def _seed_of_fields(components, diagonals, laminations) -> Seed:
                 N, ds, row = polygons[c]
                 for d, sign in _shear_row(N, ds, segments).items():
                     rows[row[d]][col] += sign
-    return Seed(ex_labels, tuple(lbl for lbl, _ in laminations), tuple(map(tuple, rows)))
+    return ex_labels, tuple(lbl for lbl, _ in laminations), tuple(map(tuple, rows))
 
 
 def seed_from_surface(data: SurfaceData) -> Seed:
     """Seed with diagonals exchangeable and laminations frozen."""
-    return _seed_of_fields(data.components, data.diagonals, data.laminations)
+    return Seed(*_rows_of_fields(data.components, data.diagonals, data.laminations))
 
 
 def cut_along(data: SurfaceData, x: str, mode: str = "delete") -> SurfaceData:
@@ -389,35 +393,47 @@ def _cut_fields(fields: dict, cuts: tuple[str, ...]):
     return fields[cuts]
 
 
+def _subseed_rows(base: Seed, cuts: frozenset[str]) -> dict[str, tuple[int, ...]]:
+    """Label -> row of the sub-seed of base that freezes every diagonal in
+    cuts: base's row of each exchangeable label outside cuts, every
+    column kept, in base's column order (mixing_subseed's restriction,
+    with no Seed built)."""
+    return {x: row for x, row in zip(base.exchangeable_labels, base.matrix) if x not in cuts}
+
+
 def _cut_set_comparison(base: Seed, cuts: frozenset[str], fields):
-    """Both sides of check_theorem_sur for the cut set cuts, compared.
+    """Both sides of check_theorem_sur for the cut set cuts, compared on
+    rows indexed by label, with no Seed built.
 
     The left side is the sub-seed of the surface seed base that freezes
-    every diagonal in cuts; the right side is the seed of the surface
-    whose freeze cut along cuts has the given fields, built from the cut
-    polygons' own tables (base itself when cuts is empty).  Returns
-    whether the exchangeable label sets are equal, and the mismatch set:
-    the frozen labels of one side only, with the column labels on which
-    some row shared by both sides disagrees.
+    every diagonal in cuts: its rows are read off base by _subseed_rows,
+    and its labels are base's, cuts among the frozen ones.  The right
+    side is the seed of the surface whose freeze cut along cuts has the
+    given fields, made by _rows_of_fields from the cut polygons' own
+    tables (base itself when cuts is empty).  Returns whether the
+    exchangeable label sets are equal, and the mismatch set: the frozen
+    labels of one side only, with the column labels on which some row
+    shared by both sides disagrees.
     """
-    left = mixing_subseed(base, SubSeedSpec(cuts, frozenset()))
-    right = _seed_of_fields(*fields) if cuts else base
-    right_rows = dict(zip(right.exchangeable_labels, right.matrix))
-    rows = [
-        (row, right_rows[x])
-        for x, row in zip(left.exchangeable_labels, left.matrix)
-        if x in right_rows
-    ]
+    left_rows = _subseed_rows(base, cuts)
+    if cuts:
+        exchangeable, frozen, matrix = _rows_of_fields(*fields)
+    else:
+        exchangeable, frozen, matrix = base.exchangeable_labels, base.frozen_labels, base.matrix
+    right_rows = dict(zip(exchangeable, matrix))
+    rows = [(row, right_rows[x]) for x, row in left_rows.items() if x in right_rows]
     disagree = frozenset()
     if rows:
-        # each side's columns over the shared rows, in its own label order
-        left_cols, right_cols = (list(zip(*side)) for side in zip(*rows))
-        at = right._position
+        # each side's columns over the shared rows; a column label of the
+        # left side only is not compared
+        left_cols, right_cols = (zip(*side) for side in zip(*rows))
+        right_col = dict(zip(exchangeable + frozen, right_cols))
         disagree = frozenset(
-            y for j, y in enumerate(left.labels) if y in at and left_cols[j] != right_cols[at[y]]
+            y for y, col in zip(base.labels, left_cols) if right_col.get(y, col) != col
         )
-    one_side = frozenset(left.frozen_labels).symmetric_difference(right.frozen_labels)
-    return set(left.exchangeable_labels) == right_rows.keys(), one_side | disagree
+    # the left side's frozen labels are base's labels without a left row
+    one_side = base._label_sets[1].difference(left_rows).symmetric_difference(frozen)
+    return left_rows.keys() == right_rows.keys(), one_side | disagree
 
 
 def check_theorem_sur(data: SurfaceData, I0, I1) -> bool:

@@ -29,7 +29,7 @@ from clusterseeds.homs import (
 )
 from clusterseeds.seeds import Seed, matrix_mutation
 from clusterseeds.semigroup import GreenPartition, SemigroupTable, _all_specs
-from clusterseeds.surface import _crossing_sign, _polygon_table, curve_crosses
+from clusterseeds.surface import _crossing_sign, _polygon_table, _rows_of_fields, curve_crosses
 
 
 def grlex_key(exponents):
@@ -455,6 +455,31 @@ def shear_contribution(N: int, diagonals, diag: tuple[int, int], curve) -> int:
         return 0
     _, apexes, _ = _polygon_table(N, tuple(sorted(tuple(d) for d in diagonals)))
     return _crossing_sign(N, diag, apexes, curve)
+
+
+def cut_set_comparison_by_seeds(base: Seed, cuts: frozenset[str], fields):
+    """_cut_set_comparison with both sides built as Seeds: the sub-seed
+    of base freezing cuts by mixing_subseed, and the seed of the cut
+    surface with these fields (base itself when cuts is empty), compared
+    column by column over their shared rows.  Returns whether the
+    exchangeable label sets are equal, and the mismatch set."""
+    left = mixing_subseed(base, SubSeedSpec(cuts, frozenset()))
+    right = Seed(*_rows_of_fields(*fields)) if cuts else base
+    right_rows = dict(zip(right.exchangeable_labels, right.matrix))
+    rows = [
+        (row, right_rows[x])
+        for x, row in zip(left.exchangeable_labels, left.matrix)
+        if x in right_rows
+    ]
+    disagree = frozenset()
+    if rows:
+        left_cols, right_cols = (list(zip(*side)) for side in zip(*rows))
+        at = right._position
+        disagree = frozenset(
+            y for j, y in enumerate(left.labels) if y in at and left_cols[j] != right_cols[at[y]]
+        )
+    one_side = frozenset(left.frozen_labels).symmetric_difference(right.frozen_labels)
+    return set(left.exchangeable_labels) == right_rows.keys(), one_side | disagree
 
 
 def enumerate_triangulations(N: int) -> list[frozenset[tuple[int, int]]]:

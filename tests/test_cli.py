@@ -2,11 +2,14 @@
 
 import dataclasses
 import enum
+import errno
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +145,64 @@ def test_exit_2_on_unwritable_out(capsys, a2_file, tmp_path):
     assert not dest.parent.exists()
 
 
+def _open_failing_after_one_write(sizes):
+    """open whose files raise ENOSPC on every write after the first, the
+    first flushed at once; sizes gets the file's size at each failure."""
+
+    def failing_open(path, mode="r"):
+        fh = open(path, mode)
+        write, writes = fh.write, []
+
+        def write_once(part):
+            if writes:
+                sizes.append(os.fstat(fh.fileno()).st_size)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            writes.append(write(part))
+            fh.flush()
+            return writes[0]
+
+        fh.write = write_once
+        return fh
+
+    return failing_open
+
+
+@pytest.mark.parametrize("fmt", ["machine", "human"])
+def test_a_failed_out_write_removes_the_half_written_report(
+    capsys, monkeypatch, a2_file, tmp_path, fmt
+):
+    # the second slice fails, as on a full disk, after the first reached the file
+    dest = tmp_path / "report.json"
+    sizes = []
+    monkeypatch.setattr(cli, "WRITE_SLICE", 5)
+    monkeypatch.setattr(cli, "open", _open_failing_after_one_write(sizes), raising=False)
+    code, out, err = run(capsys, "--format", fmt, "--out", str(dest), "clusters", a2_file)
+    assert (code, out) == (2, "")
+    assert err == f"input error: cannot write {dest}: [Errno 28] No space left on device\n"
+    assert sizes == [5]
+    assert not dest.exists()
+
+
+def test_a_failed_out_write_leaves_a_fifo_alone(capsys, monkeypatch, a2_file, tmp_path):
+    # the same failure on a path that is not a regular file: nothing is
+    # unlinked.  A reader held open lets the report's open return at once.
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDWR | os.O_NONBLOCK)
+    try:
+        sizes = []
+        monkeypatch.setattr(cli, "WRITE_SLICE", 5)
+        monkeypatch.setattr(cli, "open", _open_failing_after_one_write(sizes), raising=False)
+        code, out, err = run(capsys, "--out", str(fifo), "clusters", a2_file)
+        assert os.read(reader, 100) == b"5 clu"  # the first slice of "5 clusters (complete)"
+    finally:
+        os.close(reader)
+    assert (code, out) == (2, "")
+    assert err == f"input error: cannot write {fifo}: [Errno 28] No space left on device\n"
+    assert len(sizes) == 1
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
 @pytest.mark.parametrize("kind", ["seed", "hom", "surface"])
 def test_exit_2_on_non_utf8_input(capsys, a2_file, tmp_path, kind):
     bad = tmp_path / f"{kind}.json"
@@ -250,6 +311,44 @@ def test_exit_3_on_cap(capsys, tmp_path):
     code, _, err = run(capsys, "endpar", str(path), "--cap", "20")
     assert code == 3
     assert "partial count 20" in err
+
+
+def _sweep_files(tmp_path):
+    """A 25-gon fan and the hexagon fan, each with one lamination."""
+    paths = []
+    for N, curve in ((25, (1, 12)), (6, (1, 4))):
+        path = tmp_path / f"fan{N}.json"
+        surf = make_surface(N, [(0, k) for k in range(2, N - 1)], laminations=[[curve]])
+        path.write_text(json.dumps(surface_to_dict(surf)))
+        paths.append(str(path))
+    return paths
+
+
+def test_exit_3_on_a_sweep_over_the_spec_cap(capsys, monkeypatch, tmp_path):
+    # 22 diagonals and one lamination at --max-cut 23: about 6.3e10 specs,
+    # refused from their count before any spec is made
+    big, _ = _sweep_files(tmp_path)
+    monkeypatch.setattr(cli, "itertools", types.SimpleNamespace())
+    code, out, err = run(capsys, "check-sur", big, "--all", "--max-cut", "23")
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource cap exceeded: check-sur --all --max-cut 23 sweeps 62762119218 specs, "
+        "more than 1000000 (partial count 62762119218)\n"
+    )
+
+
+def test_the_spec_cap_admits_a_sweep_of_its_size(capsys, monkeypatch, tmp_path):
+    # the hexagon fan's 26 specs at --max-cut 2, on both sides of the cap
+    _, hexagon = _sweep_files(tmp_path)
+    argv = ("--format", "machine", "check-sur", hexagon, "--all", "--max-cut", "2")
+    monkeypatch.setattr(cli, "MAX_SWEEP_SPECS", 26)
+    code, out, _ = run(capsys, *argv)
+    assert (code, json.loads(out)["checked"]) == (0, 26)
+    monkeypatch.setattr(cli, "MAX_SWEEP_SPECS", 25)
+    monkeypatch.setattr(cli, "itertools", types.SimpleNamespace())
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.endswith("sweeps 26 specs, more than 25 (partial count 26)\n")
 
 
 def test_exit_3_on_a_product_over_the_term_product_cap(capsys, tmp_path):
@@ -555,17 +654,18 @@ def test_surface_sweep_is_pinned(capsys, tmp_path):
     )
 
 
-def test_surface_sweep_builds_one_seed_per_cut_set(
+def test_surface_sweep_builds_rows_once_per_cut_set(
     capsys, monkeypatch, fresh_surface_caches, hexagon_file
 ):
     # the 26 specs of --max-cut 2 have 7 cut sets (the diagonals of
-    # I0 | I1): the empty one, 3 single diagonals and 3 pairs.  One seed
-    # for the surface, which is also the empty cut set's, and one per
-    # nonempty cut set, all made by one builder; one validation, of the
-    # loaded surface, since each cut seed is built from the cut's fields;
-    # one cut per nonempty cut set, each pair cut from the cut set of its
-    # first diagonal
-    calls = {"seed_from_surface": 0, "_seed_of_fields": 0, "validate_surface": 0, "_cut": 0}
+    # I0 | I1): the empty one, 3 single diagonals and 3 pairs.  One row
+    # build for the surface seed, which is also the empty cut set's, and
+    # one per nonempty cut set, all made by one builder; one Seed, the
+    # surface's, since each cut set is compared on rows; one validation,
+    # of the loaded surface, since each cut's rows are built from its
+    # fields; one cut per nonempty cut set, each pair cut from the cut
+    # set of its first diagonal
+    calls = {"seed_from_surface": 0, "_rows_of_fields": 0, "validate_surface": 0, "_cut": 0}
     for name in calls:
 
         def counting(*args, real=getattr(surface_module, name), name=name):
@@ -573,11 +673,15 @@ def test_surface_sweep_builds_one_seed_per_cut_set(
             return real(*args)
 
         monkeypatch.setattr(surface_module, name, counting)
+    seeds = []
+    real_post_init = Seed.__post_init__
+    monkeypatch.setattr(Seed, "__post_init__", lambda s: seeds.append(s) or real_post_init(s))
     fresh_surface_caches()
     code, out, _ = run(capsys, "--format", "machine", "check-sur", hexagon_file, "--all", "--max-cut", "2")
     doc = json.loads(out)
     assert (code, doc["checked"], doc["all_ok"]) == (0, 26, True)
-    assert calls == {"seed_from_surface": 1, "_seed_of_fields": 7, "validate_surface": 1, "_cut": 6}
+    assert calls == {"seed_from_surface": 1, "_rows_of_fields": 7, "validate_surface": 1, "_cut": 6}
+    assert len(seeds) == 1
 
 
 def test_two_component_sweep_is_pinned(capsys, tmp_path):

@@ -28,9 +28,16 @@ from clusterseeds import (
     surface_iso,
     validate_surface,
 )
+from clusterseeds.cli import sweep_spec_count
 from clusterseeds.fileio import surface_to_dict
 from conftest import seeded_polygons, two_component_surface
-from oracles import enumerate_triangulations, shear_contribution, spec_of, triangles_of
+from oracles import (
+    cut_set_comparison_by_seeds,
+    enumerate_triangulations,
+    shear_contribution,
+    spec_of,
+    triangles_of,
+)
 
 
 def fan(N):
@@ -290,6 +297,69 @@ def sweep_specs(data, max_cut):
                     yield I0, tuple(x for x in chosen if x not in I0)
 
 
+def test_sweep_spec_count_is_the_length_of_the_sweep():
+    # the closed form check-sur --all checks against its cap, against the
+    # specs themselves, past the largest cut set too
+    rng = random.Random(5)
+    surfaces = [
+        make_surface(N, tri, laminations=[[tuple(rng.sample(range(N), 2))]] * rng.randint(0, 3))
+        for N in range(3, 8)
+        for tri in enumerate_triangulations(N)[:3]
+    ]
+    for surf in [*surfaces, two_component_surface()]:
+        d, m = len(surf.diagonal_labels()), len(surf.lamination_labels())
+        for max_cut in range(d + m + 2):
+            specs = list(sweep_specs(surf, max_cut))
+            assert sweep_spec_count(d, m, max_cut) == len(specs), (surf, max_cut)
+
+
+def _comparison_inputs(surf, base, cuts, rng):
+    """The (base, fields) pairs on which both comparisons of the cut set
+    cuts are checked: the surface seed and the freeze cut, then each with
+    a fault that leaves a nonempty mismatch set or unequal exchangeable
+    labels: entries of base raised, the cut's last lamination dropped,
+    and its first diagonal renamed with base's entries raised."""
+    fields = surface_module._freeze_cut(surf, cuts)
+    rows = [list(r) for r in base.matrix]
+    for row in rng.sample(rows, (len(rows) + 1) // 2):
+        row[rng.randrange(len(row))] += 1
+    raised = Seed.from_data(base.exchangeable_labels, base.frozen_labels, rows)
+    components, diagonals, laminations = fields
+    yield base, fields
+    yield raised, fields
+    yield base, (components, diagonals, laminations[:-1])
+    if diagonals:
+        (lbl, d), *rest = diagonals
+        yield raised, (components, ((lbl + "'", d), *rest), laminations)
+
+
+def test_cut_set_comparison_matches_the_two_seed_oracle():
+    # the row comparison against mixing_subseed and a cut Seed, on every
+    # cut set of at most 3 diagonals, mismatch sets included
+    rng = random.Random(31)
+    surfaces = []
+    for N in range(3, 9):
+        for tri in enumerate_triangulations(N):
+            curves = [tuple(rng.sample(range(N), 2)) for _ in range(rng.randint(1, 3))]
+            surfaces.append(make_surface(N, tri, laminations=[curves]))
+    outcomes = set()
+    cut_sets = 0
+    for surf in [*surfaces, *seeded_polygons(), two_component_surface()]:
+        base = seed_from_surface(surf)
+        for k in range(4):
+            for cuts in map(frozenset, itertools.combinations(surf.diagonal_labels(), k)):
+                for left, fields in _comparison_inputs(surf, base, cuts, rng):
+                    got = surface_module._cut_set_comparison(left, cuts, fields)
+                    assert got == cut_set_comparison_by_seeds(left, cuts, fields), (surf, cuts)
+                    outcomes.add((got[0], bool(got[1])))
+                cut_sets += 1
+    # 1, 2, 4, 8, 15 and 26 cut sets of at most 3 of the N - 3 diagonals
+    # for N = 3..8, times the triangulation counts; 26 on the two components
+    per_heptagon_and_below = 1 * 1 + 2 * 2 + 5 * 4 + 14 * 8 + 42 * 15
+    assert cut_sets == 2 * per_heptagon_and_below + 132 * 26 + 26
+    assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
+
+
 def test_row_comparison_matches_the_entrywise_reference():
     rng = random.Random(8)
     surfaces = []
@@ -309,10 +379,12 @@ def test_row_comparison_matches_the_entrywise_reference():
     ) + 74
 
 
-def _perturbed(seed: Seed, kind: str) -> Seed:
-    n = seed.n
-    rows = [list(r) for r in seed.matrix]
-    exchangeable, frozen = list(seed.exchangeable_labels), list(seed.frozen_labels)
+def _perturbed(rows_of_fields, kind: str):
+    """The (exchangeable labels, frozen labels, rows) of a seed with one
+    fault of the given kind."""
+    exchangeable, frozen, matrix = map(list, rows_of_fields)
+    n = len(exchangeable)
+    rows = [list(r) for r in matrix]
     if kind == "exchangeable entry":
         rows[0][1] += 1
     elif kind == "frozen entry":
@@ -324,7 +396,7 @@ def _perturbed(seed: Seed, kind: str) -> Seed:
         frozen[0] += "_renamed"
     else:  # an exchangeable label renamed
         exchangeable[0] += "_renamed"
-    return Seed.from_data(exchangeable, frozen, rows)
+    return tuple(exchangeable), tuple(frozen), tuple(map(tuple, rows))
 
 
 @pytest.mark.parametrize(
@@ -341,19 +413,19 @@ def test_row_comparison_rejects_a_perturbed_paunched_seed(monkeypatch, fresh_sur
     surf = make_surface(6, fan(6), laminations=[[(1, 4)]])
     I0, I1 = ("d0_2",), ()
     assert check_theorem_sur(surf, I0, I1) and reference_check_theorem_sur(surf, I0, I1)
-    # the builder of every surface seed, the cut seeds of the sweep and
-    # the paunched seeds of the reference included
-    real = surface_module._seed_of_fields
+    # the rows builder of every surface seed, the cut rows of the sweep
+    # and the paunched seeds of the reference included
+    real = surface_module._rows_of_fields
     paunched = paunched_surface(surf, I0, I1)
     fields = paunched.components, paunched.diagonals, paunched.laminations
-    seed = real(*fields)
+    seed = Seed(*real(*fields))
     assert (seed.n, seed.frozen_labels) == (2, ("L0", "d0_2"))
-    assert _perturbed(seed, kind) != seed
+    assert Seed(*_perturbed(real(*fields), kind)) != seed
 
-    def perturbed_seed_of_fields(*args):
+    def perturbed_rows_of_fields(*args):
         return _perturbed(real(*args), kind) if args == fields else real(*args)
 
-    monkeypatch.setattr(surface_module, "_seed_of_fields", perturbed_seed_of_fields)
+    monkeypatch.setattr(surface_module, "_rows_of_fields", perturbed_rows_of_fields)
     fresh_surface_caches()
     # the first check kept its comparison of the cut set I0 | I1 on surf
     surf = make_surface(6, fan(6), laminations=[[(1, 4)]])
@@ -396,8 +468,9 @@ def _bumped(seed, x, y):
 def test_sweep_verdicts_match_the_reference_under_a_fault(monkeypatch, fresh_surface_caches, fault):
     # each surface's first diagonal and first lamination: the diagonal's
     # hug curve is wrong, or the entry in its row and the lamination's
-    # column is wrong in the sub-seed, or in the seed the builder makes of
-    # every cut surface (one with more components than the swept one)
+    # column is wrong in the sub-seed rows read off the surface seed, or
+    # in the rows the builder makes of every cut surface (one with more
+    # components than the swept one)
     faulty = [None, None, None]
     if fault == "shear sign":
         flipped = _flip_on_the_last_segment(surface_module._crossing_sign)
@@ -405,17 +478,29 @@ def test_sweep_verdicts_match_the_reference_under_a_fault(monkeypatch, fresh_sur
     elif fault == "hug curve":
         monkeypatch.setattr(surface_module, "_cut", _one_sided_hug(surface_module._cut, faulty))
     elif fault == "sub-seed entry":
-        real = surface_module.mixing_subseed
-        bumped = lambda seed, spec: _bumped(real(seed, spec), *faulty[:2])
-        monkeypatch.setattr(surface_module, "mixing_subseed", bumped)
+        real = surface_module._subseed_rows
+
+        def bumped(base, cuts):
+            rows = real(base, cuts)
+            x, y = faulty[:2]
+            if x in rows:
+                row = list(rows[x])
+                row[base.index(y)] += 1
+                rows[x] = tuple(row)
+            return rows
+
+        monkeypatch.setattr(surface_module, "_subseed_rows", bumped)
     else:
-        real = surface_module._seed_of_fields
+        real = surface_module._rows_of_fields
 
         def bumped(components, diagonals, laminations):
-            seed = real(components, diagonals, laminations)
-            return _bumped(seed, *faulty[:2]) if len(components) > faulty[2] else seed
+            rows_of_fields = real(components, diagonals, laminations)
+            if len(components) > faulty[2]:
+                seed = _bumped(Seed(*rows_of_fields), *faulty[:2])
+                return seed.exchangeable_labels, seed.frozen_labels, seed.matrix
+            return rows_of_fields
 
-        monkeypatch.setattr(surface_module, "_seed_of_fields", bumped)
+        monkeypatch.setattr(surface_module, "_rows_of_fields", bumped)
     fresh_surface_caches()
     fast, reference, hidden = [], [], []
     for surf in [*seeded_polygons(), two_component_surface()]:
@@ -449,16 +534,16 @@ def test_deeper_sweep_compares_each_cut_set_once(monkeypatch, fresh_surface_cach
     # at --max-cut 3 a cut set recurs farther apart than at depth 2; the
     # empty cut set's seed is the surface's own.  The 11-gon fan has
     # 1 + 8 + 28 + 56 = 93 cut sets, more than a cache of 64 recent ones
-    # holds.  Seeds are counted at the builder, which seed_from_surface
-    # and the cut seeds share; comparisons are kept by cut set.
+    # holds.  Row builds are counted at the builder, which seed_from_surface
+    # and the cut sides share; comparisons are kept by cut set.
     builds = [0]
-    real = surface_module._seed_of_fields
+    real = surface_module._rows_of_fields
 
-    def counting_seed_of_fields(*fields):
+    def counting_rows_of_fields(*fields):
         builds[0] += 1
         return real(*fields)
 
-    monkeypatch.setattr(surface_module, "_seed_of_fields", counting_seed_of_fields)
+    monkeypatch.setattr(surface_module, "_rows_of_fields", counting_rows_of_fields)
     fresh_surface_caches()
     checked = 0
     eleven_gon = make_surface(11, fan(11), laminations=[[(1, 6)]])
@@ -525,7 +610,7 @@ def test_cut_seed_builder_matches_the_references_on_every_swept_cut():
     # the face-scan B matrix with one shear column per lamination
     checked = 0
     for surf, cuts, cut in swept_cuts():
-        seed = surface_module._seed_of_fields(*cut)
+        seed = Seed(*surface_module._rows_of_fields(*cut))
         assert_matches_the_references(SurfaceData(*cut), seed)
         checked += bool(cuts)
     # nonempty cut sets: d + C(d, 2) per polygon, 5 + 10 on the two
