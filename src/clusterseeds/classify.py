@@ -14,7 +14,7 @@ from .errors import TheoremViolation
 from .homs import SubSeedSpec, find_seed_iso, mixing_subseed
 from .seeds import Seed
 from .semigroup import (
-    DEFAULT_CAP,
+    MAX_ELEMENTS,
     GreenPartition,
     SemigroupTable,
     _all_specs,
@@ -81,7 +81,7 @@ class ClassificationReport:
         return len(self.regular)
 
 
-def theorem_number_report(seed: Seed, cap: int = DEFAULT_CAP) -> ClassificationReport:
+def theorem_number_report(seed: Seed, cap: int = MAX_ELEMENTS) -> ClassificationReport:
     """Match sub-seed iso-classes with regular D-classes of the
     endomorphism semigroup and verify the correspondence is a bijection.
 

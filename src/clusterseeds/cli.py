@@ -42,7 +42,7 @@ from .homs import check_partial_hom, compose, require_hom
 from .poly import enumerate_clusters, initial_state, mutate_state
 from .seeds import require_valid, validate_seed
 from .semigroup import (
-    DEFAULT_CAP,
+    MAX_ELEMENTS,
     enumerate_endpar,
     green_relations,
     h_class_group,
@@ -379,13 +379,16 @@ def cmd_check_sur(args):
                 f"more than {MAX_SWEEP_SPECS}",
                 partial_count=count,
             )
-        specs = []
-        for size in range(args.max_cut + 1):
-            for chosen in itertools.combinations(labels, size):
-                diag_part = [x for x in chosen if x in dlabels]
-                for r in range(len(diag_part) + 1):
-                    for I0 in itertools.combinations(diag_part, r):
-                        specs.append((frozenset(I0), frozenset(set(chosen) - set(I0))))
+
+        def sweep():  # one spec at a time, as the results below take them
+            for size in range(args.max_cut + 1):
+                for chosen in itertools.combinations(labels, size):
+                    diag_part = [x for x in chosen if x in dlabels]
+                    for r in range(len(diag_part) + 1):
+                        for I0 in itertools.combinations(diag_part, r):
+                            yield frozenset(I0), frozenset(set(chosen) - set(I0))
+
+        specs = sweep()
     else:
         specs = [_spec_from_args(args, labels)]
     results = [
@@ -468,15 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("endpar", cmd_endpar, help="enumerate the partial endomorphism semigroup")
     p.add_argument("seed")
-    p.add_argument("--cap", type=_count, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_count, default=MAX_ELEMENTS)
 
     p = add("green", cmd_green, help="Green's relations egg-box report")
     p.add_argument("seed")
-    p.add_argument("--cap", type=_count, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_count, default=MAX_ELEMENTS)
 
     p = add("classify", cmd_classify, help="sub-seed iso-classes vs regular D-classes")
     p.add_argument("seed")
-    p.add_argument("--cap", type=_count, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_count, default=MAX_ELEMENTS)
 
     p = add("surface-seed", cmd_surface_seed, help="seed of a triangulated surface")
     p.add_argument("surface")
@@ -537,7 +540,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, human, code = args.fn(args)
-    except (ParseError, SeedError, SpecError, HomError, IndexError) as exc:
+    except (ParseError, SeedError, SpecError, HomError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ResourceCapExceeded as exc:

@@ -45,7 +45,9 @@ __all__ = [
     "check_structural_green",
 ]
 
-DEFAULT_CAP = 50_000
+# The most elements a semigroup may keep: the largest index an int16
+# product table holds.  It is the default cap and bounds every cap.
+MAX_ELEMENTS = 32_767
 
 
 @dataclass
@@ -57,7 +59,7 @@ class SemigroupTable:
 
     seed: Seed
     digits: np.ndarray
-    # product[i, j] = index of element i after element j; int16 below 32,768 elements
+    # product[i, j] = index of element i after element j, as int16
     product: np.ndarray
     zero_index: int
 
@@ -127,13 +129,15 @@ def projected_endpar_bound(seed: Seed) -> int:
     return (2 * n + m + 1) ** n * (n + m + 1) ** m
 
 
-def enumerate_endpar(seed: Seed, cap: int = DEFAULT_CAP) -> SemigroupTable:
+def enumerate_endpar(seed: Seed, cap: int = MAX_ELEMENTS) -> SemigroupTable:
     """All partial seed endomorphisms of the seed, with product table.
 
     Exchangeable domain variables may only map to exchangeable targets,
     so candidate maps range over X for the exchangeable part and over
     the whole extended cluster for the frozen part; each candidate is
-    validated.  Exceeding the element cap fails loudly.
+    validated.  Keeping more than min(cap, MAX_ELEMENTS) elements fails
+    loudly, at the first element over, so the product table always has
+    int16 indices.
 
     Each accepted element is kept only as its row of digits (see
     SemigroupTable).  Read in base 2*width+2, a row is the element's
@@ -148,6 +152,7 @@ def enumerate_endpar(seed: Seed, cap: int = DEFAULT_CAP) -> SemigroupTable:
         raise ResourceCapExceeded(
             f"{width} labels do not fit the 64-bit element code", partial_count=0
         )
+    limit = min(cap, MAX_ELEMENTS)
     digits: list[list[int]] = []
     for spec in _all_specs(seed):
         dom_ex, dom_fr = spec.parts(seed)
@@ -163,9 +168,10 @@ def enumerate_endpar(seed: Seed, cap: int = DEFAULT_CAP) -> SemigroupTable:
             ok, _ = check_partial_hom(cand)
             if not ok:
                 continue
-            if len(digits) >= cap:
+            if len(digits) >= limit:
+                what = "cap" if limit == cap else "int16 table limit"
                 raise ResourceCapExceeded(
-                    f"semigroup exceeds the cap of {cap} elements",
+                    f"semigroup exceeds the {what} of {limit} elements",
                     partial_count=len(digits),
                 )
             row = [0] * width
@@ -194,23 +200,6 @@ def _blocks(size: int):
         yield start, min(size, start + step)
 
 
-# Bytes that a product table and its code lookup may take together.
-# Every int16 table fits (fewer than 32,768 elements: under 2 GiB, with
-# a lookup no larger than the table) and no int32 table does (at least
-# 32,768² cells of 4 bytes, 4 GiB before its lookup).
-TABLE_BYTE_BUDGET = 1 << 32
-
-
-def _projected_table_bytes(size: int, width: int) -> int:
-    """Bytes of the product table of size elements whose codes have
-    width digits, and of its lookup (see _product_table): the dense
-    table by code, or the sorted codes with their order."""
-    itemsize = 2 if size < 32768 else 4
-    codes = (2 * width + 2) ** width
-    lookup = codes * itemsize if codes <= size * size else size * (8 + itemsize)
-    return size * size * itemsize + lookup
-
-
 def _product_table(digits: np.ndarray) -> tuple[np.ndarray, int]:
     """Product table of the elements, given their digit rows as written
     by enumerate_endpar, and the index of the empty hom.  The code of
@@ -219,27 +208,20 @@ def _product_table(digits: np.ndarray) -> tuple[np.ndarray, int]:
     (int16 up to 4 labels, int32 up to 7, int64 beyond), and looked up
     in a dense table indexed by code (-1 where no element has the code),
     or among the sorted codes when that table would have more entries
-    than the product table.  Raises ResourceCapExceeded, before
-    allocating, if the two would take more than TABLE_BYTE_BUDGET bytes.
+    than the product table.  enumerate_endpar keeps at most MAX_ELEMENTS
+    rows, so the table, the dense lookup and the sort order are int16.
     """
     import numpy as np
 
     size, width = digits.shape
-    projected = _projected_table_bytes(size, width)
-    if projected > TABLE_BYTE_BUDGET:
-        raise ResourceCapExceeded(
-            f"the product table of {size} elements needs {projected} bytes, "
-            f"over the budget of {TABLE_BYTE_BUDGET}",
-            partial_count=size,
-        )
     base = 2 * width + 2
     V = digits // 2 - 1  # image position, -1 outside the domain
     F = digits % 2  # frozen in the domain
     weights = base ** np.arange(width, dtype=np.int64)
     codes = digits @ weights
-    product = np.empty((size, size), dtype=np.int16 if size < 32768 else np.int32)
+    product = np.empty((size, size), dtype=np.int16)
     if base**width > size * size:
-        order = np.argsort(codes).astype(product.dtype)
+        order = np.argsort(codes).astype(np.int16)
         sorted_codes = codes[order]
         shared = np.any(sorted_codes[1:] == sorted_codes[:-1])
 
@@ -250,8 +232,8 @@ def _product_table(digits: np.ndarray) -> tuple[np.ndarray, int]:
             return out
 
     else:
-        lut = np.full(base**width, -1, dtype=product.dtype)
-        elems = np.arange(size, dtype=product.dtype)
+        lut = np.full(base**width, -1, dtype=np.int16)
+        elems = np.arange(size, dtype=np.int16)
         lut[codes] = elems
         shared = not np.array_equal(lut[codes], elems)  # a later write won
 
@@ -279,7 +261,7 @@ def _product_table(digits: np.ndarray) -> tuple[np.ndarray, int]:
     col = np.where(V >= 0, 2 * V + F, 2 * width).T.astype(np.intp)
     acc = np.empty((min(size, _block_rows(size)), size), dtype=code_type)
     gathered = np.empty_like(acc)
-    found = np.empty_like(acc, dtype=product.dtype)
+    found = np.empty_like(acc, dtype=np.int16)
     for j0, j1 in _blocks(size):
         # acc[j, x] is the code of x after y = j0 + j
         a, g = acc[: j1 - j0], gathered[: j1 - j0]

@@ -364,21 +364,41 @@ def test_exit_3_on_a_product_over_the_term_product_cap(capsys, tmp_path):
     )
 
 
-def test_exit_3_over_the_table_byte_budget(capsys, tmp_path, monkeypatch):
-    # a2_y2 has 773 elements: an int16 table of 773² cells and a dense
-    # lookup of 10**4 codes
+def test_exit_3_at_the_element_limit_before_any_table(capsys, tmp_path, monkeypatch):
+    # a2_y2 has 773 elements; with the limit one below, no --cap lifts it
+    # and the enumeration stops before a product table is built
     path = tmp_path / "a2_y2.json"
     dump_seed(a2_y2_seed(), str(path))
-    projected = 2 * 773**2 + 2 * 10**4
-    monkeypatch.setattr(semigroup_module, "TABLE_BYTE_BUDGET", 2 * 773**2 - 1)
-    code, out, err = run(capsys, "endpar", str(path))
-    assert (code, out) == (3, "")
+    tables = []
+    product_table = semigroup_module._product_table
+
+    def counted(rows):
+        tables.append(len(rows))
+        return product_table(rows)
+
+    monkeypatch.setattr(semigroup_module, "_product_table", counted)
+    monkeypatch.setattr(semigroup_module, "MAX_ELEMENTS", 772)
+    code, out, err = run(capsys, "endpar", str(path), "--cap", "100000")
+    assert (code, out, tables) == (3, "", [])
     assert err == (
-        f"resource cap exceeded: the product table of 773 elements needs {projected} bytes, "
-        f"over the budget of {2 * 773**2 - 1} (partial count 773)\n"
+        "resource cap exceeded: semigroup exceeds the int16 table limit of 772 elements "
+        "(partial count 772)\n"
     )
-    monkeypatch.setattr(semigroup_module, "TABLE_BYTE_BUDGET", projected)
-    assert run(capsys, "endpar", str(path))[0] == 0
+    code, out, err = run(capsys, "endpar", str(path), "--cap", "10")
+    assert (code, out, tables) == (3, "", [])
+    assert err == "resource cap exceeded: semigroup exceeds the cap of 10 elements (partial count 10)\n"
+    monkeypatch.setattr(semigroup_module, "MAX_ELEMENTS", 773)
+    code, out, _ = run(capsys, "endpar", str(path), "--cap", "100000")
+    assert (code, tables) == (0, [773])
+    assert out.startswith("773 partial seed endomorphisms")
+
+
+def test_the_element_limit_is_the_int16_range_and_the_default_cap():
+    assert semigroup_module.MAX_ELEMENTS == 2**15 - 1  # the largest int16
+    for command in ("endpar", "green", "classify"):
+        assert cli.build_parser().parse_args([command, "SEED"]).cap == semigroup_module.MAX_ELEMENTS
+    for fn in (semigroup_module.enumerate_endpar, clusterseeds.classify.theorem_number_report):
+        assert fn.__defaults__ == (semigroup_module.MAX_ELEMENTS,)
 
 
 @pytest.mark.parametrize("b", [2**70, 2**1000], ids=["2^70", "2^1000"])
@@ -1078,3 +1098,141 @@ def test_every_machine_report_holds_report_types_and_prints_as_json_dumps(
     text = json.dumps(doc, indent=2)
     assert cli.dumps_indented(doc) == text
     assert run(capsys, *argv) == (code, text + "\n", "")
+
+
+# ------------------------------------------------- renderings and failures
+
+
+def test_mutate_human_output_is_pinned(capsys, a2_file):
+    code, out, err = run(capsys, "mutate", a2_file, "0", "1")
+    assert (code, err) == (0, "")
+    assert out == (
+        "initial seed\n"
+        "     0    1\n"
+        "    -1    0\n"
+        "  cluster: x1, x2\n"
+        "after mutation at slot 0\n"
+        "     0   -1\n"
+        "     1    0\n"
+        "  cluster: (x2 + 1)/x1, x2\n"
+        "after mutation at slot 1\n"
+        "     0    1\n"
+        "    -1    0\n"
+        "  cluster: (x2 + 1)/x1, (x1 + x2 + 1)/x1*x2\n"
+    )
+
+
+def test_classify_human_output_is_pinned(capsys, a2_file):
+    code, out, err = run(capsys, "classify", a2_file)
+    assert (code, err) == (0, "")
+    assert out == (
+        "6 sub-seed iso-classes <-> 6 regular D-classes (bijection verified)\n"
+        "rep I0 | rep I1 | members | subalgebra-type | D-class | H-group order\n"
+        "{} | {} | 1 | yes | 0 | 2\n"
+        "{} | {x1} | 2 | no | 2 | 1\n"
+        "{} | {x1,x2} | 1 | yes | 6 | 1\n"
+        "{x1} | {} | 2 | yes | 7 | 1\n"
+        "{x1} | {x2} | 2 | yes | 9 | 1\n"
+        "{x1,x2} | {} | 1 | yes | 16 | 2\n"
+    )
+
+
+def test_exit_2_on_a_count_that_is_not_an_integer(capsys, a2_file):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["endpar", a2_file, "--cap", "ten"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("argument --cap: invalid int value: 'ten'\n")
+
+
+def test_exit_2_on_a_stdout_closed_before_the_command_starts(tmp_path, a2_file):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clusterseeds.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "clusterseeds.cli", "validate", a2_file],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "input error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+def test_exit_2_on_a_closed_stdout_in_process(capsys, monkeypatch, a2_file):
+    # the same write, made in this process: stdout is a pipe with no reader
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = cli.main(["validate", a2_file])
+        monkeypatch.undo()
+    assert code == 2
+    assert capsys.readouterr().err == "input error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+def test_a_seed_with_no_skew_symmetrizer_is_invalid(capsys, tmp_path):
+    path = tmp_path / "no_symmetrizer.json"
+    dump_seed(Seed.from_data(["x1", "x2", "x3"], [], [[0, 1, -1], [-1, 0, 2], [1, -1, 0]]), str(path))
+    code, out, err = run(capsys, "--format", "machine", "validate", str(path))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["ok"], doc["violations"], doc["symmetrizer"]) == (
+        False, ["no positive integer skew-symmetrizer exists"], None
+    )
+    assert run(capsys, "green", str(path)) == (
+        2, "", "input error: no positive integer skew-symmetrizer exists\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "diagonals, laminations, message",
+    [
+        ({"d": [0, [0, 2]]}, {"d": [[0, [1, 3]]]}, "diagonal and lamination labels must be distinct"),
+        ({"d": [1, [0, 2]]}, {}, "diagonal 'd' names unknown component 1"),
+        ({"d": [0, [0, 2]]}, {"l": [[1, [1, 3]]]}, "lamination 'l' names unknown component 1"),
+        ({"d": [0, [0, 5]]}, {}, "diagonal 'd': endpoints (0,5) out of range"),
+        ({"d": [0, [0, 2]]}, {"l": [[0, [1, 7]]]}, "lamination 'l': segment out of range"),
+    ],
+    ids=["repeated-label", "diagonal-component", "lamination-component", "endpoints", "segment"],
+)
+def test_exit_2_on_an_inconsistent_full_format_surface(capsys, tmp_path, diagonals, laminations, message):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"components": [4], "diagonals": diagonals, "laminations": laminations}))
+    assert run(capsys, "surface-seed", str(path)) == (2, "", f"input error: {message}\n")
+
+
+def test_exit_4_when_the_iso_classes_miss_a_regular_d_class(capsys, monkeypatch, a2_file):
+    # one regular D-class too many: the iso-classes cover every other one
+    classify_module = clusterseeds.classify
+    regular_D_classes = classify_module.regular_D_classes
+
+    def one_more(S, P):
+        regular = regular_D_classes(S, P)
+        return regular + [(len(S), regular[0][1])]
+
+    monkeypatch.setattr(classify_module, "regular_D_classes", one_more)
+    assert run(capsys, "classify", a2_file) == (
+        4, "", "theorem violation: iso-classes cover 6 D-classes but there are 7 regular D-classes\n"
+    )
+
+
+def test_an_index_error_is_a_fault_not_an_input_error(monkeypatch, a2_file):
+    # every index into input is checked before it is used, so an
+    # IndexError is a bug and leaves main as one
+    def fault(seed):
+        raise IndexError("a fault")
+
+    monkeypatch.setattr(cli, "validate_seed", fault)
+    with pytest.raises(IndexError, match="a fault"):
+        cli.main(["validate", a2_file])
+
+
+def test_exit_3_on_a_product_over_the_term_cap(capsys, monkeypatch, tmp_path):
+    # Markov at depth 4 first makes a polynomial of more than 20 terms in a product
+    path = tmp_path / "markov.json"
+    dump_seed(Seed.from_data(["x1", "x2", "x3"], [], [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]), str(path))
+    monkeypatch.setattr(poly_module, "MAX_TERMS", 20)
+    assert run(capsys, "clusters", str(path), "--depth", "4") == (
+        3, "", "resource cap exceeded: polynomial exceeded 20 terms (partial count 29)\n"
+    )

@@ -37,10 +37,8 @@ from clusterseeds import (
 from clusterseeds import semigroup as semigroup_module
 from clusterseeds.semigroup import (
     _BLOCK_CELLS,
-    TABLE_BYTE_BUDGET,
     _all_specs,
     _product_table,
-    _projected_table_bytes,
 )
 from conftest import (
     BENCHMARK_SEEDS,
@@ -197,21 +195,6 @@ def test_cap_raises_with_partial_count():
     with pytest.raises(ResourceCapExceeded) as exc:
         enumerate_endpar(amalgam_seed(), cap=10)
     assert exc.value.partial_count == 10
-
-
-def test_product_table_bytes_are_projected():
-    # the largest int16 table is admitted with the lookup of any code
-    # width, and the smallest int32 table is not
-    for width in range(1, 14):
-        assert _projected_table_bytes(32767, width) <= TABLE_BYTE_BUDGET
-        assert _projected_table_bytes(32768, width) > TABLE_BYTE_BUDGET
-    assert _projected_table_bytes(32768, 8) == 4 * 32768**2 + 32768 * (8 + 4)  # sorted codes
-    # A5 (21,954 elements, 5 labels): the 0.96 GB int16 table and a dense
-    # lookup of 12**5 codes
-    assert _projected_table_bytes(21954, 5) == 2 * 21954**2 + 2 * 12**5 <= TABLE_BYTE_BUDGET
-    # the projection is what the table and its dense lookup take
-    S = enumerate_endpar(a2_y2_seed())
-    assert _projected_table_bytes(len(S), 4) == S.product.nbytes + 10**4 * S.product.itemsize
 
 
 def test_product_table_matches_object_composition():
