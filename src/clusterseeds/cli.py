@@ -173,7 +173,7 @@ def cmd_mutate(args):
 
 
 def cmd_clusters(args):
-    seed = require_valid(load_seed(args.seed))
+    seed = load_seed(args.seed)  # enumerate_clusters rejects an invalid seed
     result = enumerate_clusters(seed, max_depth=args.depth, max_states=args.cap)
     monomials = {}  # one monomial table for every variable of this command
     doc = {
@@ -569,7 +569,9 @@ def main(argv=None) -> int:
         except BrokenPipeError as exc:
             # the reader went away; point stdout at devnull so the flush
             # at interpreter exit cannot raise again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
             print(f"input error: cannot write stdout: {exc}", file=sys.stderr)
             return 2
     return code

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
 
-from .errors import LaurentViolation, ResourceCapExceeded
+from .errors import LaurentViolation, ResourceCapExceeded, TheoremViolation
 from .homs import enumerate_seed_isos
-from .seeds import Seed, matrix_mutation
+from .seeds import Seed, matrix_mutation, require_valid
 
 __all__ = [
     "MultiPoly",
@@ -636,7 +636,6 @@ class _Memo(dict):
     __slots__ = ("orders", "signs", "after", "images")
 
     def __init__(self, start: LabeledSeedState):
-        super().__init__((v, v) for v in start.assignment)
         seed = start.seed
         identity = tuple(range(len(seed.labels)))
         isos = list(itertools.islice(enumerate_seed_isos(seed, seed), MAX_AUTOMORPHISMS + 1))
@@ -658,6 +657,12 @@ class _Memo(dict):
         variables = [start.variable(t) for t in identity]
         self.images = {v: tuple(variables[p[t]] for p in perms) for t, v in enumerate(variables)}
 
+    @staticmethod
+    def relation(x: MultiPoly, pairs) -> tuple:
+        """The key of the relation with outgoing variable x and the
+        (variable, b) pairs of its nonzero exponents."""
+        return (x, frozenset(pairs))
+
     def add_images(self, x: MultiPoly, pairs, k: int, value: MultiPoly) -> None:
         """Store the image of the relation computed in slot k, outgoing
         x, with (variable, b) pairs and the given variable, under each
@@ -670,7 +675,7 @@ class _Memo(dict):
         outgoing, neighbours = images[x], [(images[v], b) for v, b in pairs]
         for g in range(1, len(own)):
             sign = self.signs[g][k]
-            key = (outgoing[g], frozenset([(vs[g], sign * b) for vs, b in neighbours]))
+            key = self.relation(outgoing[g], [(vs[g], sign * b) for vs, b in neighbours])
             self.setdefault(key, own[g])
 
     def _orbit(self, value: MultiPoly) -> tuple[MultiPoly, ...]:
@@ -687,27 +692,54 @@ class _Memo(dict):
 
 
 def _memo_exchange(memo: _Memo, state: LabeledSeedState, k: int) -> MultiPoly:
-    """exchange(state, k), computed only if memo has no equal relation.
+    """exchange(state, k), computed only if memo holds no image of it.
 
     The relation in direction k is fixed by the outgoing variable and
     the pairs (variable, b_kt) with b_kt != 0.  The variables of a
     labeled seed are distinct, so the set of those pairs identifies them
-    whatever slots they sit in.  memo maps each relation computed, and
-    its image under each automorphism of the seed (see _Memo), to its
-    variable and each variable to itself: a hit returns the stored
-    object, and a miss that gives a known variable returns the known
-    object, so one object stands for each variable and clusters compare
-    by identity."""
+    whatever slots they sit in.  The search comes here only for a
+    g-vector it has not met, and a relation it computed gave a variable
+    whose g-vector it has met, so memo keeps no relation it computed:
+    it maps the image of each under each automorphism of the seed (see
+    _Memo) to its variable, and each variable it made, computed or
+    relabelled, to itself.  A hit returns
+    the stored object, and a computed variable that was made before as
+    an image returns that object, so one object stands for each
+    variable and clusters compare by identity."""
     row = state.matrix[k]
     variable = state.variable
     pairs = [(variable(t), b) for t, b in enumerate(row) if b]
-    key = (state.assignment[k], frozenset(pairs))
-    value = memo.get(key)
+    value = memo.get(memo.relation(state.assignment[k], pairs))
     if value is None:
         value = exchange(state, k)
-        value = memo[key] = memo.setdefault(value, value)
+        value = memo.setdefault(value, value)
         memo.add_images(state.assignment[k], pairs, k, value)
     return value
+
+
+def _exchanged_g_vector(rows, gs, k: int) -> tuple[int, ...]:
+    """The g-vector of the variable that replaces slot k.
+
+    rows are the rows of a labeled seed with its n c-rows appended (the
+    identity at the start, mutated with the rows) and gs the g-vectors
+    of its n slots.  With eps the sign of c-row k, the new g-vector is
+    -g_k + sum_t [-eps * b_kt]_+ g_t over the exchangeable t
+    (Nakanishi-Zelevinsky 2012).  A c-row with entries of both signs
+    contradicts sign-coherence (Derksen-Weyman-Zelevinsky 2010,
+    Gross-Hacking-Keel-Kontsevich 2018) and raises TheoremViolation."""
+    n = len(gs)
+    row = rows[k]
+    c = row[-n:]
+    lo, hi = min(c), max(c)
+    if lo < 0 < hi:
+        raise TheoremViolation(f"c-vector {c} of slot {k} is not sign-coherent")
+    eps = 1 if hi > 0 else -1
+    g = [-v for v in gs[k]]
+    for t in range(n):
+        m = -eps * row[t]
+        if m > 0:
+            g = [a + m * v for a, v in zip(g, gs[t])]
+    return tuple(g)
 
 
 @dataclass
@@ -730,21 +762,45 @@ def enumerate_clusters(
     direction k starts with {k}, and an exchange that lands on a known
     cluster adds to that cluster's set the slot holding the new
     variable.  Each edge of the exchange graph is taken once, so a
-    closed search takes n * N / 2 edges for N clusters, and many edges
-    share one exchange relation: a memo made for this call computes
-    each distinct relation at most once, and with each relation it
-    computes it stores that relation's images under the automorphisms
-    of the seed, read once per call, so an image is relabelled and not
-    divided again (see _memo_exchange and _Memo).  Only a new
-    cluster gets its matrix mutated and its labeled state built.  The
-    status is "closed" once a level finds no new cluster within the
-    depth, and max_states caps the number of clusters kept.
+    closed search takes n * N / 2 edges for N clusters.
+
+    Each edge first finds the g-vector of the variable it brings in
+    (_exchanged_g_vector), from the c-rows and g-vectors carried by the
+    frontier entry of its state, and takes the variable of a known
+    g-vector from one dict.  With principal coefficients the g-vector
+    determines the cluster variable (Gross-Hacking-Keel-Kontsevich,
+    JAMS 2018, for skew-symmetrizable seeds), and the separation
+    formula (Fomin-Zelevinsky, Cluster algebras IV, Compositio 2007,
+    Thm 3.7) carries that to any geometric coefficients, where a
+    variable is given by its g-vector and its F-polynomial, the variable
+    with principal coefficients at x = 1.  The rule needs the c-vectors
+    to be sign-coherent (Derksen-Weyman-Zelevinsky, JAMS 2010; GHKK
+    2018), which each edge checks.  So the seed must be
+    skew-symmetrizable, and any other raises SeedError.  Only a new
+    g-vector computes its variable, through a memo made for this call
+    that stores the images of each relation it computes under the
+    automorphisms of the seed, read once per call, so an image is
+    relabelled and not divided again (see _memo_exchange and _Memo).
+    Only a new cluster gets its rows mutated, the c-rows with them in
+    one matrix_mutation, and its labeled state built.  The c-rows and
+    g-vectors live on the frontier only, so a kept cluster holds no more
+    than its state and slot set.  The status is "closed" once a level
+    finds no new cluster within the depth, and max_states caps the
+    number of clusters kept.
     """
+    require_valid(seed)
+    n = seed.n
     start = initial_state(seed)
     # cluster -> (its first labeled state, the slots known to lead back),
     # in the order the clusters were found
     kept = {start.cluster(): (start, set())}
-    frontier = list(kept.values()) if seed.n else []
+    unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    variables = dict(zip(unit, start.assignment))  # g-vector -> variable
+    # a kept entry, then its state's rows with the c-rows appended and
+    # the g-vector of each slot
+    rows = tuple(row + e for row, e in zip(seed.matrix, unit))
+    width = len(seed.labels)
+    frontier = [(*kept[start.cluster()], rows, unit)] if n else []
     memo = _Memo(start)  # see _memo_exchange
     depth = 0
     while frontier:
@@ -752,11 +808,14 @@ def enumerate_clusters(
             return ClusterEnumeration(list(kept), "truncated")
         depth += 1
         new_frontier = []
-        for state, known in frontier:
-            for k in range(seed.n):
+        for state, known, rows, gs in frontier:
+            for k in range(n):
                 if k in known:
                     continue
-                value = _memo_exchange(memo, state, k)
+                g = _exchanged_g_vector(rows, gs, k)
+                value = variables.get(g)
+                if value is None:
+                    value = variables[g] = _memo_exchange(memo, state, k)
                 assignment = state.assignment[:k] + (value,) + state.assignment[k + 1 :]
                 c = frozenset(assignment)
                 landing = kept.get(c)
@@ -766,8 +825,14 @@ def enumerate_clusters(
                     continue
                 if len(kept) >= max_states:
                     return ClusterEnumeration(list(kept), "truncated")
-                matrix = matrix_mutation(state.matrix, k)
+                mutated = matrix_mutation(rows, k)
+                # a row that mutation leaves is returned as the same
+                # tuple, so its state row is kept as well
+                matrix = tuple(
+                    row if new is old else new[:width]
+                    for row, new, old in zip(state.matrix, mutated, rows)
+                )
                 kept[c] = entry = (LabeledSeedState(state.seed, matrix, assignment), {k})
-                new_frontier.append(entry)
+                new_frontier.append((*entry, mutated, gs[:k] + (g,) + gs[k + 1 :]))
         frontier = new_frontier
     return ClusterEnumeration(list(kept), "closed")

@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from clusterseeds import MultiPoly
+from clusterseeds import MultiPoly, initial_state
 from clusterseeds.errors import HomError, LaurentViolation, SeedError
 from clusterseeds.fileio import seed_to_dict
 from clusterseeds.homs import (
@@ -150,6 +150,81 @@ def matrix_mutation_entrywise(rows, k: int) -> tuple[tuple[int, ...], ...]:
         )
         for j in range(len(a))
     )
+
+
+def g_vector_search(principal, max_depth: int, max_states: int = 100_000):
+    """Breadth-first search over the clusters of the principal part
+    ``principal`` (n rows, n columns) with principal coefficients, each
+    cluster the set of its g-vectors: integers only, no Laurent
+    polynomial and none of the library's g-vector code.
+
+    A labeled seed is the rows with the c-rows appended (the identity
+    at the start, mutated entry by entry with the rows) and the g-vector
+    of each slot (e_i at the start).  Each c-row must be sign-coherent
+    (Derksen-Weyman-Zelevinsky 2010; Gross-Hacking-Keel-Kontsevich
+    2018); with eps the sign of c-row k, mutation in direction k takes
+    g_k to -g_k + sum_i [-eps * b_ki]_+ g_i (Nakanishi-Zelevinsky 2012),
+    where b_ki is entry i of row k, since the exchange reads row k.
+    Clusters are numbered in the order found, with the levels, depth and
+    cap of enumerate_clusters.  Returns the clusters, for each cluster
+    after the first (parent number, direction, outgoing g-vector,
+    incoming g-vector), and the status."""
+    n = len(principal)
+    unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    clusters, tree = [frozenset(unit)], [None]
+    found = {clusters[0]}
+    frontier = [(0, tuple(tuple(row) + e for row, e in zip(principal, unit)), unit)] if n else []
+    for depth in itertools.count():
+        if not frontier:
+            return clusters, tree, "closed"
+        if depth >= max_depth:
+            return clusters, tree, "truncated"
+        level = []
+        for parent, rows, gs in frontier:
+            for k in range(n):
+                c = rows[k][n:]
+                assert all(v >= 0 for v in c) or all(v <= 0 for v in c), f"c-vector {c} is not sign-coherent"
+                eps = 1 if any(v > 0 for v in c) else -1
+                g = [-v for v in gs[k]]
+                for i in range(n):
+                    step = -eps * rows[k][i]
+                    if step > 0:
+                        g = [a + step * b for a, b in zip(g, gs[i])]
+                g = tuple(g)
+                mutated = gs[:k] + (g,) + gs[k + 1 :]
+                cluster = frozenset(mutated)
+                if cluster in found:
+                    continue
+                if len(clusters) >= max_states:
+                    return clusters, tree, "truncated"
+                found.add(cluster)
+                level.append((len(clusters), matrix_mutation_entrywise(rows, k), mutated))
+                clusters.append(cluster)
+                tree.append((parent, k, gs[k], g))
+        frontier = level
+
+
+def assert_matches_the_g_vector_search(result, seed, depth, oracle=g_vector_search):
+    """result, the search of seed to depth, finds the clusters of the
+    g-vector search of its principal part in the same order, with the
+    same status, and one bijection of variables with g-vectors maps each
+    cluster onto its match: x_i to e_i, and the variable a cluster gains
+    over its parent to the g-vector the g-vector search brought in.  The
+    g-vector search stops at one cluster more than result holds."""
+    principal = [row[: seed.n] for row in seed.matrix]
+    clusters, tree, status = oracle(principal, depth, len(result.clusters) + 1)
+    assert (len(result.clusters), result.status) == (len(clusters), status), depth
+    unit = [tuple(int(i == j) for j in range(seed.n)) for i in range(seed.n)]
+    g_of = dict(zip(initial_state(seed).assignment, unit))
+    for i, (cluster, gs) in enumerate(zip(result.clusters, clusters)):
+        if i:
+            parent, _, outgoing, incoming = tree[i]
+            gone, new = result.clusters[parent] - cluster, cluster - result.clusters[parent]
+            assert len(gone) == len(new) == 1, (depth, i)
+            assert g_of[next(iter(gone))] == outgoing, (depth, i)
+            assert g_of.setdefault(next(iter(new)), incoming) == incoming, (depth, i)
+        assert {g_of.get(v) for v in cluster} == gs, (depth, i)
+    assert len(set(g_of.values())) == len(g_of)
 
 
 def mutate_seed_matrix(seed: Seed, k: int) -> Seed:

@@ -1171,6 +1171,23 @@ def test_exit_2_on_a_closed_stdout_in_process(capsys, monkeypatch, a2_file):
     assert capsys.readouterr().err == "input error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+def test_a_closed_stdout_leaks_no_descriptor(capsys, monkeypatch, a2_file):
+    """Each in-process call that meets a stdout with no reader points it
+    at os.devnull and closes the descriptor it opened to do so."""
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = cli.main(["validate", a2_file])
+            monkeypatch.undo()
+        assert code == 2
+    capsys.readouterr()
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_a_seed_with_no_skew_symmetrizer_is_invalid(capsys, tmp_path):
     path = tmp_path / "no_symmetrizer.json"
     dump_seed(Seed.from_data(["x1", "x2", "x3"], [], [[0, 1, -1], [-1, 0, 2], [1, -1, 0]]), str(path))
@@ -1180,9 +1197,10 @@ def test_a_seed_with_no_skew_symmetrizer_is_invalid(capsys, tmp_path):
     assert (doc["ok"], doc["violations"], doc["symmetrizer"]) == (
         False, ["no positive integer skew-symmetrizer exists"], None
     )
-    assert run(capsys, "green", str(path)) == (
-        2, "", "input error: no positive integer skew-symmetrizer exists\n"
-    )
+    for command in ("green", "clusters"):
+        assert run(capsys, command, str(path)) == (
+            2, "", "input error: no positive integer skew-symmetrizer exists\n"
+        )
 
 
 @pytest.mark.parametrize(

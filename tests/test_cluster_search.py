@@ -1,5 +1,6 @@
-"""Cluster enumeration against the labeled-state search it replaced, and
-the polygon model against cluster enumeration (d-vectors = crossings)."""
+"""Cluster enumeration against the labeled-state search it replaced and
+against an integer-only g-vector search, and the polygon model against
+cluster enumeration (d-vectors = crossings)."""
 
 import inspect
 import itertools
@@ -19,18 +20,22 @@ from clusterseeds import (
     poly as poly_module,
     seed_from_surface,
 )
-from clusterseeds.errors import LaurentViolation
+from clusterseeds.errors import LaurentViolation, SeedError, TheoremViolation
 from clusterseeds.homs import EMPTY_SPEC
 from clusterseeds.poly import (
     ClusterEnumeration,
-    _Memo,
-    _memo_exchange,
     exchange,
     initial_state,
     mutate_state,
 )
+import oracles
 from conftest import a2_seed, linear_path_seed, trivial_seed
-from oracles import enumerate_triangulations, reference_str
+from oracles import (
+    assert_matches_the_g_vector_search,
+    enumerate_triangulations,
+    g_vector_search,
+    reference_str,
+)
 
 
 def reference_enumerate_clusters(
@@ -105,6 +110,13 @@ def twin_seed():
     return Seed.from_data(["x1", "x2"], ["y"], [[0, 0, 2], [0, 0, 2]])
 
 
+def triplet_seed():
+    """x1, x2 and x3 joined only to the frozen y, each by b = 2: their
+    exchange relations differ only in the outgoing variable, and the
+    six permutations of x1, x2, x3 are automorphisms."""
+    return Seed.from_data(["x1", "x2", "x3"], ["y"], [[0, 0, 0, 2]] * 3)
+
+
 def two_a2_seed():
     """Two copies of A2.  Its eight automorphisms reverse either copy, an
     anti-automorphism of that copy alone, and swap the copies, so the
@@ -145,6 +157,7 @@ ORACLE_SEEDS = {
     "markov": (markov_seed, 6),
     "kronecker": (kronecker_seed, 20),
     "twin": (twin_seed, 3),
+    "triplet": (triplet_seed, 4),
     "two_a2": (two_a2_seed, 10),
     "frozen_fan": (frozen_fan_seed, 3),
     "isolated": (isolated_seed, 9),
@@ -188,17 +201,94 @@ def test_cluster_search_matches_the_labeled_search(monkeypatch, name):
     assert_matches_the_labeled_search(monkeypatch, enumerate_clusters, name)
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_SEEDS))
+def test_cluster_search_matches_the_g_vector_search(name):
+    """At every depth up to the pinned one.  On seeds whose frozen rows
+    are not principal coefficients this also checks, on that seed, that
+    the exchange graph does not depend on the coefficients
+    (Fomin-Zelevinsky, Cluster algebras IV, Conj. 4.3)."""
+    make_seed, pinned = ORACLE_SEEDS[name]
+    seed = make_seed()
+    for depth in range(pinned + 1):
+        assert_matches_the_g_vector_search(enumerate_clusters(seed, depth), seed, depth)
+
+
+# a fault in the g-vector rule, as the piece of the source of the
+# library and of the oracle it replaces, and a seed that shows it.  With
+# eps swapped at every step the search still finds the clusters of the
+# path quivers here, so D4 shows that fault.
+G_FAULTS = {
+    "wrong sign": (("[-v for v in gs[k]]", "[v for v in gs[k]]"),) * 2 + ("A4",),
+    "eps swapped": (
+        ("eps = 1 if hi > 0 else -1", "eps = -1 if hi > 0 else 1"),
+        ("eps = 1 if any(v > 0 for v in c) else -1", "eps = -1 if any(v > 0 for v in c) else 1"),
+        "D4",
+    ),
+    "g-vector of the wrong slot": (("for v in gs[k]]", "for v in gs[k - 1]]"),) * 2 + ("A3_prin",),
+}
+
+
+@pytest.mark.parametrize("fault_name", sorted(G_FAULTS))
+def test_the_oracles_catch_a_wrong_g_vector_rule_in_the_search(monkeypatch, fault_name):
+    """A wrong g-vector gives an edge a variable it does not exchange to
+    when it meets a g-vector found before, which the labeled search
+    shows; so does the g-vector search, whose clusters the wrong
+    variables no longer map onto.  A wrong variable may also make a
+    later division fail, which a search on these seeds never does."""
+    (old, new), _, name = G_FAULTS[fault_name]
+    search = fault(old, new)
+    make_seed, depth = ORACLE_SEEDS[name]
+    seed = make_seed()
+    with pytest.raises((AssertionError, LaurentViolation)):
+        assert_matches_the_labeled_search(monkeypatch, search, name)
+    with pytest.raises((AssertionError, LaurentViolation)):
+        assert_matches_the_g_vector_search(search(seed, depth), seed, depth)
+
+
+@pytest.mark.parametrize("fault_name", sorted(G_FAULTS))
+def test_a_wrong_g_vector_rule_in_the_oracle_is_caught(fault_name):
+    """The same faults in the g-vector search make it disagree with the
+    cluster search."""
+    _, (old, new), name = G_FAULTS[fault_name]
+    source = inspect.getsource(g_vector_search)
+    assert source.count(old) == 1
+    namespace = dict(vars(oracles))
+    exec(source.replace(old, new), namespace)
+    make_seed, depth = ORACLE_SEEDS[name]
+    seed = make_seed()
+    result = enumerate_clusters(seed, depth)
+    with pytest.raises(AssertionError):
+        assert_matches_the_g_vector_search(result, seed, depth, namespace["g_vector_search"])
+
+
+def test_a_seed_with_no_skew_symmetrizer_is_refused():
+    """The g-vector rule holds for skew-symmetrizable seeds only."""
+    seed = Seed.from_data(["x1", "x2", "x3"], [], [[0, 1, -1], [-1, 0, 2], [1, -1, 0]])
+    with pytest.raises(SeedError, match="no positive integer skew-symmetrizer exists"):
+        enumerate_clusters(seed, 3)
+
+
+def test_a_c_vector_of_mixed_signs_is_a_theorem_violation():
+    """Sign-coherence fails on no seed the search admits, so only rows
+    made by hand reach the check.  Slot 1 of A2 with principal
+    coefficients exchanges x2 for (x1 + y2)/x2, of g-vector (1, -1)."""
+    rows = ((0, 1, 1, -1), (-1, 0, 0, 1))
+    with pytest.raises(TheoremViolation, match=r"c-vector \(1, -1\) of slot 0 is not sign-coherent"):
+        poly_module._exchanged_g_vector(rows, ((1, 0), (0, 1)), 0)
+    assert poly_module._exchanged_g_vector(rows, ((1, 0), (0, 1)), 1) == (1, -1)
+
+
 def counted(monkeypatch, search, seed, depth):
-    """search(seed, depth), the edges it took (memo lookups), the
+    """search(seed, depth), the edges it took (g-vectors found), the
     exchanges it computed and the relabels it made."""
     edges, exchanges, relabels = [], [], []
     names = search.__globals__
-    take, compute = names["_memo_exchange"], names["exchange"]
+    take, compute = names["_exchanged_g_vector"], names["exchange"]
     relabel = MultiPoly.relabel
 
-    def taking(memo, state, k):
+    def taking(rows, gs, k):
         edges.append(k)
-        return take(memo, state, k)
+        return take(rows, gs, k)
 
     def computing(state, k):
         exchanges.append(k)
@@ -209,7 +299,7 @@ def counted(monkeypatch, search, seed, depth):
         return relabel(poly, order)
 
     with monkeypatch.context() as patch:
-        patch.setitem(names, "_memo_exchange", taking)
+        patch.setitem(names, "_exchanged_g_vector", taking)
         patch.setitem(names, "exchange", computing)
         patch.setattr(MultiPoly, "relabel", relabelling)
         result = search(seed, depth)
@@ -218,16 +308,17 @@ def counted(monkeypatch, search, seed, depth):
 
 # edges of one search: one per edge of the exchange graph between the
 # clusters kept (n * N / 2 when the search closes); exchanges: one per
-# exchange relation among those edges that the memo holds neither
-# computed nor as the image of a computed one under an automorphism of
-# the seed; relabels: one per automorphism other than the identity for
-# each variable computed that is new to the search.  A3_prin has no
+# edge with a g-vector new to the search whose relation the memo does
+# not hold as the image of a computed one under an automorphism of the
+# seed; relabels: one per automorphism other than the identity for each
+# variable computed that is new to the search.  A3_prin has no
 # automorphism but the identity, A4 and Kronecker one more, and D4 and
-# Markov five more.
+# Markov five more.  On Markov and Kronecker every new cluster holds a
+# new variable, so there the images alone save exchanges.
 EXCHANGES = {
-    "A4": (lambda: linear_path_seed(4), 30, 42, 84, 25, 6),
-    "D4": (d4_seed, 30, 50, 100, 22, 30),
-    "A3_prin": (a3_principal_seed, 30, 14, 21, 15, 0),
+    "A4": (lambda: linear_path_seed(4), 30, 42, 84, 8, 6),
+    "D4": (d4_seed, 30, 50, 100, 7, 30),
+    "A3_prin": (a3_principal_seed, 30, 14, 21, 6, 0),
     "markov": (markov_seed, 6, 190, 189, 32, 160),
     "kronecker": (kronecker_seed, 20, 41, 40, 20, 20),
 }
@@ -241,13 +332,13 @@ def test_cluster_search_exchange_counts_are_pinned(monkeypatch, name):
 
 
 def test_the_memo_lives_for_one_search(monkeypatch):
-    """A second search of the same seed computes its 25 exchange
-    relations and 6 relabels again: no relation or image is remembered
-    past the call."""
+    """A second search of the same seed computes its 8 exchange
+    relations and 6 relabels again: no g-vector, relation or image is
+    remembered past the call."""
     seed = linear_path_seed(4)
     for _ in range(2):
         result, *taken = counted(monkeypatch, enumerate_clusters, seed, 30)
-        assert [len(result.clusters), *taken] == [42, 84, 25, 6]
+        assert [len(result.clusters), *taken] == [42, 84, 8, 6]
 
 
 def test_markov_squares_each_variable_once(monkeypatch):
@@ -286,7 +377,7 @@ def test_a_search_builds_the_unit_and_each_frozen_generator_once(monkeypatch):
     poly_module._unit.cache_clear()
     poly_module._generator.cache_clear()
     result, edges, exchanges, relabels = counted(monkeypatch, enumerate_clusters, a3_principal_seed(), 30)
-    assert (len(result.clusters), result.status, edges, exchanges, relabels) == (14, "closed", 21, 15, 0)
+    assert (len(result.clusters), result.status, edges, exchanges, relabels) == (14, "closed", 21, 6, 0)
     # the unit, the initial cluster x1..x3 and the frozen y1..y3, once each
     assert built == {1: 1, **dict.fromkeys(["x1", "x2", "x3", "y1", "y2", "y3"], 1)}
     for cache in (poly_module._unit, poly_module._generator):
@@ -312,9 +403,15 @@ def test_closed_search_computes_each_edge_once(monkeypatch, name):
 
 def patched(old, new, **names):
     """The poly namespace, with names added, and one piece of the source
-    of enumerate_clusters, of the _memo_exchange it calls or of the _Memo
-    it makes replaced, all three defined anew there."""
-    functions = (poly_module._Memo, poly_module._memo_exchange, poly_module.enumerate_clusters)
+    of enumerate_clusters, of the _exchanged_g_vector or _memo_exchange
+    it calls or of the _Memo it makes replaced, all four defined anew
+    there."""
+    functions = (
+        poly_module._Memo,
+        poly_module._memo_exchange,
+        poly_module._exchanged_g_vector,
+        poly_module.enumerate_clusters,
+    )
     sources = [inspect.getsource(f) for f in functions]
     assert sum(source.count(old) for source in sources) == 1
     namespace = {**vars(poly_module), **names}
@@ -350,21 +447,26 @@ def test_oracle_catches_a_skipped_new_cluster(monkeypatch, name):
 
 
 def test_oracle_catches_a_memo_key_without_the_outgoing_variable(monkeypatch):
-    """On twin_seed the exchanges of x1 and x2 share their (variable, b)
-    pairs, so a key without the outgoing variable computes x2's new
-    variable as x1's."""
-    search = fault("(state.assignment[k], frozenset(", "(frozenset(")
+    """On triplet_seed the exchanges of x1, x2 and x3 share their
+    (variable, b) pairs, so keys without the outgoing variable store the
+    images of x1's relation under all five other automorphisms on one
+    key, and x2 or x3 takes the other's new variable from it."""
+    search = fault("(x, frozenset(pairs))", "frozenset(pairs)")
     with pytest.raises(AssertionError):
-        assert_matches_the_labeled_search(monkeypatch, search, "twin")
+        assert_matches_the_labeled_search(monkeypatch, search, "triplet")
 
 
-def memo_matches_exchange(memo_exchange):
-    """Through one memo, the exchanges in direction 0 of the rank-2 seeds
-    with b_12 = b, whose variables are equal, each equal to exchange."""
+def memo_matches_exchange(names):
+    """Through one memo of names["_Memo"] and names["_memo_exchange"]:
+    A2's exchange in direction 0 stores the image of its relation under
+    A2's anti-automorphism, keyed x2 and (x1, -1), and the exchanges in
+    direction 1 of the rank-2 seeds with b_12 = b, keyed x2 and (x1, -b),
+    each equal exchange."""
     states = [initial_state(Seed.from_data(["x1", "x2"], [], [[0, b], [-b, 0]])) for b in (1, 2, -3, 3)]
-    memo = _Memo(states[0])
+    memo, memo_exchange = names["_Memo"](states[0]), names["_memo_exchange"]
+    assert memo_exchange(memo, states[0], 0) == exchange(states[0], 0)
     for state in states:
-        assert memo_exchange(memo, state, 0) == exchange(state, 0), state.matrix
+        assert memo_exchange(memo, state, 1) == exchange(state, 1), state.matrix
 
 
 def test_memo_keys_carry_the_exponents():
@@ -375,9 +477,9 @@ def test_memo_keys_carry_the_exponents():
     that hold x and its neighbours, joined by such mutations, the
     neighbours fix the exponents.  So the fault is caught here, on seeds
     with equal variables and different exponents."""
-    memo_matches_exchange(_memo_exchange)
+    memo_matches_exchange(vars(poly_module))
     with pytest.raises(AssertionError):
-        memo_matches_exchange(patched("frozenset(pairs)", "frozenset(v for v, _ in pairs)")["_memo_exchange"])
+        memo_matches_exchange(patched("frozenset(pairs)", "frozenset(v for v, _ in pairs)"))
 
 
 def searched_memo(search, seed, depth):
@@ -436,11 +538,12 @@ def labeled_relation_keys(seed, depth):
 
 
 def assert_memo_holds_exact_relations(search, name):
-    """Every relation the memo holds, computed or image, equals the one
-    recomputed from its own key, and is a relation the labeled search
-    meets within the depth: an automorphism fixes the initial labeled
-    seed and commutes with mutation, so it maps the relations met within
-    a depth onto themselves.  Every variable is stored as itself."""
+    """Every relation the memo holds, the image of one it computed under
+    an automorphism, equals the one recomputed from its own key, and is
+    a relation the labeled search meets within the depth: an
+    automorphism fixes the initial labeled seed and commutes with
+    mutation, so it maps the relations met within a depth onto
+    themselves.  Every variable is stored as itself."""
     make_seed, depth = ORACLE_SEEDS[name]
     seed = make_seed()
     result, memo = searched_memo(search, seed, depth)

@@ -8,9 +8,9 @@ Y-systems and generalized associahedra, Ann. Math. 2003).  Each seed
 below is built from the Cartan matrix of its type in linear
 orientation, b_ij = -a_ij for i < j and a_ij for i > j.  The d-vectors
 of the variables are the almost positive roots, found by reflections in
-tests/oracles.py with no polynomial arithmetic.  E8 (h = 30: 25,080
-clusters, 128 variables) closes the same way but takes about a
-minute, so it is not run here.
+tests/oracles.py with no polynomial arithmetic, and the clusters are
+those of the integer-only g-vector search there.  E8 (h = 30: 25,080
+clusters, 128 variables) is the largest, at about two seconds.
 """
 
 from fractions import Fraction
@@ -20,7 +20,12 @@ from math import prod
 import pytest
 
 from clusterseeds import Seed, enumerate_clusters, validate_seed
-from oracles import almost_positive_roots, cartan_counterpart, d_vectors
+from oracles import (
+    almost_positive_roots,
+    assert_matches_the_g_vector_search,
+    cartan_counterpart,
+    d_vectors,
+)
 
 
 def cartan(n, bonds):
@@ -74,6 +79,17 @@ TYPES = {
         18,
         [1, 5, 7, 9, 11, 13, 17],
     ),
+    "E8": (
+        cartan(
+            8,
+            [
+                (0, 2, -1, -1), (2, 3, -1, -1), (3, 4, -1, -1), (4, 5, -1, -1),
+                (5, 6, -1, -1), (6, 7, -1, -1), (1, 3, -1, -1),
+            ],
+        ),
+        30,
+        [1, 7, 11, 13, 17, 19, 23, 29],
+    ),
 }
 
 
@@ -107,14 +123,14 @@ def closed_search(name):
     return seed, result, len(computed)
 
 
-# exchange relations computed per closed search: one per relation met
-# that the memo holds neither computed nor as an image under an
-# automorphism of the seed.  A5 and D4-D6 have one automorphism besides
-# the identity; the other types have none, so their counts are the
-# distinct relations met, as before automorphisms were used.
+# exchange relations computed per closed search: one per g-vector met
+# that is not an initial one and whose relation the memo does not hold
+# as an image under an automorphism of the seed.  A5 and D4-D6 have one
+# automorphism besides the identity; the other types have none, so
+# their counts are the variables less the n initial ones.
 COMPUTED = {
-    "A5": 54, "G2": 8, "B3": 22, "B4": 61, "B5": 140, "C3": 22, "C4": 61,
-    "D4": 37, "D5": 97, "D6": 210, "F4": 103, "E6": 437, "E7": 1248,
+    "A5": 13, "G2": 6, "B3": 9, "B4": 16, "B5": 25, "C3": 9, "C4": 16,
+    "D4": 9, "D5": 16, "D6": 25, "F4": 24, "E6": 36, "E7": 63, "E8": 120,
 }
 
 
@@ -138,7 +154,13 @@ def test_each_variable_is_one_object(name):
     assert len({id(v) for cluster in result.clusters for v in cluster}) == len(variables)
 
 
-@pytest.mark.parametrize("name", ["G2", "B4", "F4", "D6", "E6", "E7"])
+@pytest.mark.parametrize("name", sorted(TYPES))
+def test_clusters_are_those_of_the_g_vector_search(name):
+    seed, result, _ = closed_search(name)
+    assert_matches_the_g_vector_search(result, seed, 64)
+
+
+@pytest.mark.parametrize("name", ["G2", "B4", "F4", "D6", "E6", "E7", "E8"])
 def test_d_vectors_are_the_almost_positive_roots(name):
     """Fomin–Zelevinsky (Cluster algebras II, Thm. 1.9): the d-vectors of
     the cluster variables are the almost positive roots of the Cartan
