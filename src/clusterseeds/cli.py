@@ -142,15 +142,26 @@ def cmd_validate(args):
     return doc, human, 0
 
 
+def _human_variables(args, variables, monomials: dict) -> dict[str, str]:
+    """The machine text of each cluster variable -> its human text, with
+    a denominator of more than one factor bracketed; empty for a machine
+    report, so that no polynomial is kept while the report is written."""
+    if args.format != "human":
+        return {}
+    return {v.text(monomials): v.human_text(monomials) for v in variables}
+
+
 def cmd_mutate(args):
     seed = require_valid(load_seed(args.seed))
     state = initial_state(seed)
+    variables = list(state.assignment)
     steps = []
     for k in (None, *args.sequence):  # None stands for the initial seed
         if k is not None:
             if not 0 <= k < seed.n:
                 raise ParseError(f"mutation index {k} out of range 0..{seed.n - 1}")
             state = mutate_state(state, k)
+            variables += state.assignment
         steps.append(
             {
                 "k": k,
@@ -159,6 +170,7 @@ def cmd_mutate(args):
             }
         )
     doc = {"steps": steps}
+    shown = _human_variables(args, variables, {})
 
     def human(d):
         out = []
@@ -166,7 +178,7 @@ def cmd_mutate(args):
             head = "initial seed" if step["k"] is None else f"after mutation at slot {step['k']}"
             out.append(head)
             out.extend("  " + " ".join(f"{v:>4}" for v in row) for row in step["matrix"])
-            out.append("  cluster: " + ", ".join(step["cluster"]))
+            out.append("  cluster: " + ", ".join(map(shown.__getitem__, step["cluster"])))
         return "\n".join(out)
 
     return doc, human, 0
@@ -181,10 +193,11 @@ def cmd_clusters(args):
         "status": result.status,
         "clusters": [sorted(v.text(monomials) for v in c) for c in result.clusters],
     }
+    shown = _human_variables(args, itertools.chain.from_iterable(result.clusters), monomials)
 
     def human(d):
         lines = [f"{d['count']} clusters ({d['status']})"]
-        lines += ["  {" + ", ".join(c) + "}" for c in d["clusters"]]
+        lines += ["  {" + ", ".join(map(shown.__getitem__, c)) + "}" for c in d["clusters"]]
         return "\n".join(lines)
 
     return doc, human, 0
@@ -211,11 +224,16 @@ def cmd_endpar(args):
     seed = require_valid(load_seed(args.seed))
     bound = projected_endpar_bound(seed)
     S = enumerate_endpar(seed, cap=args.cap)
+    elements = []
+    for row in S.digits.tolist():  # hom_to_dict of each element, read off its digit row
+        I0, I1, mapping = S.decode(row)
+        image = {x: v for x, v in zip(seed.labels, mapping) if v is not None}
+        elements.append({"I0": list(I0), "I1": list(I1), "map": image})
     doc = {
         "size": len(S),
         "projected_bound": bound,
         "zero_index": S.zero_index,
-        "elements": [hom_to_dict(S.element(i)) for i in range(len(S))],
+        "elements": elements,
     }
 
     def human(d):
@@ -381,12 +399,14 @@ def cmd_check_sur(args):
             )
 
         def sweep():  # one spec at a time, as the results below take them
+            diagonal = set(dlabels)
             for size in range(args.max_cut + 1):
                 for chosen in itertools.combinations(labels, size):
-                    diag_part = [x for x in chosen if x in dlabels]
+                    chosen_set = frozenset(chosen)
+                    diag_part = [x for x in chosen if x in diagonal]
                     for r in range(len(diag_part) + 1):
-                        for I0 in itertools.combinations(diag_part, r):
-                            yield frozenset(I0), frozenset(set(chosen) - set(I0))
+                        for I0 in map(frozenset, itertools.combinations(diag_part, r)):
+                            yield I0, chosen_set - I0
 
         specs = sweep()
     else:

@@ -476,7 +476,8 @@ class MultiPoly:
         return self.shift(self._den_exponents())
 
     def __str__(self) -> str:
-        """A polynomial as is, else num/den, e.g. (x1 + x2 + 1)/x1*x2.
+        """A polynomial as is, else num/den, e.g. (x1 + x2 + 1)/x1*x2 in
+        machine reports (see human_text for the bracketed form).
 
         Formatted once per polynomial: terms in decreasing packed-key
         (grlex) order, the numerator's exponents shifted by den."""
@@ -498,6 +499,18 @@ class MultiPoly:
         if self._str is None:
             self._str = self._format(monomials)
         return self._str
+
+    def human_text(self, monomials: dict) -> str:
+        """text(monomials) with a denominator of more than one factor in
+        brackets, e.g. (x1 + x2 + 1)/(x1*x2).  The denominator is found
+        by its own text, which ends the machine text, so a label holding
+        / or * is never misread."""
+        text = self.text(monomials)
+        d = self._den_exponents()
+        if sum(map(bool, d)) < 2:
+            return text
+        den = _monomial_text(self.context, d)
+        return f"{text[: -len(den)]}({den})"
 
     def _format(self, monomials: dict) -> str:
         if self.is_zero():

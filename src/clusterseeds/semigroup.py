@@ -71,15 +71,20 @@ class SemigroupTable:
         """Digit -> image label: None for 0, labels[v] for 2*(v+1)+f."""
         return (None, None) + tuple(x for x in self.seed.labels for _ in (0, 1))
 
-    def element(self, i: int) -> PartialSeedHom:
-        """Element i as a PartialSeedHom: I0 is the exchangeable labels
-        with an odd digit, I1 the labels with digit 0."""
+    def decode(self, row: list[int]) -> tuple[tuple[str, ...], tuple[str, ...], tuple]:
+        """I0, I1 (each in label order) and the image of each label (None
+        outside the domain) of the element with this digit row: I0 is the
+        exchangeable labels with an odd digit, I1 the labels with digit 0."""
         seed = self.seed
-        row = self.digits[i].tolist()
-        I0 = frozenset(itertools.compress(seed.exchangeable_labels, map((1).__and__, row)))
-        I1 = frozenset(itertools.compress(seed.labels, map(operator.not_, row)))
-        mapping = tuple(map(self._label_of_digit.__getitem__, row))
-        return PartialSeedHom(seed, SubSeedSpec(I0, I1), seed, mapping)
+        I0 = tuple(itertools.compress(seed.exchangeable_labels, map((1).__and__, row)))
+        I1 = tuple(itertools.compress(seed.labels, map(operator.not_, row)))
+        return I0, I1, tuple(map(self._label_of_digit.__getitem__, row))
+
+    def element(self, i: int) -> PartialSeedHom:
+        """Element i as a PartialSeedHom, decoded from its digit row."""
+        I0, I1, mapping = self.decode(self.digits[i].tolist())
+        spec = SubSeedSpec(frozenset(I0), frozenset(I1))
+        return PartialSeedHom(self.seed, spec, self.seed, mapping)
 
     @cached_attribute
     def id_form(self) -> np.ndarray:

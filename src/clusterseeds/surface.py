@@ -17,8 +17,16 @@ are read off the surface seed, and the cut seed's rows are built
 straight from the cut's fields.  Each cut set is cut once, from the
 kept cut of the cut set without its last diagonal, so a sweep validates
 only the surface it was given (a cut of a valid surface is valid).
-What depends on one triangulated polygon alone (its faces, apexes, side
-pairs and curve rows) is cached per (N, diagonals).
+
+The module keeps two bounded caches, each keyed by one triangulated
+polygon's (N, sorted diagonals): _polygon_table holds its faces, the
+apexes of each diagonal, its pairs of consecutive diagonal sides and a
+table of shear rows that a curve's row is read from by its segment
+pair (made on first lookup, at most N(N - 1) rows), and
+_triangulation_fault whether the diagonals triangulate the polygon.
+A row build looks up each polygon's table once.  Everything else a
+sweep keeps (the surface seed, the cut fields and the comparison of
+each cut set) is cached on the surface itself and freed with it.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import SeedError
@@ -145,15 +154,42 @@ def validate_surface(data: SurfaceData) -> SurfaceData:
 
 
 # The caches below are keyed by one polygon's (N, diagonals) and return
-# immutable values, so every caller can share them.
+# values that callers only read (a table of shear rows adds a row on its
+# own first lookup), so every caller can share them.
+
+
+class _ShearRows(dict):
+    """Segment pair (s, t) -> shear row of the curve with ends on the
+    boundary segments s and t of one triangulated polygon: the pairs
+    (i, sign) for each diagonals[i] the curve crosses with a nonzero
+    _crossing_sign, in diagonal order.  A row is made on its first
+    lookup and kept, so a table holds at most N(N - 1) rows."""
+
+    __slots__ = ("N", "diagonals", "apexes")
+
+    def __init__(self, N: int, diagonals, apexes):
+        super().__init__()
+        self.N, self.diagonals, self.apexes = N, diagonals, apexes
+
+    def __missing__(self, segments: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+        curve = (0, segments)
+        row = tuple(
+            (i, sign)
+            for i, d in enumerate(self.diagonals)
+            if curve_crosses(curve, 0, d)
+            and (sign := _crossing_sign(self.N, d, self.apexes, curve))
+        )
+        self[segments] = row
+        return row
 
 
 @lru_cache(maxsize=4096)
-def _polygon_table(N: int, diagonals) -> tuple[tuple, MappingProxyType, tuple]:
+def _polygon_table(N: int, diagonals) -> tuple[tuple, MappingProxyType, tuple, _ShearRows]:
     """Faces u < v < w, diagonal (a, b) -> apexes (p, q) of its two
-    triangles (p inside the counterclockwise arc a..b, q outside), and the
-    (x, y) of consecutive counterclockwise triangle sides that are both
-    diagonals, for the N-gon triangulated by the sorted diagonals."""
+    triangles (p inside the counterclockwise arc a..b, q outside), the
+    positions (i, j) in diagonals of consecutive counterclockwise
+    triangle sides that are both diagonals, and the shear rows of the
+    curves, for the N-gon triangulated by the sorted diagonals."""
     edges = {(i, (i + 1) % N) for i in range(N)}
     edges = {(min(a, b), max(a, b)) for a, b in edges}
     edges |= {tuple(d) for d in diagonals}
@@ -171,7 +207,7 @@ def _polygon_table(N: int, diagonals) -> tuple[tuple, MappingProxyType, tuple]:
                     faces.append((u, v, w))
     if len(faces) != N - 2:
         raise SeedError(f"{len(faces)} triangles in an {N}-gon, expected {N - 2}")
-    inside = set(diagonals)
+    position = {d: i for i, d in enumerate(diagonals)}
     inner: dict[tuple[int, int], int] = {}
     outer: dict[tuple[int, int], int] = {}
     pairs = []
@@ -180,10 +216,10 @@ def _polygon_table(N: int, diagonals) -> tuple[tuple, MappingProxyType, tuple]:
         for i, apex in enumerate((w, u, v)):
             x, y = sides[i], sides[(i + 1) % 3]
             (inner if x[0] < apex < x[1] else outer)[x] = apex
-            if x in inside and y in inside:
-                pairs.append((x, y))
+            if x in position and y in position:
+                pairs.append((position[x], position[y]))
     apexes = MappingProxyType({d: (p, outer[d]) for d, p in inner.items() if d in outer})
-    return tuple(faces), apexes, tuple(pairs)
+    return tuple(faces), apexes, tuple(pairs), _ShearRows(N, diagonals, apexes)
 
 
 @lru_cache(maxsize=4096)
@@ -233,44 +269,39 @@ def _crossing_sign(N: int, diag: tuple[int, int], apexes, curve) -> int:
     return 0
 
 
-@lru_cache(maxsize=4096)
-def _shear_row(N: int, diagonals, segments: tuple[int, int]) -> MappingProxyType:
-    """Diagonal -> _crossing_sign for each diagonal that the curve with
-    ends on segments = (s, t) crosses.  diagonals is sorted."""
-    _, apexes, _ = _polygon_table(N, diagonals)
-    curve = (0, segments)
-    return MappingProxyType(
-        {d: _crossing_sign(N, d, apexes, curve) for d in diagonals if curve_crosses(curve, 0, d)}
-    )
-
-
 def _rows_of_fields(components, diagonals, laminations):
     """Exchangeable labels, frozen labels and matrix rows of the seed of
     the surface with these fields, diagonals exchangeable and laminations
     frozen, each in label order.  Within each triangle, consecutive
     counterclockwise diagonal sides (x, y) add b_xy += 1, and a
     lamination's column sums the shear rows of its curves; both are read
-    from the tables of each polygon.  The fields are not validated."""
+    from each polygon's table, looked up once per polygon.  The fields
+    are not validated."""
     diagonals = sorted(diagonals)
     ex_labels = tuple(lbl for lbl, _ in diagonals)
     row_of: dict[int, dict[tuple[int, int], int]] = {}  # component -> diagonal -> row
     for i, (_, (c, d)) in enumerate(diagonals):
         row_of.setdefault(c, {})[d] = i
-    polygons = {c: (components[c], tuple(sorted(ds)), ds) for c, ds in row_of.items()}
     laminations = sorted(laminations)
     width = len(ex_labels) + len(laminations)
     rows = [[0] * width for _ in ex_labels]
-    for N, ds, row in polygons.values():
-        for x, y in _polygon_table(N, ds)[2]:
-            i, j = row[x], row[y]
+    polygons = {}  # component -> (its shear rows, the row of each of its sorted diagonals)
+    for c, row in row_of.items():
+        ds = tuple(sorted(row))
+        _, _, pairs, shear = _polygon_table(components[c], ds)
+        at = [row[d] for d in ds]
+        for x, y in pairs:
+            i, j = at[x], at[y]
             rows[i][j] += 1
             rows[j][i] -= 1
+        polygons[c] = shear, at
     for col, (_, curves) in enumerate(laminations, len(ex_labels)):
         for c, segments in curves:
-            if c in polygons:
-                N, ds, row = polygons[c]
-                for d, sign in _shear_row(N, ds, segments).items():
-                    rows[row[d]][col] += sign
+            polygon = polygons.get(c)
+            if polygon is not None:
+                shear, at = polygon
+                for i, sign in shear[segments]:
+                    rows[at[i]][col] += sign
     return ex_labels, tuple(lbl for lbl, _ in laminations), tuple(map(tuple, rows))
 
 
@@ -316,9 +347,15 @@ def _cut(components, diagonals, laminations, x: str):
     increasing, so a lamination with no curve on the cut component keeps
     its sorted order and is not sorted again.  Each lamination is
     clipped on its own, and the label of x is added as the lamination of
-    the two curves hugging the cut segment.
+    the two curves hugging the cut segment.  Diagonals (u < v) and curves
+    are written with their ends in order; on side 1 a diagonal's order
+    is kept by the shift.
     """
-    c, (a, b) = next(d for lbl, d in diagonals if lbl == x)
+    for lbl, (c, (a, b)) in diagonals:
+        if lbl == x:
+            break
+    else:
+        raise SeedError(f"{x!r} is not a diagonal of the surface")
     N = components[c]
     k1 = b - a + 1  # side-1 vertex count; cut segment k1-1
     k2 = N - (b - a) + 1  # side-2 vertex count; cut segment k2-1
@@ -332,13 +369,12 @@ def _cut(components, diagonals, laminations, x: str):
         elif lbl == x:
             continue
         elif a <= u <= b and a <= v <= b and not (u == a and v == b):
-            nu, nv = u - a, v - a
-            new_diagonals.append((lbl, (c, (min(nu, nv), max(nu, nv)))))
+            new_diagonals.append((lbl, (c, (u - a, v - a))))
         else:
             nu, nv = (u - b) % N, (v - b) % N
-            new_diagonals.append((lbl, (side2, (min(nu, nv), max(nu, nv)))))
+            new_diagonals.append((lbl, (side2, (nu, nv) if nu < nv else (nv, nu))))
 
-    new_laminations = []
+    new_laminations = [(x, ((c, (0, k1 - 2)), (side2, (0, k2 - 2))))]
     for lbl, curves in laminations:
         clipped = []
         on_cut = False
@@ -347,21 +383,24 @@ def _cut(components, diagonals, laminations, x: str):
                 clipped.append((cc + (cc > c), (s, t)))
                 continue
             # stays on side 1 or side 2 if both segments do, else one
-            # fragment per side, ending on the cut segment
+            # fragment per side, ending on the cut segment, which is the
+            # last segment of its side
             on_cut = True
             on1, on2 = a <= s < b, a <= t < b
             if on1 and on2:
-                clipped.append(_norm_curve(c, s - a, t - a))
+                clipped.append((c, (s - a, t - a) if s < t else (t - a, s - a)))
             elif not (on1 or on2):
-                clipped.append(_norm_curve(side2, (s - b) % N, (t - b) % N))
+                p, q = (s - b) % N, (t - b) % N
+                clipped.append((side2, (p, q) if p < q else (q, p)))
             else:
                 inner, outer = (s, t) if on1 else (t, s)
-                clipped.append(_norm_curve(c, inner - a, k1 - 1))
-                clipped.append(_norm_curve(side2, (outer - b) % N, k2 - 1))
-        new_laminations.append((lbl, tuple(sorted(clipped) if on_cut else clipped)))
-    hug = sorted([_norm_curve(c, 0, k1 - 2), _norm_curve(side2, 0, k2 - 2)])
-    new_laminations.append((x, tuple(hug)))
-    return comps, tuple(new_diagonals), tuple(sorted(new_laminations))
+                clipped.append((c, (inner - a, k1 - 1)))
+                clipped.append((side2, ((outer - b) % N, k2 - 1)))
+        if on_cut:
+            clipped.sort()
+        new_laminations.append((lbl, tuple(clipped)))
+    new_laminations.sort()
+    return comps, tuple(new_diagonals), tuple(new_laminations)
 
 
 def paunched_surface(data: SurfaceData, I0, I1) -> SurfaceData:
@@ -413,27 +452,32 @@ def _cut_set_comparison(base: Seed, cuts: frozenset[str], fields):
     tables (base itself when cuts is empty).  Returns whether the
     exchangeable label sets are equal, and the mismatch set: the frozen
     labels of one side only, with the column labels on which some row
-    shared by both sides disagrees.
+    shared by both sides disagrees.  Each shared row is compared as two
+    tuples of its shared columns, and its disagreeing labels are named
+    only if they differ.
     """
     left_rows = _subseed_rows(base, cuts)
     if cuts:
         exchangeable, frozen, matrix = _rows_of_fields(*fields)
     else:
         exchangeable, frozen, matrix = base.exchangeable_labels, base.frozen_labels, base.matrix
-    right_rows = dict(zip(exchangeable, matrix))
-    rows = [(row, right_rows[x]) for x, row in left_rows.items() if x in right_rows]
-    disagree = frozenset()
-    if rows:
-        # each side's columns over the shared rows; a column label of the
-        # left side only is not compared
-        left_cols, right_cols = (zip(*side) for side in zip(*rows))
-        right_col = dict(zip(exchangeable + frozen, right_cols))
-        disagree = frozenset(
-            y for y, col in zip(base.labels, left_cols) if right_col.get(y, col) != col
-        )
+    # the column map: the right side's position k of each column label
+    # it shares with base, read through base's position of that label; a
+    # column label of one side only is not compared
+    labels = exchangeable + frozen
+    position = base._position
+    shared = [k for k, y in enumerate(labels) if y in position]
+    disagree = set()
+    if shared:
+        left_key = itemgetter(*[position[labels[k]] for k in shared])
+        right_key = itemgetter(*shared)
+        for x, other in zip(exchangeable, matrix):
+            row = left_rows.get(x)
+            if row is not None and left_key(row) != right_key(other):
+                disagree.update(labels[k] for k in shared if row[position[labels[k]]] != other[k])
     # the left side's frozen labels are base's labels without a left row
     one_side = base._label_sets[1].difference(left_rows).symmetric_difference(frozen)
-    return left_rows.keys() == right_rows.keys(), one_side | disagree
+    return left_rows.keys() == set(exchangeable), one_side | disagree
 
 
 def check_theorem_sur(data: SurfaceData, I0, I1) -> bool:
@@ -457,10 +501,11 @@ def check_theorem_sur(data: SurfaceData, I0, I1) -> bool:
     if not (I0 <= exchangeable and I1 <= labels and I0.isdisjoint(I1)):
         SubSeedSpec(I0, I1).validate(base)  # raises the SpecError of the first failed test
     cuts = I0 | (I1 & exchangeable)
-    if cuts not in comparisons:
+    comparison = comparisons.get(cuts)
+    if comparison is None:
         cut_fields = _cut_fields(fields, tuple(sorted(cuts)))
-        comparisons[cuts] = _cut_set_comparison(base, cuts, cut_fields)
-    ex_equal, mismatch = comparisons[cuts]
+        comparison = comparisons[cuts] = _cut_set_comparison(base, cuts, cut_fields)
+    ex_equal, mismatch = comparison
     return ex_equal and mismatch <= I1
 
 

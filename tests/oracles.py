@@ -528,8 +528,17 @@ def shear_contribution(N: int, diagonals, diag: tuple[int, int], curve) -> int:
     """
     if not curve_crosses(curve, curve[0], diag):
         return 0
-    _, apexes, _ = _polygon_table(N, tuple(sorted(tuple(d) for d in diagonals)))
+    apexes = _polygon_table(N, tuple(sorted(tuple(d) for d in diagonals)))[1]
     return _crossing_sign(N, diag, apexes, curve)
+
+
+def shear_row(N: int, diagonals, segments: tuple[int, int]) -> dict[tuple[int, int], int]:
+    """Diagonal -> _crossing_sign for each of the sorted diagonals that
+    the curve with ends on segments = (s, t) crosses, zero signs
+    included: one curve's shear row, computed on its own."""
+    apexes = _polygon_table(N, diagonals)[1]
+    curve = (0, segments)
+    return {d: _crossing_sign(N, d, apexes, curve) for d in diagonals if curve_crosses(curve, 0, d)}
 
 
 def cut_set_comparison_by_seeds(base: Seed, cuts: frozenset[str], fields):

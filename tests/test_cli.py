@@ -6,6 +6,7 @@ import errno
 import hashlib
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import clusterseeds.poly as poly_module
 import clusterseeds.semigroup as semigroup_module
 import clusterseeds.surface as surface_module
 from clusterseeds import MultiPoly, Seed, cli, enumerate_clusters, initial_state
-from clusterseeds.fileio import surface_to_dict
+from clusterseeds.fileio import hom_to_dict, surface_to_dict
 from conftest import (
     a2_seed,
     a2_y2_seed,
@@ -30,7 +31,7 @@ from conftest import (
     two_component_surface,
 )
 from clusterseeds import make_surface
-from oracles import dump_seed, reference_str
+from oracles import dump_seed, enumerate_triangulations, reference_str
 
 
 @pytest.fixture
@@ -674,6 +675,31 @@ def test_surface_sweep_is_pinned(capsys, tmp_path):
     )
 
 
+def test_sweep_of_every_small_polygon_is_pinned(capsys, tmp_path):
+    # one sha256 over the machine output of check-sur --all --max-cut 2 on
+    # every triangulated N-gon, N = 3..8, each with one lamination of one
+    # to three curves drawn from random.Random(34)
+    rng = random.Random(34)
+    digest = hashlib.sha256()
+    jobs = specs = 0
+    path = tmp_path / "polygon.json"
+    for N in range(3, 9):
+        for tri in enumerate_triangulations(N):
+            curves = [rng.sample(range(N), 2) for _ in range(rng.randint(1, 3))]
+            path.write_text(json.dumps(surface_to_dict(make_surface(N, tri, [curves]))))
+            code, out, _ = run(
+                capsys, "--format", "machine", "check-sur", str(path), "--all", "--max-cut", "2"
+            )
+            assert code == 0, (N, tri)
+            digest.update(out.encode())
+            jobs += 1
+            specs += json.loads(out)["checked"]
+    assert (jobs, specs) == (196, 10_396)
+    assert digest.hexdigest() == (
+        "08f9cd6e8ad6f08c0abf6ae098e621d0abdc5a9f41950085b5819f7cfdb2f387"
+    )
+
+
 def test_surface_sweep_builds_rows_once_per_cut_set(
     capsys, monkeypatch, fresh_surface_caches, hexagon_file
 ):
@@ -849,6 +875,19 @@ def test_endpar_report(capsys, a2_file):
     doc = json.loads(out)
     assert doc["size"] == 19
     assert len(doc["elements"]) == 19
+
+
+@pytest.mark.parametrize("seed", [a2_seed(), a2_y2_seed(), linear_path_seed(3)], ids=["a2", "a2_y2", "A3"])
+def test_endpar_elements_are_the_decoded_homs(capsys, tmp_path, seed):
+    # the report reads each element off its digit row; element(i) decodes
+    # the same row into a PartialSeedHom, written by hom_to_dict
+    path = tmp_path / "seed.json"
+    dump_seed(seed, str(path))
+    code, out, _ = run(capsys, "--format", "machine", "endpar", str(path))
+    S = semigroup_module.enumerate_endpar(seed)
+    expected = [hom_to_dict(S.element(i)) for i in range(len(S))]
+    assert code == 0
+    assert out == cli.dumps_indented({**json.loads(out), "elements": expected}) + "\n"
 
 
 def test_green_egg_box(capsys, a2_file):
@@ -1118,8 +1157,30 @@ def test_mutate_human_output_is_pinned(capsys, a2_file):
         "after mutation at slot 1\n"
         "     0    1\n"
         "    -1    0\n"
-        "  cluster: (x2 + 1)/x1, (x1 + x2 + 1)/x1*x2\n"
+        "  cluster: (x2 + 1)/x1, (x1 + x2 + 1)/(x1*x2)\n"
     )
+
+
+def test_human_denominators_are_bracketed_whatever_the_labels(capsys, tmp_path):
+    # labels holding / and *: the machine text keeps num/den as it was,
+    # and the human text brackets a denominator of more than one factor,
+    # found by its own text rather than by reading the labels
+    path = tmp_path / "a2.json"
+    dump_seed(Seed(("a/b", "c*d"), (), ((0, 1), (-1, 0))), str(path))
+    code, out, _ = run(capsys, "--format", "machine", "mutate", str(path), "0", "1")
+    assert code == 0
+    assert json.loads(out)["steps"][2]["cluster"] == ["(c*d + 1)/a/b", "(a/b + c*d + 1)/a/b*c*d"]
+    code, out, _ = run(capsys, "mutate", str(path), "0", "1")
+    assert out.splitlines()[-1] == "  cluster: (c*d + 1)/a/b, (a/b + c*d + 1)/(a/b*c*d)"
+    code, out, _ = run(capsys, "clusters", str(path))
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "  {a/b, c*d}",
+        "  {(c*d + 1)/a/b, c*d}",
+        "  {(a/b + 1)/c*d, a/b}",
+        "  {(a/b + c*d + 1)/(a/b*c*d), (c*d + 1)/a/b}",
+        "  {(a/b + 1)/c*d, (a/b + c*d + 1)/(a/b*c*d)}",
+    ]
 
 
 def test_classify_human_output_is_pinned(capsys, a2_file):

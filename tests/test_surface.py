@@ -35,6 +35,7 @@ from oracles import (
     cut_set_comparison_by_seeds,
     enumerate_triangulations,
     shear_contribution,
+    shear_row,
     spec_of,
     triangles_of,
 )
@@ -530,6 +531,74 @@ def test_sweep_verdicts_match_the_reference_under_a_fault(monkeypatch, fresh_sur
         assert hidden and all(hidden)
 
 
+def _frozen_instead(seed, x):
+    """(exchangeable labels, frozen labels, rows) of seed with x frozen
+    (its row dropped, its column kept among the frozen ones), or of seed
+    itself if x is not exchangeable."""
+    if not seed.is_exchangeable(x):
+        return seed.exchangeable_labels, seed.frozen_labels, seed.matrix
+    exchangeable = tuple(y for y in seed.exchangeable_labels if y != x)
+    frozen = tuple(sorted((*seed.frozen_labels, x)))
+    rows = tuple(tuple(seed.b(r, y) for y in exchangeable + frozen) for r in exchangeable)
+    return exchangeable, frozen, rows
+
+
+@pytest.mark.parametrize(
+    "fault", ["hug column", "lamination column", "exchangeable column", "row on one side"]
+)
+def test_comparison_names_each_disagreement_under_a_fault(monkeypatch, fresh_surface_caches, fault):
+    # one fault, fixed by label for each surface, in the rows of every cut
+    # surface (one with more components than the swept one): the entry
+    # b_xy raised in a column shared by both sides (a cut diagonal's hug,
+    # a lamination, an exchangeable diagonal), or x's row dropped with x
+    # frozen.  The oracle of the comparison and the reference sweep see
+    # the same faulty rows.
+    import oracles
+
+    real = surface_module._rows_of_fields
+    faulty = [None, None, None]
+
+    def rows_of_fields(components, diagonals, laminations):
+        rows = real(components, diagonals, laminations)
+        x, y, size = faulty
+        if len(components) == size or x is None:
+            return rows
+        seed = Seed(*rows)
+        if fault == "row on one side":
+            return _frozen_instead(seed, x)
+        seed = _bumped(seed, x, y)
+        return seed.exchangeable_labels, seed.frozen_labels, seed.matrix
+
+    monkeypatch.setattr(surface_module, "_rows_of_fields", rows_of_fields)
+    monkeypatch.setattr(oracles, "_rows_of_fields", rows_of_fields)
+    fresh_surface_caches()
+    fast, reference, outcomes = [], [], set()
+    for surf in [*seeded_polygons(), two_component_surface()]:
+        d = sorted(surf.diagonal_labels())
+        x, y = {
+            "hug column": d[1:2] + d[:1],
+            "lamination column": d[:1] + [min(surf.lamination_labels())],
+            "exchangeable column": d[:2],
+            "row on one side": d[:1] * 2,
+        }[fault] if len(d) > 1 else (None, None)
+        faulty[:] = x, y, len(surf.components)
+        for I0, I1 in sweep_specs(surf, 2):
+            fast.append(check_theorem_sur(surf, I0, I1))
+            reference.append(reference_check_theorem_sur(surf, I0, I1))
+        base, comparisons, fields = surf._sweep
+        for cuts, cut in fields.items():
+            got = surface_module._cut_set_comparison(base, frozenset(cuts), cut)
+            assert got == cut_set_comparison_by_seeds(base, frozenset(cuts), cut), (surf, cuts)
+            assert got == comparisons[frozenset(cuts)]
+            outcomes.add((got[0], bool(got[1])))
+            if fault != "row on one side":
+                # a raised entry is named by its column alone
+                assert got[1] <= {y}, (surf, cuts, got)
+    assert fast == reference
+    assert True in fast and False in fast
+    assert (False if fault == "row on one side" else True, True) in outcomes, outcomes
+
+
 def test_deeper_sweep_compares_each_cut_set_once(monkeypatch, fresh_surface_caches):
     # at --max-cut 3 a cut set recurs farther apart than at depth 2; the
     # empty cut set's seed is the surface's own.  The 11-gon fan has
@@ -825,6 +894,31 @@ def test_matrix_and_shear_row_are_fresh_per_call():
     assert expected[1] == reference_shear_coordinates(surf, curves)
 
 
+def test_polygon_shear_rows_match_the_per_curve_oracle():
+    # every triangulation of N = 3..8 and every segment pair s != t, in
+    # either order: the table's row lists, in diagonal order, each crossed
+    # diagonal with a nonzero sign (a zero adds nothing to a column)
+    pairs = zeros = 0
+    for N in range(3, 9):
+        for tri in enumerate_triangulations(N):
+            ds = tuple(sorted(tri))
+            shear = surface_module._polygon_table(N, ds)[3]
+            for segments in itertools.permutations(range(N), 2):
+                expected = shear_row(N, ds, segments)
+                row = shear[segments]
+                assert {ds[i]: sign for i, sign in row} == {
+                    d: sign for d, sign in expected.items() if sign
+                }, (N, ds, segments)
+                assert [i for i, _ in row] == sorted({i for i, _ in row})
+                assert shear[segments] is row  # kept after its first lookup
+                zeros += len(expected) - len(row)
+                pairs += 1
+            assert len(shear) == N * (N - 1)
+    # N(N - 1) pairs times the Catalan number C(N - 2) of triangulations
+    assert pairs == 6 * 1 + 12 * 2 + 20 * 5 + 30 * 14 + 42 * 42 + 56 * 132
+    assert zeros > 0
+
+
 def test_a_swept_surface_is_freed_once_dropped():
     # the sweep's memo lives on the surface, so no cache keeps a surface,
     # its seed or its comparisons alive after the sweep
@@ -842,11 +936,9 @@ def test_surface_caches_are_bounded():
         for name, obj in vars(surface_module).items()
         if hasattr(obj, "cache_parameters")
     }
-    assert set(maxsizes) == {
-        "_polygon_table",
-        "_triangulation_fault",
-        "_shear_row",
-    }
+    # each curve's shear row lives in its polygon's table, so a table
+    # holds at most N(N - 1) rows
+    assert set(maxsizes) == {"_polygon_table", "_triangulation_fault"}
     assert all(isinstance(m, int) and m > 0 for m in maxsizes.values()), maxsizes
 
 
@@ -898,7 +990,7 @@ def _flip(data, x):
     triangles; x keeps its label."""
     (N,) = data.components
     diagonals = [d for _, (_, d) in data.diagonals]
-    _, apexes, _ = surface_module._polygon_table(N, tuple(sorted(diagonals)))
+    apexes = surface_module._polygon_table(N, tuple(sorted(diagonals)))[1]
     p, q = sorted(apexes[dict(data.diagonals)[x][1]])
     flipped = tuple((lbl, (0, (p, q)) if lbl == x else d) for lbl, d in data.diagonals)
     return SurfaceData(data.components, flipped, data.laminations)
