@@ -621,127 +621,54 @@ def mutate_state(state: LabeledSeedState, k: int) -> LabeledSeedState:
     )
 
 
-class _Memo(dict):
-    """The memo of one search (see _memo_exchange) and the seed's automorphisms.
+def _automorphisms(seed: Seed) -> list:
+    """The automorphisms of seed but the identity, each as the order that
+    relabel takes, its first n entries and the sign of each row.
 
-    An automorphism of the initial seed (homs.enumerate_seed_isos) is a
-    label permutation sigma with b_{sigma x, sigma y} = eps_x * b_xy, one
-    sign eps_x per exchangeable row, constant on each component (-1 on
-    an anti-automorphism of it, such as the reversal of a path).  sigma
-    is a ring automorphism of Z[x^+-1] and commutes with mutation
-    (Assem-Dupont-Schiffler, JPAA 2014), so it sends the relation keyed
-    (x_k, {(v_t, b_kt)}) with variable w to the relation keyed
-    (sigma x_k, {(sigma v_t, eps_k * b_kt)}) with variable sigma(w), the
-    relation of a labeled seed at the same depth.  A relation's variable
-    depends only on its key, and M+ + M- does not change when b flips
-    sign, so the image is exact for any label permutation; only an
-    automorphism makes it a relation the search can meet.  The
-    automorphisms are read lazily, and a seed with more than
-    MAX_AUTOMORPHISMS of them (one label and ten zero frozen columns
-    have 10!) is searched with the identity only.
-
-    Besides the dict: the automorphisms, the identity first, as the
-    ``orders`` that relabel takes, the signs eps per row, and ``after``,
-    where after[i][j] is the index of sigma_j after sigma_i; and
-    ``images``, mapping each variable to its images under them.
+    An automorphism (homs.enumerate_seed_isos) is a label permutation
+    sigma with b_{sigma x, sigma y} = eps_x * b_xy, eps constant on each
+    component (-1 on an anti-automorphism of it, such as the reversal of
+    a path).  As a ring automorphism of Z[x^+-1], sigma takes the
+    variable w at the end of a path of mutations from B to the one at
+    the end of sigma's path from B', where b'_{sigma x, sigma y} = b_xy,
+    and w's g-vector for B to that one's for B'.  M+ + M- does not
+    change when b flips sign, so B, -B and B' have the same exchange
+    relations: sigma(w) is a variable of B, at the same depth.  On its
+    component, that of sigma(x_k) for the slot k that w was computed in,
+    B' is eps_k * B, so its g-vector for B is sigma applied to w's for B
+    if eps_k = 1 and for -B if eps_k = -1.  GHKK (JAMS 2018) holds for -B
+    as for B, and Fomin-Zelevinsky IV, Thm 3.7 carries both to geometric
+    coefficients.  The automorphisms are read lazily, and a seed with
+    more than MAX_AUTOMORPHISMS (one label and ten zero frozen columns
+    have 10!) is searched with none.
     """
-
-    __slots__ = ("orders", "signs", "after", "images")
-
-    def __init__(self, start: LabeledSeedState):
-        seed = start.seed
-        identity = tuple(range(len(seed.labels)))
-        isos = list(itertools.islice(enumerate_seed_isos(seed, seed), MAX_AUTOMORPHISMS + 1))
-        if len(isos) > MAX_AUTOMORPHISMS:
-            isos = []
-        perms = [identity]  # perm[t]: the position of the image of label t
-        perms += [p for p in (tuple(map(seed.index, iso.mapping)) for iso in isos) if p != identity]
-        self.orders = [tuple(sorted(identity, key=p.__getitem__)) for p in perms]
-        if len(perms) == 1:
-            return  # the identity stores no image
-        at = {p: g for g, p in enumerate(perms)}
-        self.after = [[at[tuple(map(q.__getitem__, p))] for q in perms] for p in perms]
-        rows = seed.matrix
-        self.signs = [
-            [next((1 if rows[p[k]][p[t]] == b else -1 for t, b in enumerate(row) if b), 1)
-             for k, row in enumerate(rows)]
-            for p in perms
-        ]
-        variables = [start.variable(t) for t in identity]
-        self.images = {v: tuple(variables[p[t]] for p in perms) for t, v in enumerate(variables)}
-
-    @staticmethod
-    def relation(x: MultiPoly, pairs) -> tuple:
-        """The key of the relation with outgoing variable x and the
-        (variable, b) pairs of its nonzero exponents."""
-        return (x, frozenset(pairs))
-
-    def add_images(self, x: MultiPoly, pairs, k: int, value: MultiPoly) -> None:
-        """Store the image of the relation computed in slot k, outgoing
-        x, with (variable, b) pairs and the given variable, under each
-        automorphism.  A variable new to the search is relabelled once
-        per automorphism, and its images are the variables of its orbit."""
-        if len(self.orders) == 1:
-            return
-        images = self.images
-        own = images.get(value) or self._orbit(value)
-        outgoing, neighbours = images[x], [(images[v], b) for v, b in pairs]
-        for g in range(1, len(own)):
-            sign = self.signs[g][k]
-            key = self.relation(outgoing[g], [(vs[g], sign * b) for vs, b in neighbours])
-            self.setdefault(key, own[g])
-
-    def _orbit(self, value: MultiPoly) -> tuple[MultiPoly, ...]:
-        """The images of value, made by relabelling it; each image goes
-        through the memo, so a variable stays one object, and each
-        variable of the orbit gets its images: sigma_j(sigma_i(value))."""
-        orbit = [value]
-        for order in self.orders[1:]:
-            image = value.relabel(order)
-            orbit.append(self.setdefault(image, image))
-        for v, after in zip(orbit, self.after):
-            self.images.setdefault(v, tuple(map(orbit.__getitem__, after)))
-        return self.images[value]
+    identity = tuple(range(len(seed.labels)))
+    isos = list(itertools.islice(enumerate_seed_isos(seed, seed), MAX_AUTOMORPHISMS + 1))
+    if len(isos) > MAX_AUTOMORPHISMS:
+        return []
+    rows = seed.matrix
+    found = []
+    # p[t]: the position of the image of label t
+    for p in (tuple(map(seed.index, iso.mapping)) for iso in isos):
+        if p != identity:
+            order = tuple(sorted(identity, key=p.__getitem__))
+            signs = [1 if tuple(map(rows[p[k]].__getitem__, p)) == r else -1 for k, r in enumerate(rows)]
+            found.append((order, order[: seed.n], signs))
+    return found
 
 
-def _memo_exchange(memo: _Memo, state: LabeledSeedState, k: int) -> MultiPoly:
-    """exchange(state, k), computed only if memo holds no image of it.
-
-    The relation in direction k is fixed by the outgoing variable and
-    the pairs (variable, b_kt) with b_kt != 0.  The variables of a
-    labeled seed are distinct, so the set of those pairs identifies them
-    whatever slots they sit in.  The search comes here only for a
-    g-vector it has not met, and a relation it computed gave a variable
-    whose g-vector it has met, so memo keeps no relation it computed:
-    it maps the image of each under each automorphism of the seed (see
-    _Memo) to its variable, and each variable it made, computed or
-    relabelled, to itself.  A hit returns
-    the stored object, and a computed variable that was made before as
-    an image returns that object, so one object stands for each
-    variable and clusters compare by identity."""
-    row = state.matrix[k]
-    variable = state.variable
-    pairs = [(variable(t), b) for t, b in enumerate(row) if b]
-    value = memo.get(memo.relation(state.assignment[k], pairs))
-    if value is None:
-        value = exchange(state, k)
-        value = memo.setdefault(value, value)
-        memo.add_images(state.assignment[k], pairs, k, value)
-    return value
-
-
-def _exchanged_g_vector(rows, gs, k: int) -> tuple[int, ...]:
+def _exchanged_g_vector(row, gs, k: int) -> tuple[int, ...]:
     """The g-vector of the variable that replaces slot k.
 
-    rows are the rows of a labeled seed with its n c-rows appended (the
-    identity at the start, mutated with the rows) and gs the g-vectors
-    of its n slots.  With eps the sign of c-row k, the new g-vector is
-    -g_k + sum_t [-eps * b_kt]_+ g_t over the exchangeable t
-    (Nakanishi-Zelevinsky 2012).  A c-row with entries of both signs
-    contradicts sign-coherence (Derksen-Weyman-Zelevinsky 2010,
-    Gross-Hacking-Keel-Kontsevich 2018) and raises TheoremViolation."""
+    row is row k of a labeled seed with the c-vector of slot k as its
+    last n entries (the c-rows start as the identity and are mutated
+    with the rows), and gs the g-vectors of its n slots.  With eps the
+    sign of c-vector k, the new g-vector is -g_k + sum_t [-eps * b_kt]_+
+    g_t over the exchangeable t (Nakanishi-Zelevinsky 2012).  A c-vector
+    with entries of both signs contradicts sign-coherence
+    (Derksen-Weyman-Zelevinsky 2010, Gross-Hacking-Keel-Kontsevich 2018)
+    and raises TheoremViolation."""
     n = len(gs)
-    row = rows[k]
     c = row[-n:]
     lo, hi = min(c), max(c)
     if lo < 0 < hi:
@@ -778,28 +705,28 @@ def enumerate_clusters(
     closed search takes n * N / 2 edges for N clusters.
 
     Each edge first finds the g-vector of the variable it brings in
-    (_exchanged_g_vector), from the c-rows and g-vectors carried by the
-    frontier entry of its state, and takes the variable of a known
-    g-vector from one dict.  With principal coefficients the g-vector
-    determines the cluster variable (Gross-Hacking-Keel-Kontsevich,
-    JAMS 2018, for skew-symmetrizable seeds), and the separation
-    formula (Fomin-Zelevinsky, Cluster algebras IV, Compositio 2007,
-    Thm 3.7) carries that to any geometric coefficients, where a
-    variable is given by its g-vector and its F-polynomial, the variable
-    with principal coefficients at x = 1.  The rule needs the c-vectors
-    to be sign-coherent (Derksen-Weyman-Zelevinsky, JAMS 2010; GHKK
-    2018), which each edge checks.  So the seed must be
-    skew-symmetrizable, and any other raises SeedError.  Only a new
-    g-vector computes its variable, through a memo made for this call
-    that stores the images of each relation it computes under the
-    automorphisms of the seed, read once per call, so an image is
-    relabelled and not divided again (see _memo_exchange and _Memo).
-    Only a new cluster gets its rows mutated, the c-rows with them in
-    one matrix_mutation, and its labeled state built.  The c-rows and
-    g-vectors live on the frontier only, so a kept cluster holds no more
-    than its state and slot set.  The status is "closed" once a level
-    finds no new cluster within the depth, and max_states caps the
-    number of clusters kept.
+    (_exchanged_g_vector) from the c-rows and g-vectors on the frontier
+    entry of its state, and takes a known g-vector's variable from one
+    dict.  With principal coefficients the g-vector determines the
+    variable (Gross-Hacking-Keel-Kontsevich, JAMS 2018, for
+    skew-symmetrizable seeds; any other raises SeedError), and the
+    separation formula (Fomin-Zelevinsky, Cluster algebras IV,
+    Compositio 2007, Thm 3.7) carries that to any geometric
+    coefficients, where a variable is given by its g-vector and its
+    F-polynomial.  The rule needs sign-coherent c-vectors
+    (Derksen-Weyman-Zelevinsky, JAMS 2010; GHKK 2018), which each edge
+    checks.  Only a new g-vector computes its variable, and stores in
+    the same dict its image under each automorphism of the seed, by
+    relabel, under the image's g-vector if that is new (see
+    _automorphisms).  An anti-automorphism needs g-vectors for -B: then
+    the frontier carries those of the slots, and the rows carry the
+    c-rows of -B, negated, before their own, as negated they mutate with
+    B's rows.  Only a new cluster finds its g-vector for -B, gets its
+    rows mutated, the c-rows with them in one matrix_mutation, and its
+    labeled state built.  The c-rows and g-vectors live on the frontier
+    only, so a kept cluster holds no more than its state and slot set.
+    The status is "closed" once a level finds no new cluster within the
+    depth, and max_states caps the number of clusters kept.
     """
     require_valid(seed)
     n = seed.n
@@ -809,26 +736,30 @@ def enumerate_clusters(
     kept = {start.cluster(): (start, set())}
     unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     variables = dict(zip(unit, start.assignment))  # g-vector -> variable
-    # a kept entry, then its state's rows with the c-rows appended and
-    # the g-vector of each slot
-    rows = tuple(row + e for row, e in zip(seed.matrix, unit))
+    automorphisms = _automorphisms(seed)
+    # a kept entry, then its state's rows with the c-rows appended, the
+    # g-vector of each slot and, if an automorphism flips a sign, the
+    # g-vector of each slot for -B (else None)
+    minus = any(-1 in signs for *_, signs in automorphisms)
+    negated = [tuple(-v for v in e) if minus else () for e in unit]
+    rows = tuple(row + d + e for row, d, e in zip(seed.matrix, negated, unit))
     width = len(seed.labels)
-    frontier = [(*kept[start.cluster()], rows, unit)] if n else []
-    memo = _Memo(start)  # see _memo_exchange
+    frontier = [(*kept[start.cluster()], rows, unit, unit if minus else None)] if n else []
     depth = 0
     while frontier:
         if depth >= max_depth:
             return ClusterEnumeration(list(kept), "truncated")
         depth += 1
         new_frontier = []
-        for state, known, rows, gs in frontier:
+        for state, known, rows, gs, hs in frontier:
             for k in range(n):
                 if k in known:
                     continue
-                g = _exchanged_g_vector(rows, gs, k)
+                g = _exchanged_g_vector(rows[k], gs, k)
                 value = variables.get(g)
-                if value is None:
-                    value = variables[g] = _memo_exchange(memo, state, k)
+                fresh = value is None
+                if fresh:
+                    value = variables[g] = exchange(state, k)
                 assignment = state.assignment[:k] + (value,) + state.assignment[k + 1 :]
                 c = frozenset(assignment)
                 landing = kept.get(c)
@@ -838,6 +769,14 @@ def enumerate_clusters(
                     continue
                 if len(kept) >= max_states:
                     return ClusterEnumeration(list(kept), "truncated")
+                # a new cluster, as every new variable makes one; its
+                # g-vector for -B is read off the c-rows of -B
+                h = hs and _exchanged_g_vector(rows[k][:-n], hs, k)
+                if fresh:
+                    for order, on_slots, signs in automorphisms:
+                        image = tuple(map((h if signs[k] < 0 else g).__getitem__, on_slots))
+                        if image not in variables:
+                            variables[image] = value.relabel(order)
                 mutated = matrix_mutation(rows, k)
                 # a row that mutation leaves is returned as the same
                 # tuple, so its state row is kept as well
@@ -846,6 +785,7 @@ def enumerate_clusters(
                     for row, new, old in zip(state.matrix, mutated, rows)
                 )
                 kept[c] = entry = (LabeledSeedState(state.seed, matrix, assignment), {k})
-                new_frontier.append((*entry, mutated, gs[:k] + (g,) + gs[k + 1 :]))
+                hs_next = hs and hs[:k] + (h,) + hs[k + 1 :]
+                new_frontier.append((*entry, mutated, gs[:k] + (g,) + gs[k + 1 :], hs_next))
         frontier = new_frontier
     return ClusterEnumeration(list(kept), "closed")

@@ -26,7 +26,6 @@ from .homs import (
     check_partial_hom,
     enumerate_seed_isos,
     automorphism_group,
-    image_spec,
     mixing_subseed,
 )
 from .seeds import Seed, cached_attribute
@@ -418,7 +417,8 @@ def h_class_group(S: SemigroupTable, P: GreenPartition, e: int) -> HClassGroup:
     (Howie, Fundamentals of Semigroup Theory, 1995, §2.2)."""
     if not S.id_form[e]:
         raise SeedError("h_class_group expects an id-form idempotent")
-    spec = S.element(e).spec
+    I0, I1, _ = S.decode(S.digits[e].tolist())
+    spec = SubSeedSpec(frozenset(I0), frozenset(I1))
     auts = automorphism_group(mixing_subseed(S.seed, spec))
     images = {}
     for phi in auts:
@@ -462,16 +462,25 @@ def check_structural_green(S: SemigroupTable, P: GreenPartition) -> StructuralGr
     Green's partition.
     """
     regular = [i for i in range(len(S)) if P.regular_flags[i]]
+    seed = S.seed
+    labels = frozenset(seed.labels)
     distinct: list[Seed] = []  # one image seed per iso class
     # image spec -> (iso class, every iso of its image seed onto the class
     # representative); a spec and its image seed determine each other
     to_rep: dict[SubSeedSpec, tuple[int, list[dict[str, str]]]] = {}
     R_keys, D_keys, L_keys = [], [], []
-    for i in regular:
-        f = S.element(i)
-        img_spec = image_spec(f)
+    for row in S.digits[regular].tolist():
+        I0, I1, mapping = S.decode(row)
+        # the image seed's spec (homs.image_spec): the labels off the
+        # image form I1, the exchangeable ones that only labels frozen in
+        # the domain map onto form I0
+        values = set(mapping) - {None}
+        ex_values = {y for x, y in zip(seed.exchangeable_labels, mapping) if y is not None and x not in I0}
+        img_spec = SubSeedSpec(
+            frozenset(y for y in values - ex_values if seed.is_exchangeable(y)), labels - values
+        )
         if img_spec not in to_rep:
-            img = mixing_subseed(S.seed, img_spec)
+            img = mixing_subseed(seed, img_spec)
             for k, rep in enumerate(distinct):
                 isos = list(enumerate_seed_isos(img, rep))
                 if isos:
@@ -485,10 +494,10 @@ def check_structural_green(S: SemigroupTable, P: GreenPartition) -> StructuralGr
         # carry the same set of composites onto the representative; the
         # composites also fix the representative, through the exchangeable
         # and frozen labels they take on the spec's domain.
-        orbit = frozenset(tuple(g.get(a) for a in f.mapping) for g in isos)
+        orbit = frozenset(tuple(g.get(a) for a in mapping) for g in isos)
         R_keys.append(img_spec)
         D_keys.append(k)
-        L_keys.append((f.spec, orbit))
+        L_keys.append((SubSeedSpec(frozenset(I0), frozenset(I1)), orbit))
     H_keys = list(zip(R_keys, L_keys))
     for name, keys, part in (
         ("R", R_keys, P.R),

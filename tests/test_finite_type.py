@@ -124,12 +124,12 @@ def closed_search(name):
 
 
 # exchange relations computed per closed search: one per g-vector met
-# that is not an initial one and whose relation the memo does not hold
-# as an image under an automorphism of the seed.  A5 and D4-D6 have one
+# that is not an initial one and not stored as the image of a computed
+# variable under an automorphism of the seed.  A5 and D4-D6 have one
 # automorphism besides the identity; the other types have none, so
 # their counts are the variables less the n initial ones.
 COMPUTED = {
-    "A5": 13, "G2": 6, "B3": 9, "B4": 16, "B5": 25, "C3": 9, "C4": 16,
+    "A5": 9, "G2": 6, "B3": 9, "B4": 16, "B5": 25, "C3": 9, "C4": 16,
     "D4": 9, "D5": 16, "D6": 25, "F4": 24, "E6": 36, "E7": 63, "E8": 120,
 }
 
