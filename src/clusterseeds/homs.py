@@ -21,7 +21,6 @@ __all__ = [
     "check_partial_hom",
     "require_hom",
     "compose",
-    "image_spec",
     "find_seed_iso",
     "enumerate_seed_isos",
     "automorphism_group",
@@ -113,10 +112,6 @@ class PartialSeedHom:
     def dom_fr(self) -> tuple[str, ...]:
         """Frozen part of the domain: (X_fr union I0) minus I1."""
         return self.spec.parts(self.source)[1]
-
-    @property
-    def domain(self) -> tuple[str, ...]:
-        return tuple(x for x in self.source.labels if x not in self.spec.I1)
 
 
 def check_partial_hom(candidate: PartialSeedHom) -> tuple[bool, str | None]:
@@ -222,17 +217,6 @@ def compose(g: PartialSeedHom, f: PartialSeedHom) -> PartialSeedHom:
         g(f(x)) if x in dom else None for x in f.source.labels
     )
     return PartialSeedHom(f.source, SubSeedSpec(I0, I1), g.target, mapping)
-
-
-def image_spec(f: PartialSeedHom) -> SubSeedSpec:
-    """The (I0', I1') spec cutting the image seed out of the target."""
-    values = {f(x) for x in f.domain}
-    ex_values = {f(x) for x in f.dom_ex}
-    I1 = frozenset(y for y in f.target.labels if y not in values)
-    I0 = frozenset(
-        y for y in values - ex_values if f.target.is_exchangeable(y)
-    )
-    return SubSeedSpec(I0, I1)
 
 
 def _vertex_signature(seed: Seed, x: str):

@@ -119,10 +119,6 @@ class Seed:
             raise SeedError(f"b_({x},{y}) undefined: {x!r} is frozen")
         return self.matrix[i][self.index(y)]
 
-    def b_or_zero(self, x: str, y: str) -> int:
-        """b_{xy} when defined, else 0 (frozen row)."""
-        return self.b(x, y) if self.index(x) < self.n else 0
-
 
 @dataclass
 class ValidationReport:

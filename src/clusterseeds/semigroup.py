@@ -54,7 +54,7 @@ class SemigroupTable:
     """The elements as digit rows, the only form stored: digits[i, p] is
     2*(v+1)+f when element i sends labels[p] to labels[v], where f marks
     labels[p] as frozen in the domain, and 0 when labels[p] lies outside
-    the domain.  Objects are decoded on demand by element(i)."""
+    the domain.  decode reads a row back into labels."""
 
     seed: Seed
     digits: np.ndarray
@@ -78,12 +78,6 @@ class SemigroupTable:
         I0 = tuple(itertools.compress(seed.exchangeable_labels, map((1).__and__, row)))
         I1 = tuple(itertools.compress(seed.labels, map(operator.not_, row)))
         return I0, I1, tuple(map(self._label_of_digit.__getitem__, row))
-
-    def element(self, i: int) -> PartialSeedHom:
-        """Element i as a PartialSeedHom, decoded from its digit row."""
-        I0, I1, mapping = self.decode(self.digits[i].tolist())
-        spec = SubSeedSpec(frozenset(I0), frozenset(I1))
-        return PartialSeedHom(self.seed, spec, self.seed, mapping)
 
     @cached_attribute
     def id_form(self) -> np.ndarray:
@@ -471,9 +465,9 @@ def check_structural_green(S: SemigroupTable, P: GreenPartition) -> StructuralGr
     R_keys, D_keys, L_keys = [], [], []
     for row in S.digits[regular].tolist():
         I0, I1, mapping = S.decode(row)
-        # the image seed's spec (homs.image_spec): the labels off the
-        # image form I1, the exchangeable ones that only labels frozen in
-        # the domain map onto form I0
+        # the image seed's spec: the labels off the image form I1, the
+        # exchangeable ones that only labels frozen in the domain map onto
+        # form I0
         values = set(mapping) - {None}
         ex_values = {y for x, y in zip(seed.exchangeable_labels, mapping) if y is not None and x not in I0}
         img_spec = SubSeedSpec(

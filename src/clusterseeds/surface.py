@@ -7,8 +7,9 @@ combinatorially by its pair of boundary-segment endpoints.  Cutting a
 polygon along a diagonal splits it in two, clips the curves, and adds
 the curves hugging the cut side as a lamination with the diagonal's
 label.  A cut's mode only decides whether that lamination stays, and
-each lamination is clipped on its own, so delete cuts, paunched surfaces
-and check_theorem_sur all use one freeze cut per set of cut diagonals.
+each lamination is clipped on its own, so cut_along, paunched_surface
+and check_theorem_sur all use one freeze cut per set of cut diagonals,
+all made by _cut_fields.
 check_theorem_sur compares the sub-seed and the cut seed of each cut set
 once, kept with the surface's own seed on the surface itself, and reads
 every spec off that comparison.  Both sides are compared as rows
@@ -318,26 +319,17 @@ def cut_along(data: SurfaceData, x: str, mode: str = "delete") -> SurfaceData:
     segment.  Curves crossing x are clipped into one fragment per side,
     ending on the cut segment.  In freeze mode the label of x becomes a
     new lamination holding one curve per side that hugs the cut segment;
-    a delete cut is the freeze cut without that lamination.
+    a delete cut is the freeze cut without that lamination.  So the cut is
+    the paunch with I0 = {x} (freeze) or I1 = {x} (delete), once x is
+    known to be a diagonal: a paunch also deletes laminations.
     """
     if mode not in ("delete", "freeze"):
         raise SeedError(f"unknown cut mode {mode!r}")
     if x not in data.diagonal_labels():
         raise SeedError(f"{x!r} is not a diagonal of the surface")
-    components, diagonals, laminations = _freeze_cut(data, (x,))
-    if mode == "delete":
-        laminations = tuple(lam for lam in laminations if lam[0] != x)
-    return SurfaceData(components, diagonals, laminations)
-
-
-def _freeze_cut(data: SurfaceData, cuts):
-    """The fields of data cut freeze-style along the diagonals labelled
-    by cuts, one label at a time in sorted order, which fixes the
-    component order; nothing is validated."""
-    fields = data.components, data.diagonals, data.laminations
-    for x in sorted(cuts):
-        fields = _cut(*fields, x)
-    return fields
+    if mode == "freeze":
+        return paunched_surface(data, (x,), ())
+    return paunched_surface(data, (), (x,))
 
 
 def _cut(components, diagonals, laminations, x: str):
@@ -419,17 +411,28 @@ def paunched_surface(data: SurfaceData, I0, I1) -> SurfaceData:
         raise SeedError(f"unknown labels in I1: {sorted(I1 - dlabels - llabels)}")
     if not I0 | I1:
         return data
-    components, diagonals, laminations = _freeze_cut(data, (I0 | I1) & dlabels)
+    uncut = {(): (data.components, data.diagonals, data.laminations)}
+    components, diagonals, laminations = _cut_fields(uncut, tuple(sorted((I0 | I1) & dlabels)))
     return SurfaceData(components, diagonals, tuple(lam for lam in laminations if lam[0] not in I1))
 
 
 def _cut_fields(fields: dict, cuts: tuple[str, ...]):
-    """_freeze_cut(data, cuts) for cuts in sorted order, where fields
-    maps () to data's fields and keeps every cut set it is asked for:
-    the cut of cuts[:-1], cut once more along cuts[-1]."""
-    if cuts not in fields:
-        fields[cuts] = _cut(*_cut_fields(fields, cuts[:-1]), cuts[-1])
-    return fields[cuts]
+    """The fields of a surface cut freeze-style along the diagonals
+    labelled by the sorted cuts, one label at a time, which fixes the
+    component order; nothing is validated.  fields maps () to the uncut
+    surface's fields and keeps the cut of every cut set it is asked for;
+    a cut is made from the longest prefix of cuts that fields holds, in a
+    loop, so a paunch along many diagonals does not recurse."""
+    cut = fields.get(cuts)
+    if cut is None:
+        k = len(cuts) - 1
+        while cuts[:k] not in fields:
+            k -= 1
+        cut = fields[cuts[:k]]
+        for x in cuts[k:]:
+            cut = _cut(*cut, x)
+        fields[cuts] = cut
+    return cut
 
 
 def _subseed_rows(base: Seed, cuts: frozenset[str]) -> dict[str, tuple[int, ...]]:

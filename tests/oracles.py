@@ -24,7 +24,6 @@ from clusterseeds.homs import (
     SubSeedSpec,
     check_partial_hom,
     compose,
-    image_spec,
     mixing_subseed,
 )
 from clusterseeds.seeds import Seed, matrix_mutation
@@ -281,9 +280,15 @@ def is_id_form(h: PartialSeedHom) -> bool:
     return all(v is None or v == x for x, v in zip(h.source.labels, h.mapping))
 
 
+def element(S: SemigroupTable, i: int) -> PartialSeedHom:
+    """Element i of the semigroup as a PartialSeedHom, decoded from its digit row."""
+    I0, I1, mapping = S.decode(S.digits[i].tolist())
+    return PartialSeedHom(S.seed, SubSeedSpec(frozenset(I0), frozenset(I1)), S.seed, mapping)
+
+
 def elements(S: SemigroupTable) -> list[PartialSeedHom]:
     """Every element of the semigroup, decoded from its digit row."""
-    return [S.element(i) for i in range(len(S))]
+    return [element(S, i) for i in range(len(S))]
 
 
 def element_index(S: SemigroupTable) -> dict[PartialSeedHom, int]:
@@ -315,6 +320,22 @@ def inverse_iso(iso: PartialSeedHom) -> PartialSeedHom:
     return PartialSeedHom.from_dict(iso.target, EMPTY_SPEC, iso.source, inv)
 
 
+def domain(f: PartialSeedHom) -> tuple[str, ...]:
+    """The labels of f's domain: the source labels outside I1."""
+    return tuple(x for x in f.source.labels if x not in f.spec.I1)
+
+
+def image_spec(f: PartialSeedHom) -> SubSeedSpec:
+    """The (I0', I1') spec cutting the image seed out of the target, read
+    off the labels: the reference for the rule check_structural_green
+    reads off digit rows."""
+    values = {f(x) for x in domain(f)}
+    ex_values = {f(x) for x in f.dom_ex}
+    I1 = frozenset(y for y in f.target.labels if y not in values)
+    I0 = frozenset(y for y in values - ex_values if f.target.is_exchangeable(y))
+    return SubSeedSpec(I0, I1)
+
+
 def image_seed(f: PartialSeedHom) -> Seed:
     """Restriction of the target to the image, exchangeable part f(dom_ex)."""
     return mixing_subseed(f.target, image_spec(f))
@@ -337,7 +358,7 @@ def is_retraction(f1: PartialSeedHom, onto: Seed | None = None) -> PartialSeedHo
     """
     img = f1.target if onto is None else onto
     fibers: dict[str, list[str]] = {y: [] for y in img.labels}
-    for x in f1.domain:
+    for x in domain(f1):
         v = f1(x)
         if v in fibers:
             fibers[v].append(x)
@@ -438,6 +459,11 @@ def is_linear_an(seed: Seed) -> bool:
     return len(connected_components(seed)) == 1
 
 
+def b_or_zero(seed: Seed, x: str, y: str) -> int:
+    """b_{xy} when x is exchangeable, else 0 (a frozen label has no row)."""
+    return seed.b(x, y) if seed.index(x) < seed.n else 0
+
+
 def subseed_components(seed: Seed, spec: SubSeedSpec) -> list[tuple[str, ...]]:
     """Connected components of the (I0, I1) sub-seed's quiver."""
     return connected_components(mixing_subseed(seed, spec))
@@ -461,7 +487,7 @@ def regularity_linear_an(f: PartialSeedHom) -> bool:
     def linked(A, B) -> bool:
         # linkage in the image seed: a nonzero entry needs an exchangeable end
         return any(
-            img.b_or_zero(s1, s2) != 0 or img.b_or_zero(s2, s1) != 0
+            b_or_zero(img, s1, s2) != 0 or b_or_zero(img, s2, s1) != 0
             for s1 in A
             for s2 in B
         )
@@ -474,7 +500,7 @@ def regularity_linear_an(f: PartialSeedHom) -> bool:
                     return False
     dom_ex = set(f.dom_ex)
     fibers: dict[str, set[bool]] = {}
-    for x in f.domain:
+    for x in domain(f):
         fibers.setdefault(f(x), set()).add(x in dom_ex)
     if any(len(kinds) > 1 for kinds in fibers.values()):
         return False

@@ -34,6 +34,7 @@ def test_exports_are_the_union_of_module_all():
         assert sorted(names) == sorted(declared), module
         union |= set(declared)
     assert exported == union
+    assert len(exported) == 55
 
 
 def test_no_oracle_is_defined_in_the_library():

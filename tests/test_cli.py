@@ -31,7 +31,7 @@ from conftest import (
     two_component_surface,
 )
 from clusterseeds import make_surface
-from oracles import dump_seed, enumerate_triangulations, reference_str
+from oracles import dump_seed, elements, enumerate_triangulations, reference_str
 
 
 @pytest.fixture
@@ -885,7 +885,7 @@ def test_endpar_elements_are_the_decoded_homs(capsys, tmp_path, seed):
     dump_seed(seed, str(path))
     code, out, _ = run(capsys, "--format", "machine", "endpar", str(path))
     S = semigroup_module.enumerate_endpar(seed)
-    expected = [hom_to_dict(S.element(i)) for i in range(len(S))]
+    expected = [hom_to_dict(h) for h in elements(S)]
     assert code == 0
     assert out == cli.dumps_indented({**json.loads(out), "elements": expected}) + "\n"
 

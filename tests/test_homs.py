@@ -16,7 +16,6 @@ from clusterseeds import (
     enumerate_seed_isos,
     find_seed_iso,
     green_relations,
-    image_spec,
     iso_classes_of_subseeds,
     mixing_subseed,
     projected_endpar_bound,
@@ -32,10 +31,13 @@ from conftest import (
     trivial_seed,
 )
 from oracles import (
+    domain,
+    element,
     empty_hom,
     factor_through_image,
     identity_inclusion,
     image_seed,
+    image_spec,
     inverse_iso,
     is_retraction,
     is_seed_iso,
@@ -519,7 +521,7 @@ def test_factor_through_image():
     f1, inc = f1_inc = factor_through_image(f)
     assert f1.target == image_seed(f)
     assert inc.spec == image_spec(f)
-    assert {f1(x) for x in f1.domain} == set(f1.target.labels)
+    assert {f1(x) for x in domain(f1)} == set(f1.target.labels)
     g = is_retraction(f1)
     assert g is not None
     assert compose(f1, g).map_dict() == {x: x for x in f1.target.labels}
@@ -594,7 +596,7 @@ def test_enumerate_seed_isos_is_complete(make):
     elements."""
     S = enumerate_endpar(make())
     P = green_relations(S)
-    images = {image_seed(S.element(i)) for i in range(len(S)) if P.regular_flags[i]}
+    images = {image_seed(element(S, i)) for i in range(len(S)) if P.regular_flags[i]}
     for a, b in itertools.product(images, repeat=2):
         if (a.n, a.m) != (b.n, b.m):
             continue

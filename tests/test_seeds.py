@@ -85,7 +85,6 @@ def test_entry_accessors():
     seed = Seed.from_data(["x1", "x2"], ["t"], [[0, 1, 2], [-1, 0, 0]])
     assert seed.b("x1", "x2") == 1
     assert seed.b("x1", "t") == 2
-    assert seed.b_or_zero("t", "x1") == 0
     with pytest.raises(SeedError):
         seed.b("t", "x1")
     with pytest.raises(SeedError):

@@ -55,12 +55,14 @@ from conftest import (
 from oracles import (
     d_by_closure,
     d_by_composition,
+    element,
     element_index,
     elements,
     empty_hom,
     endpar_bound_by_specs,
     idempotents,
     identity_inclusion,
+    image_spec,
     is_id_form,
     is_linear_an,
     is_regular_element,
@@ -144,7 +146,7 @@ def test_pinned_semigroup_sizes(name):
     S = enumerate_endpar(seed)
     assert len(S) == PINNED_STATS[name]["size"]
     assert len(S) <= projected_endpar_bound(seed)
-    assert S.element(S.zero_index) == empty_hom(seed)
+    assert element(S, S.zero_index) == empty_hom(seed)
 
 
 @pytest.mark.parametrize("n", sorted(LINEAR_SIZES))
@@ -201,10 +203,10 @@ def test_product_table_matches_object_composition():
     for seed in (a2_seed(), double_arrow_seed()):
         S = enumerate_endpar(seed)
         assert S.product.dtype == np.int16
-        assert S.element(S.zero_index) == empty_hom(seed)
+        assert element(S, S.zero_index) == empty_hom(seed)
         for i, g in enumerate(elements(S)):
             for j, f in enumerate(elements(S)):
-                assert S.element(int(S.product[i, j])) == compose(g, f)
+                assert element(S, int(S.product[i, j])) == compose(g, f)
 
 
 def test_element_code_width_is_checked():
@@ -272,7 +274,7 @@ def test_index_of_finds_each_element_and_no_rejected_map(name):
                 assert i is None, cand
                 rejected += 1
                 break
-            assert S.element(i) == cand
+            assert element(S, i) == cand
     # every map is a partial endomorphism on A1 and on the seeds with no
     # exchangeable label
     assert (rejected == 0) == (name in ("A1", "trivial_m1", "trivial_m2"))
@@ -501,7 +503,7 @@ def test_nonregular_d_class_has_no_id_form():
     i = element_index(S)[f]
     assert not P.regular_flags[i]
     members = [j for j in range(len(S)) if P.D[j] == P.D[i]]
-    assert not any(is_id_form(S.element(j)) for j in members)
+    assert not any(is_id_form(element(S, j)) for j in members)
 
 
 @pytest.mark.parametrize("name", ["a2", "amalgam", "double_arrow"])
@@ -552,7 +554,7 @@ def test_h_class_group_requires_id_form_idempotent():
     S = enumerate_endpar(a2_seed())
     P = green_relations(S)
     non_id = next(
-        i for i in range(len(S)) if not is_id_form(S.element(i))
+        i for i in range(len(S)) if not is_id_form(element(S, i))
     )
     with pytest.raises(SeedError):
         h_class_group(S, P, non_id)
@@ -623,7 +625,7 @@ def test_all_h_class_groups_verify(name):
     S = enumerate_endpar(BENCHMARK_SEEDS[name]())
     P = green_relations(S)
     for e in idempotents(S):
-        if is_id_form(S.element(e)):
+        if is_id_form(element(S, e)):
             h_class_group(S, P, e)  # raises on any group-axiom failure
 
 
@@ -672,6 +674,8 @@ def test_structural_green_builds_one_image_seed_per_image_spec(monkeypatch, name
     monkeypatch.setattr(semigroup_module, "mixing_subseed", counted)
     check_structural_green(S, P)
     assert len(specs) == len(set(specs)) == built
+    # the specs read off digit rows are the label-based reference's
+    assert set(specs) == {image_spec(element(S, i)) for i in range(len(S)) if P.regular_flags[i]}
 
 
 @pytest.mark.parametrize("move", ["merge", "split"])
@@ -745,4 +749,4 @@ def test_empty_hom_is_regular_and_idempotent():
     P = green_relations(S)
     z = S.zero_index
     assert P.regular_flags[z] and P.idempotent_flags[z]
-    assert is_id_form(S.element(z))
+    assert is_id_form(element(S, z))

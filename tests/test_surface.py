@@ -210,11 +210,16 @@ def test_cut_vertex_counts():
 
 
 def test_cut_requires_a_diagonal():
-    surf = make_surface(4, [(0, 2)])
+    surf = make_surface(4, [(0, 2)], laminations=[[(1, 3)]])
     with pytest.raises(SeedError):
         cut_along(surf, "nope")
     with pytest.raises(SeedError):
         cut_along(surf, "d0_2", mode="fold")
+    # a paunch with the lamination in I1 deletes it quietly; a cut must not
+    assert paunched_surface(surf, (), ("L0",)).laminations == ()
+    for mode in ("delete", "freeze"):
+        with pytest.raises(SeedError, match="'L0' is not a diagonal of the surface"):
+            cut_along(surf, "L0", mode)
 
 
 def test_cut_clips_crossing_curves():
@@ -320,7 +325,8 @@ def _comparison_inputs(surf, base, cuts, rng):
     a fault that leaves a nonempty mismatch set or unequal exchangeable
     labels: entries of base raised, the cut's last lamination dropped,
     and its first diagonal renamed with base's entries raised."""
-    fields = surface_module._freeze_cut(surf, cuts)
+    cut = paunched_surface(surf, cuts, ())
+    fields = cut.components, cut.diagonals, cut.laminations
     rows = [list(r) for r in base.matrix]
     for row in rng.sample(rows, (len(rows) + 1) // 2):
         row[rng.randrange(len(row))] += 1
@@ -637,8 +643,8 @@ def test_deeper_sweep_compares_each_cut_set_once(monkeypatch, fresh_surface_cach
 
 def test_sweep_memoises_each_cut_set_as_its_freeze_cut():
     # each nonempty cut set is its prefix's fields cut along its last
-    # label; on every cut set the memo must hold what _freeze_cut builds
-    # from the uncut surface.  Fields are kept by sorted cut set and
+    # label; on every cut set the memo must hold the fields of the freeze
+    # paunch along it.  Fields are kept by sorted cut set and
     # comparisons by cut set.
     eleven_gon = make_surface(11, fan(11), laminations=[[(1, 6)]])
     for surf, max_cut in [
@@ -654,7 +660,8 @@ def test_sweep_memoises_each_cut_set_as_its_freeze_cut():
         assert len(fields) == len(comparisons), surf
         for cuts, cut in fields.items():
             assert cuts == tuple(sorted(cuts)), surf
-            assert cut == surface_module._freeze_cut(surf, cuts), (surf, cuts)
+            paunch = paunched_surface(surf, cuts, ())
+            assert cut == (paunch.components, paunch.diagonals, paunch.laminations), (surf, cuts)
 
 
 def swept_cuts():
