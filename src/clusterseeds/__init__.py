@@ -36,6 +36,7 @@ from .homs import (
     compose,
     enumerate_seed_isos,
     find_seed_iso,
+    hom_layout,
     mixing_subseed,
     require_hom,
 )

@@ -8,7 +8,6 @@ homomorphism has I1 equal to the whole extended cluster.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import HomError, SpecError
@@ -18,6 +17,7 @@ __all__ = [
     "SubSeedSpec",
     "PartialSeedHom",
     "mixing_subseed",
+    "hom_layout",
     "check_partial_hom",
     "require_hom",
     "compose",
@@ -35,6 +35,9 @@ class SubSeedSpec:
     I1: frozenset[str]
 
     def validate(self, seed: Seed) -> None:
+        exchangeable, labels = seed._label_sets
+        if self.I0 <= exchangeable and self.I1 <= labels and self.I0.isdisjoint(self.I1):
+            return
         bad = self.I0.difference(seed.exchangeable_labels)
         if bad:
             raise SpecError(f"I0 labels not exchangeable in the seed: {sorted(bad)}")
@@ -114,7 +117,51 @@ class PartialSeedHom:
         return self.spec.parts(self.source)[1]
 
 
-def check_partial_hom(candidate: PartialSeedHom) -> tuple[bool, str | None]:
+def hom_layout(source: Seed, spec: SubSeedSpec) -> tuple:
+    """The part of the validity check that depends only on the source
+    and the spec, so that a caller checking many maps of one spec builds
+    it once and passes it to check_partial_hom with each.
+
+    A tuple (error, deleted, rows, entries, adjacent).  error is the
+    SpecError message of an invalid spec (and the other parts are
+    empty), else None.  deleted[p] says labels[p] lies in I1.  rows are
+    the positions of the exchangeable domain variables, the rows of the
+    sub-seed.  entries[r] lists the nonzero entries of row rows[r] as
+    (column position, b_xy, |b_xy|), in the sub-seed's column order (its
+    exchangeable labels, then I0 and the kept frozen labels), so the
+    first violation found is the sub-seed's; a zero b_xy can break no
+    condition.  adjacent lists the pairs (r, s), r < s, of rows with
+    b_xz nonzero, in the order of itertools.combinations.
+    """
+    try:
+        spec.validate(source)
+    except SpecError as exc:
+        return str(exc), (), (), (), ()
+    I0, I1 = spec.I0, spec.I1
+    labels, b = source.labels, source.matrix
+    if I0 or I1:
+        rows, frozen = [], []
+        for p, x in enumerate(labels):
+            if x not in I1:
+                (rows if p < len(b) and x not in I0 else frozen).append(p)
+        cols = rows + frozen
+        deleted = tuple(map(I1.__contains__, labels))
+    else:  # the whole seed, as the isomorphism search checks it
+        rows, cols = range(len(b)), range(len(labels))
+        deleted = (False,) * len(labels)
+    entries, adjacent = [], []
+    for r, i in enumerate(rows):
+        b_row = b[i]
+        entries.append(tuple([(j, b_row[j], abs(b_row[j])) for j in cols if b_row[j]]))
+        for s in range(r + 1, len(rows)):
+            if b_row[rows[s]]:
+                adjacent.append((r, s))
+    return None, deleted, tuple(rows), tuple(entries), tuple(adjacent)
+
+
+def check_partial_hom(
+    candidate: PartialSeedHom, layout: tuple | None = None
+) -> tuple[bool, str | None]:
     """Validate the homomorphism conditions; returns (ok, first violation).
 
     Condition (a): exchangeable domain variables map to exchangeable
@@ -123,21 +170,24 @@ def check_partial_hom(candidate: PartialSeedHom) -> tuple[bool, str | None]:
     b'_{f(x)f(y)} b_{xy} never take opposite signs, and magnitudes never
     shrink.  Per row the condition collapses to a single sign.  The
     sub-seed's matrix is the source matrix restricted to the domain, so
-    its entries are read off the source.
+    its entries are read off the source, through the layout of the
+    candidate's source and spec: the caller's, which must be
+    hom_layout(candidate.source, candidate.spec), or one built here.
+    A mapping without exactly one entry per source label is rejected.
     """
-    src, spec, tgt = candidate.source, candidate.spec, candidate.target
-    try:
-        spec.validate(src)
-    except SpecError as exc:
-        return False, str(exc)
-    labels, mapping, n = src.labels, candidate.mapping, src.n
-    tgt_pos = tgt._position
-    # target position of each source position's image (-1 outside the
-    # domain), and the domain's positions: exchangeable rows, then the
-    # frozen part (I0 and the frozen labels, which all follow I0)
-    image, rows, frozen = [], [], []
-    for p, (x, v) in enumerate(zip(labels, mapping)):
-        if x in spec.I1:
+    src, tgt, mapping = candidate.source, candidate.target, candidate.mapping
+    if layout is None:
+        layout = hom_layout(src, candidate.spec)
+    error, deleted, rows, entries, adjacent = layout
+    if error is not None:
+        return False, error
+    if len(mapping) != len(deleted):
+        return False, f"the mapping has {len(mapping)} entries for {len(deleted)} labels"
+    labels, tgt_pos = src.labels, tgt._position
+    # target position of each source position's image, -1 outside the domain
+    image = []
+    for x, out, v in zip(labels, deleted, mapping):
+        if out:
             if v is not None:
                 return False, f"{x!r} lies in I1 but is mapped"
             image.append(-1)
@@ -147,45 +197,39 @@ def check_partial_hom(candidate: PartialSeedHom) -> tuple[bool, str | None]:
             return False, f"{x!r} maps to unknown target label {v!r}"
         else:
             image.append(tgt_pos[v])
-            (rows if p < n and x not in spec.I0 else frozen).append(p)
+    tgt_b = tgt.matrix  # its n rows
     for i in rows:
-        if image[i] >= tgt.n:
+        if image[i] >= len(tgt_b):
             return False, (
                 f"condition (a): exchangeable {labels[i]!r} maps to frozen {mapping[i]!r}"
             )
-    cols = rows + frozen
-    # per-row sign of b'_{f(x)f(y)} * b_{xy}, and the magnitude condition;
-    # columns in sub-seed order, so the first violation is the sub-seed's.
-    # A zero b_{xy} can break neither.
-    src_b, tgt_b = src.matrix, tgt.matrix
+    # per-row sign of b'_{f(x)f(y)} * b_{xy}, and the magnitude condition
     row_sign = []
-    for i in rows:
-        x, b_row, t_row = labels[i], src_b[i], tgt_b[image[i]]
+    for i, row in zip(rows, entries):
+        t_row = tgt_b[image[i]]
         sign = 0
-        for j in cols:
-            bxy = b_row[j]
-            if not bxy:
-                continue
+        for j, bxy, size in row:
             bpq = t_row[image[j]]
-            if abs(bpq) < abs(bxy):
+            if abs(bpq) < size:
                 return False, (
                     f"magnitude: |b'_({mapping[i]},{mapping[j]})|={abs(bpq)} "
-                    f"< |b_({x},{labels[j]})|={abs(bxy)}"
+                    f"< |b_({labels[i]},{labels[j]})|={size}"
                 )
             s = bpq * bxy
             if s > 0:
                 if sign < 0:
-                    return False, f"sign coherence fails within row {x!r}"
+                    return False, f"sign coherence fails within row {labels[i]!r}"
                 sign = 1
             elif s < 0:
                 if sign > 0:
-                    return False, f"sign coherence fails within row {x!r}"
+                    return False, f"sign coherence fails within row {labels[i]!r}"
                 sign = -1
         row_sign.append(sign)
-    for (i, si), (k, sk) in itertools.combinations(zip(rows, row_sign), 2):
-        if src_b[i][k] != 0 and si * sk < 0:
+    for r, s in adjacent:
+        if row_sign[r] * row_sign[s] < 0:
             return False, (
-                f"sign coherence fails across adjacent rows {labels[i]!r}, {labels[k]!r}"
+                "sign coherence fails across adjacent rows "
+                f"{labels[rows[r]]!r}, {labels[rows[s]]!r}"
             )
     return True, None
 
@@ -219,16 +263,16 @@ def compose(g: PartialSeedHom, f: PartialSeedHom) -> PartialSeedHom:
     return PartialSeedHom(f.source, SubSeedSpec(I0, I1), g.target, mapping)
 
 
-def _vertex_signature(seed: Seed, x: str):
-    i = seed.index(x)
-    n = seed.n
-    e = seed.matrix
-    if i < n:
-        out_ex = sorted(abs(e[i][j]) for j in range(n))
-        out_fr = sorted(abs(e[i][j]) for j in range(n, n + seed.m))
-        return ("ex", tuple(out_ex), tuple(out_fr))
-    col = sorted(abs(e[j][i]) for j in range(n))
-    return ("fr", tuple(col))
+def _vertex_signatures(seed: Seed) -> dict[str, tuple]:
+    """Label -> the sorted magnitudes of its row (exchangeable and
+    frozen columns apart) or, for a frozen label, of its column."""
+    n, e = seed.n, seed.matrix
+    sigs = {}
+    for x, row in zip(seed.exchangeable_labels, e):
+        sigs[x] = ("ex", tuple(sorted(map(abs, row[:n]))), tuple(sorted(map(abs, row[n:]))))
+    for i, x in enumerate(seed.frozen_labels, n):
+        sigs[x] = ("fr", tuple(sorted([abs(row[i]) for row in e])))
+    return sigs
 
 
 def enumerate_seed_isos(a: Seed, b: Seed):
@@ -240,15 +284,16 @@ def enumerate_seed_isos(a: Seed, b: Seed):
     the row signs that check_partial_hom requires of every completion:
     a subtree is cut only if it holds no isomorphism, so the
     isomorphisms come in the order of the unpruned search.  Each
-    completed bijection is re-validated by check_partial_hom.  That
+    completed bijection is re-validated by check_partial_hom, through
+    one hom_layout of a, built at the first completed bijection.  That
     check is also the magnitude test: it rules out any entry shrinking,
     and a row that never shrinks and keeps its sorted magnitudes (the
     vertex signature) keeps every magnitude.
     """
     if a.n != b.n or a.m != b.m:
         return
-    sig_a = {x: _vertex_signature(a, x) for x in a.labels}
-    sig_b = sig_a if b is a else {x: _vertex_signature(b, x) for x in b.labels}
+    sig_a = _vertex_signatures(a)
+    sig_b = sig_a if b is a else _vertex_signatures(b)
     candidates = {
         x: [y for y in (b.exchangeable_labels if a.is_exchangeable(x) else b.frozen_labels)
             if sig_b[y] == sig_a[x]]
@@ -264,6 +309,8 @@ def enumerate_seed_isos(a: Seed, b: Seed):
     assignment: dict[str, str] = {}
     placed: list[tuple[int, int]] = []  # the positions of assignment's pairs
     used: set[str] = set()
+    # hom_layout(a, EMPTY_SPEC), built at the first completed bijection
+    layout: tuple | None = None
     # per exchangeable row x of a: the sign of b'_{f(x)f(y)} * b_xy over
     # the columns placed so far, 0 while every such product is 0
     sign = [0] * n
@@ -302,9 +349,12 @@ def enumerate_seed_isos(a: Seed, b: Seed):
         return None
 
     def backtrack(i: int):
+        nonlocal layout
         if i == len(a.labels):
+            if layout is None:
+                layout = hom_layout(a, EMPTY_SPEC)
             hom = PartialSeedHom.from_dict(a, EMPTY_SPEC, b, assignment)
-            if check_partial_hom(hom)[0]:
+            if check_partial_hom(hom, layout)[0]:
                 yield hom
             return
         x = a.labels[i]

@@ -25,6 +25,7 @@ from .homs import (
     SubSeedSpec,
     check_partial_hom,
     enumerate_seed_isos,
+    hom_layout,
     automorphism_group,
     mixing_subseed,
 )
@@ -133,9 +134,10 @@ def enumerate_endpar(seed: Seed, cap: int = MAX_ELEMENTS) -> SemigroupTable:
     Exchangeable domain variables may only map to exchangeable targets,
     so candidate maps range over X for the exchangeable part and over
     the whole extended cluster for the frozen part; each candidate is
-    validated.  Keeping more than min(cap, MAX_ELEMENTS) elements fails
-    loudly, at the first element over, so the product table always has
-    int16 indices.
+    validated by one check_partial_hom call, which reads the spec's
+    hom_layout, built once per spec.  Keeping more than min(cap,
+    MAX_ELEMENTS) elements fails loudly, at the first element over, so
+    the product table always has int16 indices.
 
     Each accepted element is kept only as its row of digits (see
     SemigroupTable).  Read in base 2*width+2, a row is the element's
@@ -151,19 +153,22 @@ def enumerate_endpar(seed: Seed, cap: int = MAX_ELEMENTS) -> SemigroupTable:
             f"{width} labels do not fit the 64-bit element code", partial_count=0
         )
     limit = min(cap, MAX_ELEMENTS)
+    position = seed._position
     digits: list[list[int]] = []
     for spec in _all_specs(seed):
+        layout = hom_layout(seed, spec)
         dom_ex, dom_fr = spec.parts(seed)
         pools = [ex_labels] * len(dom_ex) + [labels] * len(dom_fr)
         dom = dom_ex + dom_fr
-        places = [(seed.index(x), 2 + (x in dom_fr)) for x in dom]  # (p, 2 + f)
-        # the mapping by label position: None on I1, the values on dom
-        mapping = [None] * len(labels)
+        places = [(position[x], 2 + (x in dom_fr)) for x in dom]  # (p, 2 + f)
+        # the values of dom, then None -> the mapping by label position:
+        # the value of each domain label, None on I1
+        pools.append((None,))
+        at = dict(zip(dom, range(len(dom))))
+        spread = _tuple_getter([at.get(x, len(dom)) for x in labels])
         for values in itertools.product(*pools):
-            for (p, _), v in zip(places, values):
-                mapping[p] = v
-            cand = PartialSeedHom(seed, spec, seed, tuple(mapping))
-            ok, _ = check_partial_hom(cand)
+            cand = PartialSeedHom(seed, spec, seed, spread(values))
+            ok, _ = check_partial_hom(cand, layout)
             if not ok:
                 continue
             if len(digits) >= limit:
@@ -174,11 +179,19 @@ def enumerate_endpar(seed: Seed, cap: int = MAX_ELEMENTS) -> SemigroupTable:
                 )
             row = [0] * width
             for (p, d), v in zip(places, values):
-                row[p] = 2 * seed.index(v) + d
+                row[p] = 2 * position[v] + d
             digits.append(row)
     rows = np.array(digits, dtype=np.int64)
     product, zero_index = _product_table(rows)
     return SemigroupTable(seed, rows, product, zero_index)
+
+
+def _tuple_getter(indices: list[int]):
+    """operator.itemgetter(*indices), but returning a tuple for any
+    number of indices."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    return lambda items: tuple(map(items.__getitem__, indices))
 
 
 # Cells per block of rows or columns of a size² table; bounds the

@@ -16,6 +16,7 @@ from clusterseeds import (
     enumerate_seed_isos,
     find_seed_iso,
     green_relations,
+    hom_layout,
     iso_classes_of_subseeds,
     mixing_subseed,
     projected_endpar_bound,
@@ -164,6 +165,10 @@ def reference_check_partial_hom(candidate):
         sp.validate(src)
     except SpecError as exc:
         return False, str(exc)
+    if len(candidate.mapping) != len(src.labels):
+        return False, (
+            f"the mapping has {len(candidate.mapping)} entries for {len(src.labels)} labels"
+        )
     for x, v in zip(src.labels, candidate.mapping):
         if x in sp.I1:
             if v is not None:
@@ -271,6 +276,10 @@ def seed_b_check_partial_hom(candidate: PartialSeedHom) -> tuple[bool, str | Non
         spec.validate(src)
     except SpecError as exc:
         return False, str(exc)
+    if len(candidate.mapping) != len(src.labels):
+        return False, (
+            f"the mapping has {len(candidate.mapping)} entries for {len(src.labels)} labels"
+        )
     tgt_labels = set(tgt.labels)
     for x, v in zip(src.labels, candidate.mapping):
         if x in spec.I1:
@@ -334,8 +343,8 @@ def test_check_partial_hom_matches_seed_b_oracle_on_enumerated_candidates(
     seed = SEED_B_ORACLE_SEEDS[name]()
     verdicts = []
 
-    def both(cand):
-        got = check_partial_hom(cand)
+    def both(cand, *layout):
+        got = check_partial_hom(cand, *layout)
         assert got == seed_b_check_partial_hom(cand), cand
         verdicts.append(got[0])
         return got
@@ -347,9 +356,10 @@ def test_check_partial_hom_matches_seed_b_oracle_on_enumerated_candidates(
 
 
 def malformed_candidates(seed):
-    """Candidates that fail before condition (a): a bad spec, a label of
-    I1 that is mapped, a domain label that is unmapped, a target label
-    the target does not have, and pairs of the last two."""
+    """Candidates that fail before condition (a): a bad spec, a mapping
+    one entry short or one too long, a label of I1 that is mapped, a
+    domain label that is unmapped, a target label the target does not
+    have, and pairs of the last two."""
     ex, fr, labels = seed.exchangeable_labels, seed.frozen_labels, seed.labels
     ident = dict(zip(labels, labels))
     bad_specs = [spec(["zz"]), spec((), ["zz"])]
@@ -357,6 +367,8 @@ def malformed_candidates(seed):
     bad_specs += [spec(fr[:1])] if fr else []
     for s in bad_specs:
         yield PartialSeedHom.from_dict(seed, s, seed, ident)
+    yield PartialSeedHom(seed, spec(), seed, labels[:-1])
+    yield PartialSeedHom(seed, spec(), seed, labels + labels[:1])
     for r in range(len(labels) + 1):
         for I1 in itertools.combinations(labels, r):
             base = identity_inclusion(seed, spec((), I1)).mapping
@@ -406,6 +418,7 @@ MALFORMED_KINDS = (
     "lies in I1 but is mapped",
     "lies in the domain but is unmapped",
     "unknown target label",
+    "entries for",
 )
 
 
@@ -418,6 +431,44 @@ def test_check_partial_hom_matches_seed_b_oracle_on_malformed_candidates():
             assert not got[0]
             kinds.add(next(k for k in MALFORMED_KINDS if k in got[1]))
     assert kinds == set(MALFORMED_KINDS)
+
+
+def test_check_partial_hom_rejects_a_mapping_of_the_wrong_length():
+    """A mapping one entry short leaves a domain label unmapped; one
+    entry too long maps a label the source does not have."""
+    seed = a2_seed()
+    for mapping in ((), ("x1",), ("x1", "x2", "x1")):
+        cand = PartialSeedHom(seed, spec(), seed, mapping)
+        want = (False, f"the mapping has {len(mapping)} entries for 2 labels")
+        assert check_partial_hom(cand) == want
+        assert seed_b_check_partial_hom(cand) == reference_check_partial_hom(cand) == want
+
+
+@pytest.mark.parametrize("name", sorted(SEED_B_ORACLE_SEEDS))
+def test_check_partial_hom_with_a_layout_matches_the_check_without(monkeypatch, name):
+    """The verdict on the layout a caller passes, built once per spec,
+    is the verdict on the layout check_partial_hom builds itself, on
+    every candidate enumerate_endpar tries and every malformed one,
+    invalid specs included."""
+    seed = SEED_B_ORACLE_SEEDS[name]()
+    passed = []
+
+    def with_and_without(cand, *layout):
+        passed.append(layout)
+        got = check_partial_hom(cand, *layout)
+        assert got == check_partial_hom(cand), cand
+        return got
+
+    monkeypatch.setattr(semigroup_module, "check_partial_hom", with_and_without)
+    enumerate_endpar(seed)
+    assert len(passed) == projected_endpar_bound(seed)
+    assert all(len(layout) == 1 for layout in passed)
+    errors = 0
+    for cand in malformed_candidates(seed):
+        layout = hom_layout(seed, cand.spec)
+        errors += layout[0] is not None
+        assert check_partial_hom(cand, layout) == check_partial_hom(cand), cand
+    assert errors >= 2
 
 
 def test_check_partial_hom_matches_seed_b_oracle_into_another_seed():
@@ -646,9 +697,9 @@ def test_enumerate_seed_isos_prunes_on_row_signs(monkeypatch):
     checked = []
     check = homs_module.check_partial_hom
 
-    def counting(candidate):
+    def counting(candidate, *layout):
         checked.append(candidate)
-        return check(candidate)
+        return check(candidate, *layout)
 
     monkeypatch.setattr(homs_module, "check_partial_hom", counting)
     seed = sign_pattern_seed(7)
