@@ -36,7 +36,6 @@ from .homs import (
     compose,
     enumerate_seed_isos,
     find_seed_iso,
-    hom_layout,
     mixing_subseed,
     require_hom,
 )

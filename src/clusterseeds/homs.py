@@ -17,7 +17,6 @@ __all__ = [
     "SubSeedSpec",
     "PartialSeedHom",
     "mixing_subseed",
-    "hom_layout",
     "check_partial_hom",
     "require_hom",
     "compose",
@@ -36,12 +35,10 @@ class SubSeedSpec:
 
     def validate(self, seed: Seed) -> None:
         exchangeable, labels = seed._label_sets
-        if self.I0 <= exchangeable and self.I1 <= labels and self.I0.isdisjoint(self.I1):
-            return
-        bad = self.I0.difference(seed.exchangeable_labels)
+        bad = self.I0 - exchangeable
         if bad:
             raise SpecError(f"I0 labels not exchangeable in the seed: {sorted(bad)}")
-        bad = self.I1.difference(seed._position)
+        bad = self.I1 - labels
         if bad:
             raise SpecError(f"I1 labels not in the extended cluster: {sorted(bad)}")
         both = self.I0 & self.I1
@@ -122,33 +119,30 @@ def hom_layout(source: Seed, spec: SubSeedSpec) -> tuple:
     and the spec, so that a caller checking many maps of one spec builds
     it once and passes it to check_partial_hom with each.
 
-    A tuple (error, deleted, rows, entries, adjacent).  error is the
-    SpecError message of an invalid spec (and the other parts are
-    empty), else None.  deleted[p] says labels[p] lies in I1.  rows are
-    the positions of the exchangeable domain variables, the rows of the
-    sub-seed.  entries[r] lists the nonzero entries of row rows[r] as
-    (column position, b_xy, |b_xy|), in the sub-seed's column order (its
-    exchangeable labels, then I0 and the kept frozen labels), so the
-    first violation found is the sub-seed's; a zero b_xy can break no
-    condition.  adjacent lists the pairs (r, s), r < s, of rows with
-    b_xz nonzero, in the order of itertools.combinations.
+    A tuple (source, spec, error, deleted, rows, entries, adjacent).
+    source and spec are the arguments, which check_partial_hom matches
+    against the candidate's.  error is the SpecError message of an
+    invalid spec (and the parts after it are empty), else None.
+    deleted[p] says labels[p] lies in I1.  rows are the positions of the
+    exchangeable domain variables, the rows of the sub-seed.  entries[r]
+    lists the nonzero entries of row rows[r] as (column position, b_xy,
+    |b_xy|), in the sub-seed's column order (its exchangeable labels,
+    then I0 and the kept frozen labels), so the first violation found is
+    the sub-seed's; a zero b_xy can break no condition.  adjacent lists
+    the pairs (r, s), r < s, of rows with b_xz nonzero, in the order of
+    itertools.combinations.
     """
     try:
         spec.validate(source)
     except SpecError as exc:
-        return str(exc), (), (), (), ()
+        return source, spec, str(exc), (), (), (), ()
     I0, I1 = spec.I0, spec.I1
     labels, b = source.labels, source.matrix
-    if I0 or I1:
-        rows, frozen = [], []
-        for p, x in enumerate(labels):
-            if x not in I1:
-                (rows if p < len(b) and x not in I0 else frozen).append(p)
-        cols = rows + frozen
-        deleted = tuple(map(I1.__contains__, labels))
-    else:  # the whole seed, as the isomorphism search checks it
-        rows, cols = range(len(b)), range(len(labels))
-        deleted = (False,) * len(labels)
+    rows, frozen = [], []
+    for p, x in enumerate(labels):
+        if x not in I1:
+            (rows if p < len(b) and x not in I0 else frozen).append(p)
+    cols = rows + frozen
     entries, adjacent = [], []
     for r, i in enumerate(rows):
         b_row = b[i]
@@ -156,7 +150,8 @@ def hom_layout(source: Seed, spec: SubSeedSpec) -> tuple:
         for s in range(r + 1, len(rows)):
             if b_row[rows[s]]:
                 adjacent.append((r, s))
-    return None, deleted, tuple(rows), tuple(entries), tuple(adjacent)
+    deleted = tuple(map(I1.__contains__, labels))
+    return source, spec, None, deleted, tuple(rows), tuple(entries), tuple(adjacent)
 
 
 def check_partial_hom(
@@ -170,15 +165,18 @@ def check_partial_hom(
     b'_{f(x)f(y)} b_{xy} never take opposite signs, and magnitudes never
     shrink.  Per row the condition collapses to a single sign.  The
     sub-seed's matrix is the source matrix restricted to the domain, so
-    its entries are read off the source, through the layout of the
-    candidate's source and spec: the caller's, which must be
-    hom_layout(candidate.source, candidate.spec), or one built here.
-    A mapping without exactly one entry per source label is rejected.
+    its entries are read off the source, through a hom_layout of the
+    candidate's source and spec: the caller's, or one built here.  A
+    layout built for another source or spec raises ValueError.  A
+    mapping without exactly one entry per source label is rejected.
     """
     src, tgt, mapping = candidate.source, candidate.target, candidate.mapping
     if layout is None:
         layout = hom_layout(src, candidate.spec)
-    error, deleted, rows, entries, adjacent = layout
+    elif layout[0] is not src or layout[1] is not candidate.spec:
+        if layout[0] != src or layout[1] != candidate.spec:
+            raise ValueError("the layout was built for another source or spec")
+    _, _, error, deleted, rows, entries, adjacent = layout
     if error is not None:
         return False, error
     if len(mapping) != len(deleted):

@@ -21,8 +21,7 @@ from clusterseeds import (
     theorem_number_report,
 )
 from clusterseeds import semigroup as semigroup_module
-from oracles import elements
-from test_semigroup import brute_force_endpar, to_key
+from oracles import brute_force_endpar, elements, to_key
 
 ENTRIES = range(-2, 3)
 

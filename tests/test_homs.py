@@ -16,13 +16,13 @@ from clusterseeds import (
     enumerate_seed_isos,
     find_seed_iso,
     green_relations,
-    hom_layout,
     iso_classes_of_subseeds,
     mixing_subseed,
     projected_endpar_bound,
     require_hom,
 )
 from clusterseeds import homs as homs_module, semigroup as semigroup_module
+from clusterseeds.homs import hom_layout
 from conftest import (
     a2_seed,
     a2_y2_seed,
@@ -466,9 +466,22 @@ def test_check_partial_hom_with_a_layout_matches_the_check_without(monkeypatch, 
     errors = 0
     for cand in malformed_candidates(seed):
         layout = hom_layout(seed, cand.spec)
-        errors += layout[0] is not None
+        errors += layout[2] is not None
         assert check_partial_hom(cand, layout) == check_partial_hom(cand), cand
     assert errors >= 2
+
+
+def test_check_partial_hom_rejects_a_layout_of_another_source_or_spec():
+    """A layout is accepted for an equal source and spec, and refused for
+    another spec or another source, where it would change the verdict:
+    the identity on a2 is a homomorphism, and its mapping read with x1
+    deleted is not."""
+    seed = a2_seed()
+    cand = PartialSeedHom(seed, spec(), seed, ("x1", "x2"))
+    assert check_partial_hom(cand, hom_layout(a2_seed(), spec())) == (True, None)
+    for layout in (hom_layout(seed, spec(i1=("x1",))), hom_layout(a2_y2_seed(), cand.spec)):
+        with pytest.raises(ValueError, match="another source or spec"):
+            check_partial_hom(cand, layout)
 
 
 def test_check_partial_hom_matches_seed_b_oracle_into_another_seed():

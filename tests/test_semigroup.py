@@ -1,9 +1,9 @@
 """The endomorphism semigroup, its Green's relations, and regularity.
 
-An independently coded brute-force enumerator (re-deriving the validity
-condition from its raw pairwise form, with no shared code) pins the
-semigroup sizes on the small seeds; everything downstream cross-checks
-against it.
+An independently coded brute-force enumerator (oracles.brute_force_endpar,
+re-deriving the validity condition from its raw pairwise form, with no
+shared code) pins the semigroup sizes on the small seeds; everything
+downstream cross-checks against it.
 """
 
 import dataclasses
@@ -53,6 +53,7 @@ from conftest import (
     trivial_seed,
 )
 from oracles import (
+    brute_force_endpar,
     d_by_closure,
     d_by_composition,
     element,
@@ -71,66 +72,8 @@ from oracles import (
     spec_sort_key,
     spec_universe_size,
     subseed_components,
+    to_key,
 )
-
-
-# ----------------------------------------------- independent enumeration
-
-
-def brute_force_endpar(seed):
-    """Second, independent enumerator of all partial endomorphisms.
-
-    The validity condition is written directly in its quantified form:
-    over all pairs of adjacent row pairs of the sub-seed, the two sign
-    products never conflict and magnitudes never shrink.  No code is
-    shared with the package implementation beyond the Seed accessors.
-    """
-    ex = seed.exchangeable_labels
-    fr = seed.frozen_labels
-    labels = ex + fr
-    results = set()
-    for i0_size in range(len(ex) + 1):
-        for I0 in itertools.combinations(ex, i0_size):
-            remaining = [x for x in labels if x not in I0]
-            for i1_size in range(len(remaining) + 1):
-                for I1 in itertools.combinations(remaining, i1_size):
-                    dom_ex = [x for x in ex if x not in I0 and x not in I1]
-                    dom_fr = [x for x in ex if x in I0] + [
-                        x for x in fr if x not in I1
-                    ]
-                    dom = dom_ex + dom_fr
-                    choices = [list(ex)] * len(dom_ex) + [list(labels)] * len(dom_fr)
-                    for values in itertools.product(*choices):
-                        f = dict(zip(dom, values))
-                        if _valid_raw(seed, dom_ex, dom, f):
-                            results.add(
-                                (frozenset(I0), frozenset(I1), tuple(sorted(f.items())))
-                            )
-    return results
-
-
-def _valid_raw(seed, dom_ex, dom, f):
-    # b over the sub-seed: rows only for dom_ex, columns over dom
-    def b_sub(x, y):
-        return seed.b(x, y)
-
-    pairs = [(x, y) for x in dom_ex for y in dom if x != y]
-    for (x, y), (z, w) in itertools.product(pairs, pairs):
-        if x != z and b_sub(x, z) == 0:
-            continue
-        bxy, bzw = b_sub(x, y), b_sub(z, w)
-        pxy = seed.b(f[x], f[y])
-        pzw = seed.b(f[z], f[w])
-        if pxy * bxy * pzw * bzw < 0:
-            return False
-    for x, y in pairs:
-        if abs(seed.b(f[x], f[y])) < abs(b_sub(x, y)):
-            return False
-    return True
-
-
-def to_key(h):
-    return (h.spec.I0, h.spec.I1, tuple(sorted(h.map_dict().items())))
 
 
 @pytest.mark.parametrize("name", ["a2", "trivial_m1", "trivial_m2"])
